@@ -15,13 +15,23 @@ Structure:
   starts, and the entry point — so any two regions that overlap agree
   on segment boundaries;
 * a *region* is a BFS closure of segments over intra-region control
-  flow (conditional branches and direct ``br``); calls, returns and
-  indirect jumps leave the region through the driver loop;
+  flow (conditional branches, direct ``br``, direct and linker-hinted
+  calls with their continuations); returns and indirect jumps that
+  miss every head of the region leave it through the driver loop;
 * each region compiles to one Python function with registers in local
   variables and every opcode specialized at translation time
   (register numbers, displacements, I-cache line/slot constants,
   return addresses and branch conditions are folded into the source);
-  there is no per-instruction dispatch inside a region;
+  there is no per-instruction dispatch inside a region, and the
+  timed flavors probe the I-cache once per line per straight-line
+  path, since only instruction fetches touch the tags;
+* a region whose segments form a dispatch cascade (loop form) can be
+  entered at any of its heads: every head shares the root's table
+  entry, so control that comes back to the driver at a head re-enters
+  code already translated instead of rooting a second region over it.
+  Every flavor that cannot fold a call's planted return address (all
+  but the fast functional one) gives the call continuation a head of
+  its own, so the callee's ``ret`` lands back in the region;
 * regions come in *flavors* keyed by ``(timed, counting,
   cycle_counting, guarded)``.  Fast flavors check the instruction
   budget once per segment and bail back to the driver when a segment
@@ -450,6 +460,10 @@ class _Emitter:
         #: earlier access to the same address already proved it mapped,
         #: so no fault is skipped.  Constant addresses key on r31.
         self.memtab: dict = {}
+        #: I-cache slot -> line already probed on the current path.
+        #: Only instruction fetches touch ``itags``, so a later word of
+        #: a probed line cannot miss until another line claims the slot.
+        self.probed: dict[int, int] = {}
         if self.opt:
             self._compute_liveness()
 
@@ -519,15 +533,17 @@ class _Emitter:
                             stack.append((t, nd))
         # A continuation merged behind a callee that is *not* merged
         # (multi-site or external) is never reached by any splice —
-        # control only comes back to it through the callee's ret.
-        # Give it its own arm so the dynamic return dispatch can land
-        # on it inside the region.
+        # control only comes back to it through the callee's ret.  Nor
+        # is one behind a merged callee outside the fast functional
+        # flavor, which alone folds the planted return address into a
+        # static splice.  Give it its own arm so the dynamic return
+        # dispatch can land on it inside the region.
         for s in order:
             if prog.decoded[segs[s] - 1][0] not in (K_BSR, K_JSR):
                 continue
             ts = prog.region_targets(s)
             if (len(ts) == 2 and ts[1] in self.merged
-                    and ts[0] not in self.merged):
+                    and (ts[0] not in self.merged or not self.opt)):
                 self.merged.discard(ts[1])
         self.tree_members: dict[int, list[int]] = {}
         for h in order:
@@ -751,6 +767,17 @@ class _Emitter:
         self.defer.clear()
         self.sym.clear()
         self.memtab.clear()
+        self.probed.clear()
+
+    def _save(self) -> tuple:
+        """Optimizer state to restore after emitting a branch arm."""
+        return (dict(self.kval), set(self.defer), dict(self.sym),
+                dict(self.memtab), dict(self.probed), self.pending,
+                self.in_branch)
+
+    def _restore(self, saved: tuple) -> None:
+        (self.kval, self.defer, self.sym, self.memtab, self.probed,
+         self.pending, self.in_branch) = saved
 
     def _mat_deps(self, out, ind, rc: int) -> None:
         """Materialize forwarded expressions that read ``rc`` before a
@@ -911,14 +938,17 @@ class _Emitter:
             out.append(f"{ind}    raise ExecutionBudgetExceeded(limit)")
 
         if self.timed:
-            # I-cache probe: line and slot fold to constants per word.
+            # I-cache probe: line and slot fold to constants per word,
+            # and a line already probed on this path always hits.
             line = (prog.text_base + 4 * i) >> _ILINE_SHIFT
             islot = line & (_IN_LINES - 1)
-            out.append(f"{ind}if itags[{islot}] != {line}:")
-            out.append(f"{ind}    itags[{islot}] = {line}")
-            out.append(f"{ind}    st[5] += 1")
-            out.append(f"{ind}    cycle += {CACHE_MISS_PENALTY}")
-            out.append(f"{ind}    so = False")
+            if self.probed.get(islot) != line:
+                self.probed[islot] = line
+                out.append(f"{ind}if itags[{islot}] != {line}:")
+                out.append(f"{ind}    itags[{islot}] = {line}")
+                out.append(f"{ind}    st[5] += 1")
+                out.append(f"{ind}    cycle += {CACHE_MISS_PENALTY}")
+                out.append(f"{ind}    so = False")
             if kind == K_OP_RR:
                 self._emit_issue(out, ind, 2, (op[2], op[3]))
             elif kind == K_OP_RL:
@@ -1300,12 +1330,10 @@ class _Emitter:
         if test is None:
             test = _CBR_CONDS[cond].format(v=self._r(ra))
         out.append(f"{ind}if {test}:")
-        saved = (dict(self.kval), set(self.defer), dict(self.sym),
-                 dict(self.memtab), self.pending, self.in_branch)
+        saved = self._save()
         self.in_branch = True
         self._emit_taken(out, ind + "    ", s, i, target)
-        (self.kval, self.defer, self.sym, self.memtab, self.pending,
-         self.in_branch) = saved
+        self._restore(saved)
         self._emit_not_taken(out, ind, s, i)
 
     def _br_bsr(self, out, ind, s, i, op):
@@ -1375,12 +1403,10 @@ class _Emitter:
                 out.append(f"{ind}so = False")
                 self._attr(out, ind, i)
             out.append(f"{ind}if dest == {prog.text_base + 4 * hint}:")
-            saved = (dict(self.kval), set(self.defer), dict(self.sym),
-                     dict(self.memtab), self.pending, self.in_branch)
+            saved = self._save()
             self.in_branch = True
             self._goto(out, ind + "    ", s, hint)
-            (self.kval, self.defer, self.sym, self.memtab, self.pending,
-             self.in_branch) = saved
+            self._restore(saved)
             out.append(f"{ind}else:")
             ind = ind + "    "
         out.append(f"{ind}ni = (dest - {prog.text_base}) >> 2")
@@ -1637,9 +1663,11 @@ class _Emitter:
 
     def source(self) -> tuple[str, str]:
         name = f"_jit_region_{self.start}"
+        # ``pc`` selects the head a loop-form region is entered at;
+        # other regions have just their root and ignore it.
         out = [
             f"def {name}(regs, st, out, mem, ready, itags, dtags, "
-            f"cnts, cyc, execs):"
+            f"cnts, cyc, execs, pc={self.start}):"
         ]
         ind = "    "
         out.append(f"{ind}cnt = st[0]")
@@ -1667,7 +1695,6 @@ class _Emitter:
                 + ", ".join(f"regs[{r}]" for r in self.used)
             )
         if self.loop_form:
-            out.append(f"{ind}pc = {self.start}")
             out.append(f"{ind}while True:")
             arm = ind + "    "
             # Weak topological order: forward edges fall through the
@@ -1745,7 +1772,8 @@ class CompiledProgram:
         #: makes the per-segment execution counters expandable to exact
         #: per-word counts.
         self.seg_len: dict[int, int] = {}
-        #: flavor -> {start: (fn, max_segment_len) | _FALLBACK}
+        #: flavor -> {index: (fn, max_segment_len) | _FALLBACK}, keyed
+        #: by every region root and every head of a loop-form region.
         self.tables: dict[tuple, dict] = {}
         self.sources: dict[tuple, str] = {}
         self.stats = JitStats()
@@ -1866,6 +1894,12 @@ class CompiledProgram:
             exec(compile(src, f"<jit:{start}>", "exec"), namespace)
             entry = (namespace[name], em.max_unit)
             table[start] = entry
+            if em.loop_form:
+                # The cascade dispatches any head, so control arriving
+                # at one enters this region instead of rooting a new
+                # one over the same code.
+                for head in em.pos:
+                    table.setdefault(head, entry)
             self.sources[(flavor, start)] = src
             self.stats.regions += 1
             self.stats.segments += len(order)
@@ -2285,7 +2319,7 @@ class JitMachine(Machine):
                         continue
                     entry = gentry
                 index = entry[0](regs, st, out, mem, ready, itags, dtags,
-                                 counts, cycle_counts, execs)
+                                 counts, cycle_counts, execs, index)
         finally:
             if qd is not None:
                 # Release the exported buffers so the bytearrays stay

@@ -3,13 +3,15 @@
 The translator splits the text segment into basic blocks (segments)
 at every branch target, call return, and procedure entry; these tests
 pin the split-point rules on hand-written assembly — where word
-indexes are knowable — plus the cache-invalidation contract of
-:class:`repro.machine.jit.CompiledProgram`.
+indexes are knowable — plus region entry at any head, the per-line
+I-cache probe at line and slot boundaries, and the cache-invalidation
+contract of :class:`repro.machine.jit.CompiledProgram`.
 """
 
 import pytest
 
 from repro.isa.textasm import assemble_text
+from repro.isa.timing import CACHE_LINE, ICACHE_BYTES
 from repro.linker import link
 from repro.machine import run
 from repro.machine.jit import (
@@ -31,6 +33,55 @@ def _proc_index(machine, name):
         if proc.name == name:
             return (proc.addr - machine.text_base) >> 2
     raise KeyError(name)
+
+
+#: Flavor key of a plain timed run: (timed, counting, cycle_counting,
+#: guarded).
+TIMED = (True, False, False, False)
+_LINE_WORDS = CACHE_LINE // 4
+_SLOTS = ICACHE_BYTES // CACHE_LINE
+
+
+def _timed_fields(result) -> tuple:
+    return (result.output, result.instructions, result.cycles,
+            result.icache_misses, result.dual_issues)
+
+
+def _link_at_line_word(crt0, libmc, template, offset, word, **fill):
+    """Link ``template`` with ``{pad}`` nops that put the word
+    ``offset`` words into ``main`` at word ``word`` of an I-cache line.
+
+    Returns the machine and the padded word's index.
+    """
+    def source(pad):
+        return template.format(pad="        nop\n" * pad, **fill)
+
+    machine = JitMachine(_link_asm(crt0, libmc, source(0)))
+    at = _proc_index(machine, "main") + offset
+    pad = (word - (machine.text_base >> 2) - at) % _LINE_WORDS
+    return JitMachine(_link_asm(crt0, libmc, source(pad))), at + pad
+
+
+def _arm_probes(prog, flavor, head):
+    """(slot, line) of each I-cache probe in ``head``'s dispatch arm."""
+    for (fl, _), src in prog.sources.items():
+        if fl != flavor:
+            continue
+        lines = src.splitlines()
+        for n, line in enumerate(lines):
+            if line.strip() != f"if pc == {head}:":
+                continue
+            depth = len(line) - len(line.lstrip())
+            probes = []
+            for body in lines[n + 1:]:
+                if len(body) - len(body.lstrip()) <= depth:
+                    break
+                text = body.strip()
+                if text.startswith("if itags["):
+                    slot, line_no = text[len("if itags["):-1].split("] != ")
+                    probes.append((int(slot), int(line_no)))
+            return probes
+    raise KeyError(head)
 
 
 @pytest.fixture(autouse=True)
@@ -106,6 +157,99 @@ def test_splits_at_jsr_return_and_proc_entries(crt0, libmc):
     assert prog.jump_hint[jsr] == callee
     assert prog.region_targets(main) == (callee, jsr + 1)
     assert machine.run(timed=False).output == "42\n"
+
+
+def test_call_continuation_is_a_head_under_timing(crt0, libmc):
+    """The timed flavor cannot fold the planted return address, so the
+    continuation behind a spliced callee gets its own arm: the callee's
+    ret lands on it in the region, and the driver never roots a second
+    region over it."""
+    exe = _link_asm(crt0, libmc, CALLS)
+    machine = JitMachine(exe)
+    result = machine.run(timed=True)
+    prog = program_for(machine)
+    ret_site = _proc_index(machine, "main") + 5  # the word after the jsr
+    assert ret_site in prog.tables[TIMED]
+    assert (TIMED, ret_site) not in prog.sources
+    interp = run(exe, timed=True)
+    assert (result.output, result.cycles) == (interp.output, interp.cycles)
+
+
+CROSSING = """
+        .ent    main
+main:   lda     $t0, 5($zero)
+        lda     $t1, 0($zero)
+{pad}
+loop:   addq    $t1, $t0, $t1
+        subq    $t0, 1, $t0
+        addq    $t1, 1, $t1
+        bne     $t0, loop
+        lda     $a0, 0($t1)
+        call_pal putint
+        lda     $v0, 0($zero)
+        ret     $zero, ($ra)
+        .end    main
+"""
+
+
+def test_probe_once_per_line_across_a_line_boundary(crt0, libmc):
+    """A loop segment whose second word is the last of one I-cache
+    line and whose third is the first of the next: the straight-line
+    path probes each of the two lines once, and the timing still
+    matches the interpreter's."""
+    machine, loop = _link_at_line_word(
+        crt0, libmc, CROSSING, 2, _LINE_WORDS - 2
+    )
+    result = machine.run(timed=True)
+    assert result.output == "20\n"
+    interp = run(machine.executable, timed=True)
+    assert _timed_fields(result) == _timed_fields(interp)
+    line = ((machine.text_base >> 2) + loop) // _LINE_WORDS
+    assert _arm_probes(program_for(machine), TIMED, loop) == [
+        (line % _SLOTS, line), ((line + 1) % _SLOTS, line + 1),
+    ]
+
+
+ALTERNATING = """
+        .ent    main
+main:   lda     $t0, 6($zero)
+        lda     $t1, 0($zero)
+{pad}
+loop:   addq    $t1, 1, $t1
+        br      $zero, far
+back:   subq    $t0, 1, $t0
+        bne     $t0, loop
+        lda     $a0, 0($t1)
+        call_pal putint
+        lda     $v0, 0($zero)
+        ret     $zero, ($ra)
+{gap}
+far:    addq    $t1, 2, $t1
+        br      $zero, back
+        .end    main
+"""
+
+
+def test_probe_repeats_when_a_line_returns_to_its_slot(crt0, libmc):
+    """One path visits line A, then line B one cache size away (the
+    same direct-mapped slot), then A again: the second visit to A must
+    probe again, because B evicted it."""
+    gap = ICACHE_BYTES // 4 - 8  # ``far`` sits one cache size after ``loop``
+    machine, loop = _link_at_line_word(
+        crt0, libmc, ALTERNATING, 2, 0, gap="        nop\n" * gap
+    )
+    result = machine.run(timed=True)
+    interp = run(machine.executable, timed=True)
+    assert result.output == "18\n"
+    assert _timed_fields(result) == _timed_fields(interp)
+    assert interp.icache_misses >= 2 * 6  # A and B evict each other
+    line_a = ((machine.text_base >> 2) + loop) // _LINE_WORDS
+    line_b = line_a + _SLOTS
+    slot = line_a % _SLOTS
+    # The loop tree splices ``far`` and ``back``: one path, three probes.
+    assert _arm_probes(program_for(machine), TIMED, loop) == [
+        (slot, line_a), (slot, line_b), (slot, line_a),
+    ]
 
 
 GAT_STRADDLE = """
