@@ -46,14 +46,21 @@ def ensure_uid_floor(floor: int) -> None:
     _uid_counter = itertools.count(max(current, floor) + 1)
 
 
-@dataclass
+# Items compare by identity (``eq=False``).  OM locates them with
+# ``list.index``/``list.remove``, and value equality would compare every
+# field, nested Instruction included, at each step of the scan.
+# Identity finds the same item: every instruction carries a unique uid,
+# and nothing copies items.
+
+
+@dataclass(eq=False)
 class MLabel:
     name: str
     is_target: bool = True
     align: int = 0  # quadword-align this label's address when nonzero
 
 
-@dataclass
+@dataclass(eq=False)
 class MInstr:
     """One instruction plus relocation requests (see Assembler.emit)."""
 

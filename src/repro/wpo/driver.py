@@ -27,6 +27,16 @@ idempotent skip-label/export insertion into callees, which is
 harvested as an effect and replayed serially; every cross-module
 *read* is answered from the post-canonicalize serial snapshot, which
 is exactly the state the monolithic pass order exposes.
+
+That same argument lets inline shards run on the driver's live
+modules: every job (GP values, addresses, groups, call decisions,
+stub summaries) is built before the first shard runs, a shard mutates
+only its own members and private stubs, and the effects land after
+all shards have run.  Nothing is pickled unless it crosses a process
+(the ``wpo_jobs`` pool) or the cache; only results that arrive as
+bytes (pool results and cache hits) get fresh uids.  A shard records
+provenance into a log of its own when the link is traced or cached,
+so a cached result carries the events a later traced hit replays.
 """
 
 from __future__ import annotations
@@ -57,6 +67,7 @@ from repro.wpo.shard import (
     StubInfo,
     remap_module_uids,
     run_shard,
+    run_shard_job,
 )
 
 #: Bump to invalidate shard artifacts when the job format changes.
@@ -90,7 +101,9 @@ class WPORun:
     stats: WPOStats = field(default_factory=WPOStats)
 
 
-def _site_decisions(prog: Program, transformer: Transformer, options) -> dict[int, bool]:
+def _site_decisions(
+    prog: Program, transformer: Transformer, options, sites: list
+) -> dict[int, bool]:
     """The jsr->bsr verdict for every direct call site, by jsr uid.
 
     Mirrors ``Transformer._convert_call_site`` exactly: the relaxation
@@ -99,7 +112,7 @@ def _site_decisions(prog: Program, transformer: Transformer, options) -> dict[in
     """
     decisions: dict[int, bool] = {}
     relax_result = transformer.relax_result
-    for site in iter_direct_call_sites(prog.modules):
+    for site in sites:
         if relax_result is not None:
             decisions[site.jsr.uid] = relax_result.decisions.get(
                 site.jsr.uid, False
@@ -159,12 +172,14 @@ def _replay_events(
 
 
 class _ShardJob:
-    """One shard's payload, cache key, and driver-side stub directory."""
+    """One shard's job, cache key, and driver-side stub directory."""
 
-    def __init__(self, shard: Shard, payload: bytes, key_payload: dict,
+    def __init__(self, shard: Shard, job: dict, key_payload: dict | None,
                  stub_modules: dict[int, int], stub_names: dict[int, str]):
         self.shard = shard
-        self.payload = payload
+        #: The job dict; its modules are the driver's live members.
+        self.job = job
+        #: Cache-key payload (``None`` when no cache is attached).
         self.key_payload = key_payload
         #: Stub id -> global module index (for applying effects).
         self.stub_modules = stub_modules
@@ -175,7 +190,7 @@ class _ShardJob:
 def _build_shard_job(
     shard: Shard,
     modules: list[SymbolicModule],
-    digests: list[str],
+    digests: list[str] | None,
     layout,
     prog: Program,
     sites_by_module: dict[int, list],
@@ -184,6 +199,7 @@ def _build_shard_job(
     full: bool,
     convert_escaped: bool,
     round_index: int,
+    record: bool,
 ) -> _ShardJob:
     members = shard.members
     local_of = {g: i for i, g in enumerate(members)}
@@ -202,31 +218,20 @@ def _build_shard_job(
     group = [canon_group(layout.module_group[g]) for g in members]
 
     addr: dict[tuple[int, str], int] = {}
-    literal_d: list[list] = []  # per member: [[symbol, d-or-None], ...]
+    literal_syms: list[set[str]] = []  # per member
     for local, g in enumerate(members):
         module = modules[g]
-        literal_syms = {
+        syms = {
             item.literal[0]
             for item in module.all_items()
             if getattr(item, "literal", None) is not None
         }
-        needed = literal_syms | {proc.name for proc in module.procs}
-        for symbol in sorted(needed):
+        literal_syms.append(syms)
+        for symbol in sorted(syms | {proc.name for proc in module.procs}):
             try:
                 addr[(local, symbol)] = layout.symbol_addr(g, symbol)
             except Exception:
                 pass
-        literal_d.append(
-            [
-                [
-                    symbol,
-                    (addr[(local, symbol)] - gp[local])
-                    if (local, symbol) in addr
-                    else None,
-                ]
-                for symbol in sorted(literal_syms)
-            ]
-        )
 
     resolutions: dict[tuple[int, str], tuple] = {}
     stubs: dict[int, StubInfo] = {}
@@ -285,20 +290,34 @@ def _build_shard_job(
         "decisions": {
             uid: decisions.get(uid, False) for uid in shard_uids
         },
+        "record": record,
     }
-    key_payload = {
-        "v": _KEY_VERSION,
-        "full": full,
-        "convert_escaped": convert_escaped,
-        "members": [digests[g] for g in members],
-        "single": single_group,
-        "groups": group,
-        "d": literal_d,
-        "sites": key_sites,
-    }
-    payload = pickle.dumps(job, protocol=pickle.HIGHEST_PROTOCOL)
+    key_payload = None
+    if digests is not None:
+        key_payload = {
+            "v": _KEY_VERSION,
+            "full": full,
+            "convert_escaped": convert_escaped,
+            "members": [digests[g] for g in members],
+            "single": single_group,
+            "groups": group,
+            # Per member: [[symbol, d-or-None], ...] over its literals.
+            "d": [
+                [
+                    [
+                        symbol,
+                        (addr[(local, symbol)] - gp[local])
+                        if (local, symbol) in addr
+                        else None,
+                    ]
+                    for symbol in sorted(syms)
+                ]
+                for local, syms in enumerate(literal_syms)
+            ],
+            "sites": key_sites,
+        }
     stub_names = {sid: info.name for sid, info in stubs.items()}
-    return _ShardJob(shard, payload, key_payload, stub_modules, stub_names)
+    return _ShardJob(shard, job, key_payload, stub_modules, stub_names)
 
 
 def wpo_rounds(
@@ -314,9 +333,10 @@ def wpo_rounds(
 ) -> WPORun:
     """Run the OM transformation rounds partitioned into shards.
 
-    Mutates ``modules`` in place (entries are replaced by their
-    transformed versions each round), exactly like the monolithic round
-    loop mutates them, and returns the merged counters and telemetry.
+    Mutates ``modules`` in place (inline shards transform their entries;
+    cache hits and pool results replace them), exactly like the
+    monolithic round loop mutates them, and returns the merged counters
+    and telemetry.
     """
     from repro.om.driver import OMLevel  # circular-safe: driver imports us lazily
 
@@ -392,16 +412,15 @@ def _run_round(
 ) -> bool:
     # ---- serial whole-program phase -----------------------------------
     objs = [reassemble_module(module)[0] for module in modules]
-    digests = [
-        hashlib.sha256(dump_object(obj)).hexdigest() for obj in objs
-    ]
+    # The digests only feed shard cache keys.
+    digests = (
+        [hashlib.sha256(dump_object(obj)).hexdigest() for obj in objs]
+        if cache is not None
+        else None
+    )
     inputs = resolve_inputs(objs, [])
     layout = compute_layout(inputs, layout_options)
     prog = Program.build(modules, layout, entry=options.entry)
-    # The monolithic round computes address-taken before any transform
-    # and the entry-setup pass reads that pre-transform set; preserve it
-    # across the merge for byte identity.
-    address_taken = set(prog.address_taken)
 
     prologue = Transformer(
         prog,
@@ -417,12 +436,16 @@ def _run_round(
     if prologue.relax_result is not None:
         run.relax_iterations += prologue.relax_result.iterations
         run.relax_demoted += prologue.relax_result.demoted
-    decisions = _site_decisions(prog, prologue, options)
+    sites = iter_direct_call_sites(modules)
+    decisions = _site_decisions(prog, prologue, options, sites)
 
     sites_by_module: dict[int, list] = {}
-    for site in iter_direct_call_sites(modules):
+    for site in sites:
         sites_by_module.setdefault(site.caller_module, []).append(site)
 
+    # Shards record provenance when this link replays it, or when a
+    # cached result must carry it for a later traced hit to replay.
+    record = trace is not None or cache is not None
     jobs = [
         _build_shard_job(
             shard,
@@ -435,20 +458,25 @@ def _run_round(
             full=full,
             convert_escaped=convert_escaped,
             round_index=round_index,
+            record=record,
         )
         for shard in shards
     ]
 
     # ---- parallel per-shard phase -------------------------------------
-    results: list[bytes | None] = [None] * len(jobs)
+    # Inline shards transform the live modules in place (every cross-
+    # module fact they read was computed above, before any shard ran).
+    # Only cache hits and pool results arrive as bytes; a result is
+    # pickled only to be cached.
+    results: list[ShardResult | None] = [None] * len(jobs)
+    blobs: list[bytes | None] = [None] * len(jobs)
     keys: list[str | None] = [None] * len(jobs)
     pending: list[int] = []
     for index, job in enumerate(jobs):
         if cache is not None:
             keys[index] = cache.key(job.key_payload)
-            blob = cache.get("wpo", keys[index])
-            if blob is not None:
-                results[index] = blob
+            blobs[index] = cache.get("wpo", keys[index])
+            if blobs[index] is not None:
                 run.stats.hits += 1
                 continue
         pending.append(index)
@@ -456,11 +484,16 @@ def _run_round(
     if pool is not None and len(pending) > 1:
         submitted_us = now_us()
         futures = {
-            index: pool.submit(run_shard, jobs[index].payload)
+            index: pool.submit(
+                run_shard,
+                pickle.dumps(
+                    jobs[index].job, protocol=pickle.HIGHEST_PROTOCOL
+                ),
+            )
             for index in pending
         }
         for index in pending:
-            results[index] = futures[index].result()
+            blobs[index] = futures[index].result()
             if trace is not None:
                 # Pool shards run remotely: the span covers submit to
                 # result pickup (queueing included), one lane per shard.
@@ -476,12 +509,19 @@ def _run_round(
                 round=round_index, shard=jobs[index].shard.index,
                 members=len(jobs[index].shard.members), pooled=False,
             ):
-                results[index] = run_shard(jobs[index].payload)
+                results[index] = run_shard_job(
+                    jobs[index].job, TraceLog() if record else None
+                )
     for index in pending:
         run.stats.misses += 1
         missed.add(jobs[index].shard.index)
         if cache is not None:
-            cache.put("wpo", keys[index], results[index])
+            blob = blobs[index]
+            if blob is None:
+                blob = pickle.dumps(
+                    results[index], protocol=pickle.HIGHEST_PROTOCOL
+                )
+            cache.put("wpo", keys[index], blob)
     if trace is not None:
         trace.event(
             "om.wpo.round",
@@ -494,28 +534,33 @@ def _run_round(
 
     # ---- serial merge + epilogue --------------------------------------
     changed = prologue.changed
-    decoded: list[ShardResult] = []
     for index, job in enumerate(jobs):
-        result: ShardResult = pickle.loads(results[index])
-        decoded.append(result)
+        result = results[index]
+        if result is None:
+            # Modules from another process carry foreign uids.
+            result = pickle.loads(blobs[index])
+            result.modules = [remap_module_uids(m) for m in result.modules]
+            results[index] = result
         for local, g in enumerate(job.shard.members):
-            modules[g] = remap_module_uids(result.modules[local])
+            modules[g] = result.modules[local]
         run.counters.merge(result.counters)
         changed = changed or result.changed
     # Effects after every replacement, so they land on the merged
     # modules; insertion is idempotent and position-deterministic.
     for index, job in enumerate(jobs):
-        result = decoded[index]
+        result = results[index]
         for sid in result.effects:
             _apply_skip_effect(
                 modules[job.stub_modules[sid]], job.stub_names[sid]
             )
         _replay_events(trace, result.events, round_index)
 
-    epilogue_prog = Program.build(modules, layout, entry=options.entry)
-    epilogue_prog.address_taken = address_taken
+    # The epilogue reads the merged modules (``prog.modules`` is this
+    # same list), the layout, and the address-taken set computed before
+    # any transform, which is exactly what the monolithic round's
+    # entry-setup pass reads.
     epilogue = Transformer(
-        epilogue_prog,
+        prog,
         full=full,
         convert_escaped=convert_escaped,
         trace=trace,

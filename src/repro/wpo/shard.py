@@ -1,6 +1,6 @@
 """The per-shard worker of the partitioned whole-program optimizer.
 
-A shard job is a self-contained pickle: the shard's member modules
+A shard job is a self-contained dict: the shard's member modules
 (post-canonicalization) plus a *shift-stable context* — everything the
 calls and address-load passes would otherwise read from the rest of
 the program, precomputed by the serial phase:
@@ -20,9 +20,13 @@ a duck-typed :class:`ShardProgram` and returns the transformed
 members, pass counters, the provenance events it recorded, and the
 *effects* it could not apply itself — skip labels that belong in
 out-of-shard callees, which the serial phase applies idempotently.
-Because the job depends only on member content and the context, the
-result bytes are cacheable under a content key, and a cache hit is
-byte-equivalent to re-running the shard.
+
+An inline shard runs :func:`run_shard_job` on the driver's live
+modules and transforms them in place; only a pool worker receives the
+job by pickle (:func:`run_shard`).  Because the job depends only on
+member content and the context, a pickled result is cacheable under a
+content key, and a cache hit is byte-equivalent to re-running the
+shard.
 """
 
 from __future__ import annotations
@@ -183,17 +187,15 @@ def _max_uid(modules: list[SymbolicModule]) -> int:
     return top
 
 
-def run_shard(payload: bytes) -> bytes:
-    """Execute one shard job (pickled dict in, pickled ShardResult out).
+def run_shard_job(job: dict, trace: TraceLog | None) -> ShardResult:
+    """Execute one shard job, transforming its member modules in place.
 
-    Runs in a pool worker or inline in the driver; either way the
-    modules arrive and leave by pickle, so the driver's own objects are
-    never aliased and a cache hit replays through the identical path.
+    ``job["modules"]`` may be the driver's live modules: the shard
+    mutates only those members and its private stubs, and reads every
+    cross-module fact from the job's precomputed context.  Provenance
+    is recorded into ``trace`` (the shard's own log, or none).
     """
-    job = pickle.loads(payload)
     modules: list[SymbolicModule] = job["modules"]
-    mcode.ensure_uid_floor(_max_uid(modules))
-
     group = {index: g for index, g in enumerate(job["group"])}
     stubs: dict[int, tuple[int, SymbolicProc]] = {}
     for sid, info in job["stubs"].items():
@@ -210,7 +212,6 @@ def run_shard(payload: bytes) -> bytes:
         resolutions=job["resolutions"],
         stubs=stubs,
     )
-    trace = TraceLog()
     transformer = Transformer(
         prog,
         full=job["full"],
@@ -229,13 +230,26 @@ def run_shard(payload: bytes) -> bytes:
         for sid, (_, stub) in stubs.items()
         if f"{stub.name}$skipgp" in stub.export_labels
     )
-    result = ShardResult(
+    return ShardResult(
         modules=modules,
         counters=transformer.counters,
         changed=transformer.changed,
         effects=effects,
-        events=provenance.events(trace),
+        events=provenance.events(trace) if trace is not None else [],
     )
+
+
+def run_shard(payload: bytes) -> bytes:
+    """Pool entry point: pickled job in, pickled :class:`ShardResult` out.
+
+    The job's modules come from another process, so the worker first
+    raises its uid counter past every shipped uid.  Provenance is
+    recorded when the job asks for it (``job["record"]``).
+    """
+    job = pickle.loads(payload)
+    mcode.ensure_uid_floor(_max_uid(job["modules"]))
+    trace = TraceLog() if job["record"] else None
+    result = run_shard_job(job, trace)
     return pickle.dumps(result, protocol=pickle.HIGHEST_PROTOCOL)
 
 

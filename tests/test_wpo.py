@@ -1,9 +1,15 @@
 """Partitioned whole-program optimization: byte-identity, shard
-determinism, and incremental relinks through the shard cache."""
+determinism, the audit trail, and incremental relinks through the
+shard cache."""
+
+import pickle
+from collections import Counter
+from types import SimpleNamespace
 
 import pytest
 
-from repro.benchsuite import build_stdlib
+from repro import wpo
+from repro.benchsuite import build_program, build_stdlib
 from repro.cache import ArtifactCache
 from repro.fuzz.generate import generate_scale_program
 from repro.linker import make_crt0
@@ -12,6 +18,8 @@ from repro.linker.resolve import resolve_inputs
 from repro.minicc import compile_module
 from repro.objfile.archive import Archive
 from repro.objfile.serialize import dump_archive, load_archive
+from repro.obs import provenance
+from repro.obs.trace import TraceLog
 from repro.om import OMLevel, OMOptions, om_link
 from repro.om.symbolic import translate_module
 from repro.wpo import partition_modules
@@ -73,6 +81,95 @@ def test_wpo_pooled_workers_match_monolithic():
     pooled = _link(program, OMOptions(partitions=2, wpo_jobs=2))
     assert _exe(pooled) == _exe(mono)
     assert pooled.counters == mono.counters
+
+
+def _count_pickling(monkeypatch) -> dict[str, int]:
+    """Count the pickle.dumps / pickle.loads calls made from repro.wpo."""
+    calls = {"dumps": 0, "loads": 0}
+
+    def counted(name):
+        def call(*args, **kwargs):
+            calls[name] += 1
+            return getattr(pickle, name)(*args, **kwargs)
+
+        return call
+
+    counting = SimpleNamespace(
+        HIGHEST_PROTOCOL=pickle.HIGHEST_PROTOCOL,
+        dumps=counted("dumps"),
+        loads=counted("loads"),
+    )
+    monkeypatch.setattr(wpo.driver, "pickle", counting)
+    monkeypatch.setattr(wpo.shard, "pickle", counting)
+    return calls
+
+
+def test_inline_shards_pickle_only_for_the_cache(tmp_path, monkeypatch):
+    program = generate_scale_program(11, 10)
+    mono = _exe(_link(program, OMOptions()))
+    calls = _count_pickling(monkeypatch)
+
+    inline = _link(program, OMOptions(partitions=3))
+    assert _exe(inline) == mono
+    assert calls == {"dumps": 0, "loads": 0}
+
+    cache = ArtifactCache(tmp_path, stamp="wpo-pickle")
+    cold = _link(program, OMOptions(partitions=3), cache)
+    assert _exe(cold) == mono
+    assert cold.wpo.hits == 0 and cold.wpo.misses > 0
+    assert calls == {"dumps": cold.wpo.misses, "loads": 0}
+
+    calls.update(dumps=0, loads=0)
+    warm = _link(program, OMOptions(partitions=3), cache)
+    assert _exe(warm) == mono
+    assert warm.wpo.misses == 0 and warm.wpo.hits > 0
+    assert calls == {"dumps": 0, "loads": warm.wpo.hits}
+
+
+# -- the audit trail ------------------------------------------------------------
+
+
+def _event_multiset(trace: TraceLog) -> Counter:
+    """The provenance events compared by all but pc, round and reason
+    (a cached shard replays the pcs of the run that produced it)."""
+
+    def key(args):
+        counter = args["counter"]
+        return (
+            args["action"], args["pass_name"], args["module"], args["proc"],
+            args["before"], args["after"],
+            tuple(counter) if isinstance(counter, list) else counter,
+        )
+
+    return Counter(map(key, provenance.events(trace)))
+
+
+@pytest.mark.parametrize("name", ["eqntott", "mixcall", "li"])
+def test_partitioned_link_keeps_the_whole_audit_trail(name, libmc, tmp_path):
+    blob = dump_archive([make_crt0()] + build_program(name, "each"))
+
+    def link(options, cache=None, trace=None):
+        lib = Archive(libmc.name, load_archive(dump_archive(libmc.members)))
+        return om_link(load_archive(blob), [lib], level=OMLevel.FULL,
+                       options=options, cache=cache, trace=trace)
+
+    def audited(options, cache=None):
+        trace = TraceLog()
+        result = link(options, cache, trace)
+        assert provenance.reconcile(trace, result.counters) == {}
+        return _event_multiset(trace)
+
+    mono = audited(OMOptions())
+    assert sum(mono.values()) > 0
+    assert audited(OMOptions(partitions=3)) == mono
+
+    # An untraced cold link fills the cache; the traced warm link that
+    # replays it must still carry every decision the shards made.
+    cache = ArtifactCache(tmp_path, stamp="wpo-audit")
+    cold = link(OMOptions(partitions=3), cache)
+    warm_trail = audited(OMOptions(partitions=3), cache)
+    assert cold.wpo.misses > 0
+    assert warm_trail == mono
 
 
 # -- incrementality -------------------------------------------------------------
