@@ -76,6 +76,7 @@ import os
 import sys
 from pathlib import Path
 
+from repro.benchsuite.suite import DECAF_PROGRAMS, PROGRAMS
 from repro.cache import ArtifactCache
 from repro.experiments import figures, pipeline
 from repro.experiments.build import configure_cache
@@ -527,9 +528,17 @@ def main(argv=None) -> int:
     )
     args = parser.parse_args(argv)
 
+    programs = args.programs.split(",") if args.programs else None
+    known = PROGRAMS + DECAF_PROGRAMS
+    unknown = [name for name in programs or () if name not in known]
+    if unknown:
+        parser.error(
+            f"unknown program {unknown[0]!r} in --programs "
+            f"(choose from {', '.join(known)})"
+        )
+
     configure_cache(_resolve_cache(args.cache_dir, args.no_cache))
 
-    programs = args.programs.split(",") if args.programs else None
     names = sorted(_FIGURES) if args.figure == "all" else [args.figure]
 
     trace = None

@@ -12,6 +12,10 @@ one that additionally models the paper's performance terms:
 * a one-cycle bubble for taken branches.
 
 The timed loop is also the source of the ``getticks`` PAL call's value.
+
+Both loops are resumable: they run from any word index on a shared
+state vector and stop at a given instruction count, so the JIT backend
+hands them every word its translated regions do not run.
 """
 
 from __future__ import annotations
@@ -31,6 +35,20 @@ from repro.isa.timing import (
 from repro.linker.executable import Executable, STACK_BYTES, STACK_TOP
 
 _MASK = (1 << 64) - 1
+
+#: Index a loop returns when the program halts.  Far below any
+#: reachable branch target (branch displacements are 21-bit), so it
+#: cannot collide with the negative-index wraparound of list indexing.
+HALT = -(1 << 40)
+
+# Cache geometry: line shift for both caches, line counts per cache.
+_ILINE_SHIFT = CACHE_LINE.bit_length() - 1
+_IN_LINES = ICACHE_BYTES // CACHE_LINE
+_DN_LINES = DCACHE_BYTES // CACHE_LINE
+
+# The state vector a run carries between loop calls (and JIT regions):
+# [count, limit, cycle, slot_open, slot_class, imisses, dmisses,
+#  duals, prev_cycle].  The functional loop uses only the first two.
 
 # Operation kind codes for the pre-decoded stream.
 (
@@ -87,6 +105,20 @@ class RunResult:
     @property
     def cpi(self) -> float:
         return self.cycles / max(self.instructions, 1)
+
+    @classmethod
+    def from_state(cls, st: list, out: list[str], timed: bool) -> "RunResult":
+        """The result of a halted run, read off its state vector."""
+        if timed:
+            return cls(
+                "".join(out),
+                st[0],
+                cycles=st[2],
+                icache_misses=st[5],
+                dcache_misses=st[6],
+                dual_issues=st[7],
+            )
+        return cls("".join(out), st[0], cycles=st[0])
 
 
 @dataclass
@@ -177,23 +209,51 @@ class Machine:
     # on these hooks instead of duplicating the interpreter — profiled
     # runs and plain runs are the same loop and must agree exactly.
 
-    def _initial_state(self) -> tuple[list[int], int]:
+    def _initial_state(self) -> tuple[list[int], list, int]:
+        """Registers, state vector and entry word index of a fresh run."""
         regs = [0] * 32
         regs[27] = self.executable.entry  # PV
         regs[26] = self.executable.entry  # RA (returning to entry halts anyway)
         regs[30] = STACK_TOP - 512  # SP, with a red zone
-        return regs, (self.executable.entry - self.text_base) >> 2
+        st = [0, self.max_instructions, 0, False, 0, 0, 0, 0, 0]
+        return regs, st, (self.executable.entry - self.text_base) >> 2
 
     def _run_functional(self, counts: list[int] | None = None) -> RunResult:
-        regs, index = self._initial_state()
+        regs, st, index = self._initial_state()
+        out: list[str] = []
+        self._loop_functional(regs, st, out, index, counts, None, None, None,
+                              None, st[1])
+        return RunResult.from_state(st, out, timed=False)
+
+    def _run_timed(
+        self,
+        counts: list[int] | None = None,
+        cycle_counts: list[int] | None = None,
+    ) -> RunResult:
+        regs, st, index = self._initial_state()
+        out: list[str] = []
+        self._loop_timed(regs, st, out, index, counts, cycle_counts,
+                         [0] * 32, [-1] * _IN_LINES, [-1] * _DN_LINES, st[1])
+        return RunResult.from_state(st, out, timed=True)
+
+    # The loops run from word ``index`` until the program halts, and
+    # then return HALT, or until the instruction count reaches ``stop``
+    # (at most the budget ``st[1]``), and then return the next word's
+    # index.  A word that would carry the count past ``stop`` raises
+    # ExecutionBudgetExceeded when ``stop`` is the budget, and is left
+    # unexecuted otherwise.  Either way the loop's locals are written
+    # back to ``st`` before it returns.  The two loops share one
+    # signature; the functional loop ignores the timing arguments:
+    # per-word cycle attribution, per-register result-ready cycles and
+    # the I- and D-cache tags.
+
+    def _loop_functional(self, regs, st, out, index, counts, cycle_counts,
+                         ready, itags, dtags, stop) -> int:
         decoded = self._decoded
-        output: list[str] = []
         text_base = self.text_base
         load_q = self._load_q
         store_q = self._store_q
-        count = 0
-        limit = self.max_instructions
-        halted = False
+        count = st[0]
         counting = counts is not None
 
         while True:
@@ -202,8 +262,13 @@ class Machine:
             count += 1
             if counting:
                 counts[index] += 1
-            if count > limit:
-                raise ExecutionBudgetExceeded(limit)
+            if count > stop:
+                if stop >= st[1]:
+                    raise ExecutionBudgetExceeded(st[1])
+                count -= 1
+                if counting:
+                    counts[index] -= 1
+                break
             if kind == K_LDQ:
                 __, ra, rb, disp = op
                 regs[ra] = load_q((regs[rb] + disp) & _MASK)
@@ -244,14 +309,14 @@ class Machine:
             elif kind == K_PAL:
                 func = op[1]
                 if func == PalFunc.HALT:
-                    halted = True
+                    index = HALT
                     break
                 if func == PalFunc.PUTINT:
                     value = regs[16]
-                    output.append(str(value - (1 << 64) if value >> 63 else value))
-                    output.append("\n")
+                    out.append(str(value - (1 << 64) if value >> 63 else value))
+                    out.append("\n")
                 elif func == PalFunc.PUTCHAR:
-                    output.append(chr(regs[16] & 0xFF))
+                    out.append(chr(regs[16] & 0xFF))
                 elif func == PalFunc.GETTICKS:
                     regs[0] = count
                 else:
@@ -279,39 +344,25 @@ class Machine:
             regs[31] = 0
             index += 1
 
-        return RunResult("".join(output), count, cycles=count, halted=halted)
+        st[0] = count
+        return index
 
-    def _run_timed(
-        self,
-        counts: list[int] | None = None,
-        cycle_counts: list[int] | None = None,
-    ) -> RunResult:
-        regs, index = self._initial_state()
+    def _loop_timed(self, regs, st, out, index, counts, cycle_counts,
+                    ready, itags, dtags, stop) -> int:
         decoded = self._decoded
-        output: list[str] = []
         text_base = self.text_base
         load_q = self._load_q
         store_q = self._store_q
-        count = 0
-        limit = self.max_instructions
-        halted = False
+        count = st[0]
         counting = counts is not None
         cycle_counting = cycle_counts is not None
-        prev_cycle = 0
 
-        # Timing state.
-        cycle = 0
-        ready = [0] * 32  # per-register result-ready cycle
-        slot_open = False  # second issue slot of `cycle` available
-        slot_class = 0  # class of the instruction in the first slot
-        iline_shift = CACHE_LINE.bit_length() - 1
-        in_lines = ICACHE_BYTES // CACHE_LINE
-        dn_lines = DCACHE_BYTES // CACHE_LINE
-        itags = [-1] * in_lines
-        dtags = [-1] * dn_lines
-        imisses = 0
-        dmisses = 0
-        duals = 0
+        # Timing state.  `slot_open`: the second issue slot of `cycle` is
+        # available; `slot_class`: class of the instruction in the first.
+        cycle, slot_open, slot_class, imisses, dmisses, duals, prev_cycle = st[2:]
+        iline_shift = _ILINE_SHIFT
+        in_lines = _IN_LINES
+        dn_lines = _DN_LINES
         miss_penalty = CACHE_MISS_PENALTY
 
         while True:
@@ -320,8 +371,13 @@ class Machine:
             count += 1
             if counting:
                 counts[index] += 1
-            if count > limit:
-                raise ExecutionBudgetExceeded(limit)
+            if count > stop:
+                if stop >= st[1]:
+                    raise ExecutionBudgetExceeded(st[1])
+                count -= 1
+                if counting:
+                    counts[index] -= 1
+                break
 
             # Instruction fetch / I-cache.
             iaddr = text_base + 4 * index
@@ -429,14 +485,19 @@ class Machine:
             elif kind == K_PAL:
                 func = op[1]
                 if func == PalFunc.HALT:
-                    halted = True
+                    # Charge the halting word's issue cost so the
+                    # per-word cycle deltas sum exactly to the total.
+                    if cycle_counting:
+                        cycle_counts[index] += cycle - prev_cycle
+                        prev_cycle = cycle
+                    index = HALT
                     break
                 if func == PalFunc.PUTINT:
                     value = regs[16]
-                    output.append(str(value - (1 << 64) if value >> 63 else value))
-                    output.append("\n")
+                    out.append(str(value - (1 << 64) if value >> 63 else value))
+                    out.append("\n")
                 elif func == PalFunc.PUTCHAR:
-                    output.append(chr(regs[16] & 0xFF))
+                    out.append(chr(regs[16] & 0xFF))
                 elif func == PalFunc.GETTICKS:
                     regs[0] = cycle
                     ready[0] = issue + 1
@@ -475,21 +536,9 @@ class Machine:
             else:
                 index += 1
 
-        # The halting instruction breaks out before the bottom-of-loop
-        # attribution; charge its issue cost so the per-word cycle
-        # deltas sum exactly to the reported total.
-        if cycle_counting:
-            cycle_counts[index] += cycle - prev_cycle
-
-        return RunResult(
-            "".join(output),
-            count,
-            cycles=cycle,
-            icache_misses=imisses,
-            dcache_misses=dmisses,
-            dual_issues=duals,
-            halted=halted,
-        )
+        st[0] = count
+        st[2:] = cycle, slot_open, slot_class, imisses, dmisses, duals, prev_cycle
+        return index
 
 
 def run(

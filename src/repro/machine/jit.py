@@ -33,15 +33,14 @@ Structure:
   but the fast functional one) gives the call continuation a head of
   its own, so the callee's ``ret`` lands back in the region;
 * regions come in *flavors* keyed by ``(timed, counting,
-  cycle_counting, guarded)``.  Fast flavors check the instruction
-  budget once per segment and bail back to the driver when a segment
-  might not fit; the guarded flavor replicates the interpreter's
-  per-instruction check exactly, so ``ExecutionBudgetExceeded`` trips
-  at the same instruction index as the interpreter;
-* any word the translator does not cover falls back to a
-  single-instruction interpreter step (a transcription of the cpu
-  loop bodies), keeping behavior identical for odd PAL functions and
-  undecodable words.
+  cycle_counting)``.  A region checks the instruction budget once per
+  tree and bails back to the driver when a tree might not fit;
+* the interpreter loops of :mod:`repro.machine.cpu` run everything
+  else, resuming on the state vector the regions share: one step for
+  a word the translator does not cover (odd PAL functions,
+  undecodable words), and the end of a bounded run whose remaining
+  budget is smaller than the next region, so ``ExecutionBudgetExceeded``
+  trips at the interpreter's own instruction index.
 
 Compiled programs are cached across runs in a small module-level LRU
 keyed by the text bytes and load layout; ``clear_jit_cache`` and
@@ -57,16 +56,13 @@ from dataclasses import dataclass
 
 from repro.isa.opcodes import PalFunc
 from repro.isa.timing import (
-    CACHE_LINE,
     CACHE_MISS_PENALTY,
-    DCACHE_BYTES,
-    ICACHE_BYTES,
     LOAD_LATENCY,
     MUL_LATENCY,
     TAKEN_BRANCH_PENALTY,
 )
 from repro.machine.cpu import (
-    ExecutionBudgetExceeded,
+    HALT,
     K_BR,
     K_BSR,
     K_CBR,
@@ -89,20 +85,13 @@ from repro.machine.cpu import (
     MachineError,
     RunResult,
     _branch_taken,
+    _DN_LINES,
+    _ILINE_SHIFT,
+    _IN_LINES,
     _MASK,
     _operate,
 )
 from repro.machine.profile import ProfilingMachine
-
-_ILINE_SHIFT = CACHE_LINE.bit_length() - 1
-_IN_LINES = ICACHE_BYTES // CACHE_LINE
-_DN_LINES = DCACHE_BYTES // CACHE_LINE
-
-#: Sentinel index returned by regions/steps when the program halts.
-#: Far below any reachable branch target (branch displacements are
-#: 21-bit), so it cannot collide with the interpreter's negative-index
-#: wraparound semantics.
-_HALT = -(1 << 40)
 
 #: Marker for "this start is untranslatable; single-step it".
 _FALLBACK = object()
@@ -131,10 +120,6 @@ _T64 = str(1 << 64)
 _SGN_BOUND = str(1 << 63)  # first 64-bit pattern that is signed-negative
 _SEXT_HI = str(~0xFFFFFFFF & _MASK)  # 18446744069414584320
 
-# State-vector slots shared between driver, regions and step fallback.
-# [count, limit, cycle, slot_open, slot_class, imisses, dmisses,
-#  duals, prev_cycle]
-
 
 def _can_translate(op) -> bool:
     kind = op[0]
@@ -143,45 +128,13 @@ def _can_translate(op) -> bool:
     return kind in _TRANSLATABLE
 
 
-def _reg_refs(op, reads: set, writes: set) -> None:
-    """Accumulate architectural registers an op reads/writes (r31 excluded)."""
-    kind = op[0]
-    if kind in (K_LDA, K_LDAH, K_LDQ, K_LDL, K_LDBU, K_LDQ_U):
-        reads.add(op[2])
-        writes.add(op[1])
-    elif kind in (K_STQ, K_STL, K_STB):
-        reads.add(op[1])
-        reads.add(op[2])
-    elif kind == K_OP_RR or kind == K_OP_RL:
-        __, fn, ra, rb, rc = op
-        reads.add(ra)
-        if kind == K_OP_RR:
-            reads.add(rb)
-        if 23 <= fn <= 30:  # cmov keeps the old value
-            reads.add(rc)
-        writes.add(rc)
-    elif kind == K_CBR:
-        reads.add(op[2])
-    elif kind in (K_BR, K_BSR):
-        writes.add(op[1])
-    elif kind in (K_JSR, K_JMP, K_RET):
-        reads.add(op[2])
-        writes.add(op[1])
-    elif kind == K_PAL:
-        if op[1] in (PalFunc.PUTINT, PalFunc.PUTCHAR):
-            reads.add(16)
-        elif op[1] == PalFunc.GETTICKS:
-            writes.add(0)
-    reads.discard(31)
-    writes.discard(31)
-
-
 def _reads_list(op) -> list[int]:
     """Registers an op reads, with multiplicity (r31 excluded).
 
-    Unlike :func:`_reg_refs` this keeps duplicates: an op that reads
-    the same register twice needs two substitution sites, so a
-    forwarded expression (consumed on first use) cannot cover it.
+    The one per-kind table of register reads.  It keeps duplicates: an
+    op that reads the same register twice needs two substitution
+    sites, so a forwarded expression (consumed on first use) cannot
+    cover it.
     """
     kind = op[0]
     if kind in (K_LDA, K_LDAH, K_LDQ, K_LDL, K_LDBU, K_LDQ_U):
@@ -204,6 +157,20 @@ def _reads_list(op) -> list[int]:
     else:
         rs = []
     return [r for r in rs if r != 31]
+
+
+def _reg_refs(op, reads: set, writes: set) -> None:
+    """Accumulate architectural registers an op reads/writes (r31 excluded)."""
+    reads.update(_reads_list(op))
+    kind = op[0]
+    if kind in (K_LDA, K_LDAH, K_LDQ, K_LDL, K_LDBU, K_LDQ_U,
+                K_BR, K_BSR, K_JSR, K_JMP, K_RET):
+        writes.add(op[1])
+    elif kind == K_OP_RR or kind == K_OP_RL:
+        writes.add(op[4])
+    elif kind == K_PAL and op[1] == PalFunc.GETTICKS:
+        writes.add(0)
+    writes.discard(31)
 
 
 def _sgn(expr: str) -> str:
@@ -435,7 +402,7 @@ class _Emitter:
 
     def __init__(self, prog: "CompiledProgram", flavor, start, segs, order):
         self.prog = prog
-        self.timed, self.counting, self.cyc, self.guarded = flavor
+        self.timed, self.counting, self.cyc = flavor
         self.start = start
         self.segs = segs
         self.order = order
@@ -443,10 +410,8 @@ class _Emitter:
         #: Segment-local optimizer (constant propagation with deferred
         #: dead-store-eliminated assignments, resolved branches, grouped
         #: memory access).  Only on the plain-run fast path: the timed
-        #: flavors model per-instruction issue state and the guarded
-        #: flavor must replicate the interpreter instruction by
-        #: instruction.
-        self.opt = not self.timed and not self.guarded
+        #: flavors model per-instruction issue state.
+        self.opt = not self.timed
         self.kval: dict[int, int] = {}
         self.defer: set[int] = set()
         #: Forwarded pure expressions: reg -> (expr, dep regs, bool
@@ -600,8 +565,8 @@ class _Emitter:
         can't see into — calls, indirect jumps, undiscovered targets —
         count every register live; after a halt nothing is.  A register
         dead at a segment's end may keep a stale local across the exit:
-        neither the next tree, the guarded budget replay, nor any other
-        region reads it before overwriting, so no observable differs.
+        neither the next tree, the interpreter, nor any other region
+        reads it before overwriting, so no observable differs.
         """
         prog, segs, order = self.prog, self.segs, self.order
         gen: dict[int, set] = {}
@@ -806,8 +771,6 @@ class _Emitter:
         ``pending`` counts instructions of earlier chain elements whose
         ``cnt`` update was folded into this exit.
         """
-        if self.guarded:
-            return "cnt"
         return f"cnt + {self.pending + self.prog.seg_len[s]}"
 
     def _writeback(self, cnt_expr: str) -> list[str]:
@@ -844,10 +807,7 @@ class _Emitter:
             return
         if t in self.segs:
             self._flush(out, ind)
-            if not self.guarded:
-                out.append(
-                    f"{ind}cnt += {self.pending + self.prog.seg_len[s]}"
-                )
+            out.append(f"{ind}cnt += {self.pending + self.prog.seg_len[s]}")
             if t == self.cur_head:
                 # Back edge into the arm being emitted: ``pc`` still
                 # holds the head, so restarting the innermost loop
@@ -923,19 +883,12 @@ class _Emitter:
     # -- per-instruction emission ------------------------------------------
 
     def _emit_instr(self, out, ind, s, i, j) -> None:
-        """One instruction: budget (guarded), fetch/issue (timed), body."""
+        """One instruction: fetch/issue (timed), then its body."""
         prog = self.prog
         op = prog.decoded[i]
         kind = op[0]
         seglen = prog.seg_len[s]
         last = j == seglen - 1
-
-        if self.guarded:
-            out.append(f"{ind}cnt += 1")
-            if self.counting:
-                out.append(f"{ind}cnts[{i}] += 1")
-            out.append(f"{ind}if cnt > limit:")
-            out.append(f"{ind}    raise ExecutionBudgetExceeded(limit)")
 
         if self.timed:
             # I-cache probe: line and slot fold to constants per word,
@@ -1430,10 +1383,7 @@ class _Emitter:
             out.append(f"{ind}if ni in ({heads},):")
             saved = (dict(self.kval), set(self.defer))
             self._flush(out, ind + "    ")
-            if not self.guarded:
-                out.append(
-                    f"{ind}    cnt += {self.pending + self.prog.seg_len[s]}"
-                )
+            out.append(f"{ind}    cnt += {self.pending + self.prog.seg_len[s]}")
             out.append(f"{ind}    pc = ni")
             out.append(f"{ind}    {'break' if self.self_loop else 'continue'}")
             self.kval, self.defer = saved
@@ -1449,11 +1399,11 @@ class _Emitter:
         func = op[1]
         if func == PalFunc.HALT:
             if self.cyc:
-                # The interpreter charges the halting word after its loop.
+                # Charge the halting word, as the interpreter does.
                 out.append(f"{ind}cyc[{i}] += cycle - prev")
             for line in self._writeback(self._cnt_done(s)):
                 out.append(ind + line)
-            out.append(f"{ind}return {_HALT}")
+            out.append(f"{ind}return {HALT}")
         elif func == PalFunc.PUTINT:
             v = self._r(16)
             out.append(f"{ind}out.append(str({_sgn(v)}))")
@@ -1469,14 +1419,10 @@ class _Emitter:
                 out.append(f"{ind}r0 = cycle")
                 out.append(f"{ind}ready[0] = issue + 1")
             else:
-                if self.guarded:
-                    expr = "cnt"
-                else:
-                    expr = f"cnt + {self.pending + (i - s) + 1}"
                 if self.opt:
                     self._mat_deps(out, ind, 0)
                     self._kill(0)
-                out.append(f"{ind}r0 = {expr}")
+                out.append(f"{ind}r0 = cnt + {self.pending + (i - s) + 1}")
 
     # -- whole-region assembly ---------------------------------------------
 
@@ -1585,10 +1531,10 @@ class _Emitter:
         self.cur_head = head
         self._reset_consts()
         self.pending = 0
-        if self.loop_form and not self.guarded:
-            # Fast-flavor bail: if this tree might blow the budget,
-            # hand back to the driver, which reruns it under the
-            # guarded flavor for an interpreter-exact trip.
+        if self.loop_form:
+            # Budget bail: if this tree might blow the budget, hand
+            # back to the driver, which lets the interpreter finish
+            # the run and trip at its exact index.
             out.append(f"{ind}if cnt + {self.tree_total[head]} > limit:")
             for line in self._writeback("cnt"):
                 out.append(f"{ind}    {line}")
@@ -1598,7 +1544,7 @@ class _Emitter:
     def _emit_seg(self, out, ind, s) -> None:
         prog = self.prog
         seglen = prog.seg_len[s]
-        if self.counting and not self.guarded:
+        if self.counting:
             out.append(f"{ind}execs[{s}] += 1")
         group_ok = self.opt and prog.fast_mem
         j = 0
@@ -1667,11 +1613,12 @@ class _Emitter:
         # other regions have just their root and ignore it.
         out = [
             f"def {name}(regs, st, out, mem, ready, itags, dtags, "
-            f"cnts, cyc, execs, pc={self.start}):"
+            f"cyc, execs, pc={self.start}):"
         ]
         ind = "    "
         out.append(f"{ind}cnt = st[0]")
-        out.append(f"{ind}limit = st[1]")
+        if self.loop_form:  # only the trees' budget bails read it
+            out.append(f"{ind}limit = st[1]")
         if self.timed:
             out.append(f"{ind}cycle = st[2]")
             out.append(f"{ind}so = st[3]")
@@ -1886,7 +1833,6 @@ class CompiledProgram:
             src, name = em.source()
             namespace = {
                 "MachineError": MachineError,
-                "ExecutionBudgetExceeded": ExecutionBudgetExceeded,
                 "str": str,
                 "chr": chr,
                 "__builtins__": {},
@@ -1971,265 +1917,6 @@ def jit_cache_len() -> int:
         return len(_JIT_CACHE)
 
 
-# -- single-step interpreter fallback ---------------------------------------
-#
-# Transcriptions of one iteration of the cpu.py loops, operating on the
-# driver's shared state vector.  Used for words the translator does not
-# cover; must stay bit-for-bit equivalent to the interpreter.
-
-
-def _step_functional(m, regs, st, out, index, counts, cycle_counts,
-                     ready, itags, dtags):
-    decoded = m._decoded
-    op = decoded[index]
-    kind = op[0]
-    st[0] += 1
-    if counts is not None:
-        counts[index] += 1
-    if st[0] > st[1]:
-        raise ExecutionBudgetExceeded(st[1])
-    if kind == K_LDQ:
-        __, ra, rb, disp = op
-        regs[ra] = m._load_q((regs[rb] + disp) & _MASK)
-    elif kind == K_OP_RR or kind == K_OP_RL:
-        __, fn, ra, rb, rc = op
-        b = rb if kind == K_OP_RL else regs[rb]
-        regs[rc] = _operate(fn, regs[ra], b, regs[rc])
-    elif kind == K_LDA:
-        __, ra, rb, disp = op
-        regs[ra] = (regs[rb] + disp) & _MASK
-    elif kind == K_LDAH:
-        __, ra, rb, disp = op
-        regs[ra] = (regs[rb] + (disp << 16)) & _MASK
-    elif kind == K_STQ:
-        __, ra, rb, disp = op
-        m._store_q((regs[rb] + disp) & _MASK, regs[ra])
-    elif kind == K_CBR:
-        __, cond, ra, target = op
-        if _branch_taken(cond, regs[ra]):
-            regs[31] = 0
-            return target
-    elif kind == K_BR or kind == K_BSR:
-        __, ra, target = op
-        regs[ra] = m.text_base + 4 * (index + 1)
-        regs[31] = 0
-        return target
-    elif kind == K_JSR or kind == K_JMP or kind == K_RET:
-        __, ra, rb = op
-        dest = regs[rb] & ~3
-        regs[ra] = m.text_base + 4 * (index + 1)
-        regs[31] = 0
-        nxt = (dest - m.text_base) >> 2
-        if not 0 <= nxt < len(decoded):
-            raise MachineError(f"jump to unmapped address {dest:#x}")
-        return nxt
-    elif kind == K_PAL:
-        func = op[1]
-        if func == PalFunc.HALT:
-            return _HALT
-        if func == PalFunc.PUTINT:
-            value = regs[16]
-            out.append(str(value - (1 << 64) if value >> 63 else value))
-            out.append("\n")
-        elif func == PalFunc.PUTCHAR:
-            out.append(chr(regs[16] & 0xFF))
-        elif func == PalFunc.GETTICKS:
-            regs[0] = st[0]
-        else:
-            raise MachineError(f"unknown PAL function {func:#x}")
-    elif kind == K_LDL:
-        __, ra, rb, disp = op
-        value = m._load_q((regs[rb] + disp) & ~7 & _MASK)
-        shift = ((regs[rb] + disp) & 4) * 8
-        word = (value >> shift) & 0xFFFFFFFF
-        regs[ra] = word | (~0xFFFFFFFF & _MASK if word >> 31 else 0)
-    elif kind == K_LDQ_U:
-        __, ra, rb, disp = op
-        regs[ra] = m._load_q((regs[rb] + disp) & ~7 & _MASK)
-    elif kind == K_LDBU:
-        __, ra, rb, disp = op
-        regs[ra] = m._load_byte((regs[rb] + disp) & _MASK)
-    elif kind == K_STB:
-        __, ra, rb, disp = op
-        m._store_byte((regs[rb] + disp) & _MASK, regs[ra])
-    elif kind == K_STL:
-        __, ra, rb, disp = op
-        m._store_long((regs[rb] + disp) & _MASK, regs[ra])
-    else:
-        raise MachineError(f"unhandled op kind {kind}")
-    regs[31] = 0
-    return index + 1
-
-
-def _step_timed(m, regs, st, out, index, counts, cycle_counts,
-                ready, itags, dtags):
-    decoded = m._decoded
-    op = decoded[index]
-    kind = op[0]
-    st[0] += 1
-    if counts is not None:
-        counts[index] += 1
-    if st[0] > st[1]:
-        raise ExecutionBudgetExceeded(st[1])
-    cycle = st[2]
-    slot_open = st[3]
-    slot_class = st[4]
-
-    iaddr = m.text_base + 4 * index
-    line = iaddr >> _ILINE_SHIFT
-    islot = line & (_IN_LINES - 1)
-    if itags[islot] != line:
-        itags[islot] = line
-        st[5] += 1
-        cycle += CACHE_MISS_PENALTY
-        slot_open = False
-
-    if kind == K_OP_RR:
-        __, fn, ra, rb, rc = op
-        klass = 2
-        operand_ready = ready[ra] if ready[ra] > ready[rb] else ready[rb]
-    elif kind == K_OP_RL:
-        __, fn, ra, rb, rc = op
-        klass = 2
-        operand_ready = ready[ra]
-    elif kind in (K_LDQ, K_LDA, K_LDAH, K_LDL, K_LDQ_U, K_LDBU):
-        __, ra, rb, disp = op
-        klass = 1
-        operand_ready = ready[rb]
-    elif kind in (K_STQ, K_STL, K_STB):
-        __, ra, rb, disp = op
-        klass = 1
-        operand_ready = ready[ra] if ready[ra] > ready[rb] else ready[rb]
-    elif kind == K_CBR:
-        __, cond, ra, target = op
-        klass = 3
-        operand_ready = ready[ra]
-    elif kind in (K_JSR, K_JMP, K_RET):
-        __, ra, rb = op
-        klass = 3
-        operand_ready = ready[rb]
-    else:
-        klass = 3
-        operand_ready = 0
-
-    if slot_open and operand_ready <= cycle and klass != slot_class:
-        slot_open = False
-        st[7] += 1
-        issue = cycle
-    else:
-        issue = cycle + 1
-        if operand_ready > issue:
-            issue = operand_ready
-        cycle = issue
-        slot_open = True
-        slot_class = klass
-
-    taken = False
-    next_index = index + 1
-    if kind == K_LDQ:
-        addr = (regs[rb] + disp) & _MASK
-        regs[ra] = m._load_q(addr)
-        latency = LOAD_LATENCY
-        dline = addr >> _ILINE_SHIFT
-        dslot = dline & (_DN_LINES - 1)
-        if dtags[dslot] != dline:
-            dtags[dslot] = dline
-            st[6] += 1
-            latency += CACHE_MISS_PENALTY
-        ready[ra] = issue + latency
-    elif kind == K_OP_RR or kind == K_OP_RL:
-        b = rb if kind == K_OP_RL else regs[rb]
-        regs[rc] = _operate(fn, regs[ra], b, regs[rc])
-        ready[rc] = issue + (MUL_LATENCY if fn in (2, 7, 8) else 1)
-    elif kind == K_LDA:
-        regs[ra] = (regs[rb] + disp) & _MASK
-        ready[ra] = issue + 1
-    elif kind == K_LDAH:
-        regs[ra] = (regs[rb] + (disp << 16)) & _MASK
-        ready[ra] = issue + 1
-    elif kind == K_STQ:
-        addr = (regs[rb] + disp) & _MASK
-        m._store_q(addr, regs[ra])
-        dline = addr >> _ILINE_SHIFT
-        dslot = dline & (_DN_LINES - 1)
-        if dtags[dslot] != dline:
-            dtags[dslot] = dline
-            st[6] += 1
-            cycle += CACHE_MISS_PENALTY
-            slot_open = False
-    elif kind == K_CBR:
-        if _branch_taken(cond, regs[ra]):
-            taken = True
-            next_index = target
-    elif kind == K_BR or kind == K_BSR:
-        __, ra2, target = op
-        regs[ra2] = m.text_base + 4 * (index + 1)
-        ready[ra2] = issue + 1
-        taken = True
-        next_index = target
-    elif kind in (K_JSR, K_JMP, K_RET):
-        dest = regs[rb] & ~3
-        regs[ra] = m.text_base + 4 * (index + 1)
-        ready[ra] = issue + 1
-        taken = True
-        next_index = (dest - m.text_base) >> 2
-        if not 0 <= next_index < len(decoded):
-            raise MachineError(f"jump to unmapped address {dest:#x}")
-    elif kind == K_PAL:
-        func = op[1]
-        if func == PalFunc.HALT:
-            st[2] = cycle
-            st[3] = slot_open
-            st[4] = slot_class
-            if cycle_counts is not None:
-                # The halting word is charged after the interpreter's loop.
-                cycle_counts[index] += cycle - st[8]
-            return _HALT
-        if func == PalFunc.PUTINT:
-            value = regs[16]
-            out.append(str(value - (1 << 64) if value >> 63 else value))
-            out.append("\n")
-        elif func == PalFunc.PUTCHAR:
-            out.append(chr(regs[16] & 0xFF))
-        elif func == PalFunc.GETTICKS:
-            regs[0] = cycle
-            ready[0] = issue + 1
-        else:
-            raise MachineError(f"unknown PAL function {func:#x}")
-    elif kind == K_LDL:
-        addr = (regs[rb] + disp) & _MASK
-        value = m._load_q(addr & ~7)
-        shift = (addr & 4) * 8
-        word = (value >> shift) & 0xFFFFFFFF
-        regs[ra] = word | (~0xFFFFFFFF & _MASK if word >> 31 else 0)
-        ready[ra] = issue + LOAD_LATENCY
-    elif kind == K_LDQ_U:
-        regs[ra] = m._load_q((regs[rb] + disp) & ~7 & _MASK)
-        ready[ra] = issue + LOAD_LATENCY
-    elif kind == K_LDBU:
-        regs[ra] = m._load_byte((regs[rb] + disp) & _MASK)
-        ready[ra] = issue + LOAD_LATENCY
-    elif kind == K_STB:
-        m._store_byte((regs[rb] + disp) & _MASK, regs[ra])
-    elif kind == K_STL:
-        m._store_long((regs[rb] + disp) & _MASK, regs[ra])
-    else:
-        raise MachineError(f"unhandled op kind {kind}")
-
-    regs[31] = 0
-    ready[31] = 0
-    if taken:
-        cycle = issue + TAKEN_BRANCH_PENALTY
-        slot_open = False
-    st[2] = cycle
-    st[3] = slot_open
-    st[4] = slot_class
-    if cycle_counts is not None:
-        cycle_counts[index] += cycle - st[8]
-        st[8] = cycle
-    return next_index
-
-
 # -- the driver --------------------------------------------------------------
 
 
@@ -2254,16 +1941,12 @@ class JitMachine(Machine):
     def _run_jit(self, timed, counts, cycle_counts) -> RunResult:
         program = self.jit_program()
         counting = counts is not None
-        cyc_flag = timed and cycle_counts is not None
-        fast = (timed, counting, cyc_flag, False)
-        guarded = (timed, counting, cyc_flag, True)
+        flavor = (timed, counting, timed and cycle_counts is not None)
         with program._lock:
-            ftable = program.tables.setdefault(fast, {})
-            gtable = program.tables.setdefault(guarded, {})
+            table = program.tables.setdefault(flavor, {})
 
-        regs, index = self._initial_state()
-        limit = self.max_instructions
-        st = [0, limit, 0, False, 0, 0, 0, 0, 0]
+        regs, st, index = self._initial_state()
+        limit = st[1]
         out: list[str] = []
         if program.fast_mem:
             qd = memoryview(self.data)[: len(self.data) & ~7].cast("Q")
@@ -2277,49 +1960,45 @@ class JitMachine(Machine):
             ready = [0] * 32
             itags = [-1] * _IN_LINES
             dtags = [-1] * _DN_LINES
-            step = _step_timed
+            interp = self._loop_timed
         else:
             ready = itags = dtags = None
-            step = _step_functional
+            interp = self._loop_functional
         execs = [0] * program.nwords if counting else None
         stats = program.stats
         build = program.build
-        get_fast = ftable.get
+        get = table.get
 
         try:
             while True:
-                if index < 0:
-                    if index == _HALT:
-                        break
-                    # A negative branch target: the interpreter would
-                    # wrap around via Python list indexing; mirror it
-                    # one instruction at a time.
-                    index = step(self, regs, st, out, index, counts,
-                                 cycle_counts, ready, itags, dtags)
-                    continue
-                entry = get_fast(index)
-                if entry is None:
-                    entry = build(index, fast)
-                if entry is _FALLBACK:
-                    stats.fallback_steps += 1
-                    index = step(self, regs, st, out, index, counts,
-                                 cycle_counts, ready, itags, dtags)
-                    continue
-                if st[0] + entry[1] > limit:
-                    # The next segment may overrun the budget: switch to
-                    # the guarded flavor, which checks per instruction
-                    # and raises at the interpreter's exact index.
-                    gentry = gtable.get(index)
-                    if gentry is None:
-                        gentry = build(index, guarded)
-                    if gentry is _FALLBACK:
+                if index >= 0:
+                    entry = get(index)
+                    if entry is None:
+                        entry = build(index, flavor)
+                    if entry is _FALLBACK:
                         stats.fallback_steps += 1
-                        index = step(self, regs, st, out, index, counts,
-                                     cycle_counts, ready, itags, dtags)
+                    elif st[0] + entry[1] <= limit:
+                        index = entry[0](regs, st, out, mem, ready, itags,
+                                         dtags, cycle_counts, execs, index)
                         continue
-                    entry = gentry
-                index = entry[0](regs, st, out, mem, ready, itags, dtags,
-                                 counts, cycle_counts, execs, index)
+                    else:
+                        # Fewer words remain in the budget than the
+                        # region's largest tree: the interpreter runs
+                        # the rest, halting or tripping at its own index
+                        # within ``entry[1]`` words.
+                        index = interp(regs, st, out, index, counts,
+                                       cycle_counts, ready, itags, dtags,
+                                       limit)
+                        continue
+                elif index == HALT:
+                    break
+                # One interpreter step: an untranslatable word, or a
+                # negative branch target, which the interpreter wraps
+                # around by list indexing.  The stop never passes the
+                # budget, so a word past it trips instead of running.
+                index = interp(regs, st, out, index, counts, cycle_counts,
+                               ready, itags, dtags,
+                               st[0] + 1 if st[0] < limit else limit)
         finally:
             if qd is not None:
                 # Release the exported buffers so the bytearrays stay
@@ -2336,17 +2015,7 @@ class JitMachine(Machine):
                         for i in range(s, s + seg_len[s]):
                             counts[i] += hits
 
-        if timed:
-            return RunResult(
-                "".join(out),
-                st[0],
-                cycles=st[2],
-                icache_misses=st[5],
-                dcache_misses=st[6],
-                dual_issues=st[7],
-                halted=True,
-            )
-        return RunResult("".join(out), st[0], cycles=st[0], halted=True)
+        return RunResult.from_state(st, out, timed)
 
 
 class JitProfilingMachine(JitMachine, ProfilingMachine):

@@ -99,6 +99,20 @@ def test_cli_smoke(capsys):
     assert "pipeline:" in out  # the metrics table precedes the figure
 
 
+def test_cli_rejects_unknown_program(capsys):
+    from repro.experiments.__main__ import main
+
+    with pytest.raises(SystemExit) as exc:
+        main(["fig5", "--programs", "eqntott,nosuch", "--scale", "1",
+              "--no-cache"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert "pipeline:" not in captured.out  # rejected before any build
+    message = captured.err.strip().splitlines()[-1]
+    assert "'nosuch'" in message
+    assert "eqntott" in message and "shapes" in message
+
+
 def test_cli_trace_writes_chrome_trace(tmp_path, capsys):
     import json
 

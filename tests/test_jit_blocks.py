@@ -4,8 +4,9 @@ The translator splits the text segment into basic blocks (segments)
 at every branch target, call return, and procedure entry; these tests
 pin the split-point rules on hand-written assembly — where word
 indexes are knowable — plus region entry at any head, the per-line
-I-cache probe at line and slot boundaries, and the cache-invalidation
-contract of :class:`repro.machine.jit.CompiledProgram`.
+I-cache probe at line and slot boundaries, the cache-invalidation
+contract of :class:`repro.machine.jit.CompiledProgram`, and the
+interpreter fallback at every budget boundary.
 """
 
 import pytest
@@ -35,9 +36,8 @@ def _proc_index(machine, name):
     raise KeyError(name)
 
 
-#: Flavor key of a plain timed run: (timed, counting, cycle_counting,
-#: guarded).
-TIMED = (True, False, False, False)
+#: Flavor key of a plain timed run: (timed, counting, cycle_counting).
+TIMED = (True, False, False)
 _LINE_WORDS = CACHE_LINE // 4
 _SLOTS = ICACHE_BYTES // CACHE_LINE
 
@@ -359,3 +359,65 @@ def test_untranslatable_start_uses_fallback(crt0, libmc, monkeypatch):
         for table in flavor_tables
         for entry in table.values()
     )
+
+
+STORE_LOOP = """
+        .ent    main
+main:   ldah    $gp, 0($pv)      !gpdisp:main
+        lda     $gp, 0($gp)      !gpdisp_pair
+        ldq     $t0, buf($gp)    !literal
+        lda     $t1, 3($zero)
+loop:   stq     $t1, 0($t0)      !lituse_base
+        ldq     $t2, 0($t0)      !lituse_base
+        stq     $t2, -8($sp)
+        subq    $t1, 1, $t1
+        bne     $t1, loop
+        lda     $v0, 0($zero)
+        ret     $zero, ($ra)
+        .end    main
+
+        .data
+buf:    .quad   0
+"""
+
+
+def test_fallback_at_every_budget_boundary(crt0, libmc, monkeypatch):
+    """Every ``stq`` runs on the interpreter, between regions that end
+    right before it.  At every budget across the run, functional and
+    timed, plain and profiled, the JIT must trip (or complete) exactly
+    like the interpreter and leave the same data and stack images and
+    per-word counters: an interpreter step after a region that used up
+    the budget must trip, not store."""
+    from repro.machine import ExecutionBudgetExceeded, Machine
+    from repro.machine import jit as jit_mod
+    from repro.machine.jit import JitProfilingMachine
+    from repro.machine.profile import ProfilingMachine
+
+    monkeypatch.setattr(
+        jit_mod, "_TRANSLATABLE", jit_mod._TRANSLATABLE - {jit_mod.K_STQ}
+    )
+    exe = _link_asm(crt0, libmc, STORE_LOOP)
+    total = Machine(exe).run(timed=False).instructions
+
+    def bounded(cls, budget, timed):
+        machine = cls(exe, max_instructions=budget)
+        try:
+            if isinstance(machine, ProfilingMachine):
+                outcome = machine.run_profiled(timed=timed)
+            else:
+                outcome = machine.run(timed=timed)
+        except ExecutionBudgetExceeded as exc:
+            outcome = ("tripped", exc.limit)
+        return (outcome, bytes(machine.data), bytes(machine.stack),
+                getattr(machine, "counts", None),
+                getattr(machine, "cycle_counts", None))
+
+    pairs = ((Machine, JitMachine), (ProfilingMachine, JitProfilingMachine))
+    for timed in (False, True):
+        for budget in range(1, total + 2):
+            for interp_cls, jit_cls in pairs:
+                want = bounded(interp_cls, budget, timed)
+                got = bounded(jit_cls, budget, timed)
+                assert got == want, (jit_cls.__name__, timed, budget)
+    assert want[0].run.instructions == total  # the last budgets complete
+    assert program_for(JitMachine(exe)).stats.fallback_steps > 0

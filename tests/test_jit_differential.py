@@ -114,11 +114,11 @@ def _bounded_state(machine_cls, exe, budget, timed):
 def test_budget_trips_at_identical_instruction(timed, crt0, libmc):
     """Mid-block budget checkpointing: same trip point, same memory.
 
-    The JIT executes whole trees between budget checks on its fast
-    path; when a bounded run would overrun inside a block it must
-    replay under the guarded flavor so the trip happens at exactly the
-    interpreter's instruction index — pinned here by comparing the
-    data image both backends leave behind at a sweep of exact budgets.
+    The JIT executes whole trees between budget checks; when a bounded
+    run would overrun inside a block it must hand the rest of the run
+    to the interpreter so the trip happens at exactly the interpreter's
+    instruction index — pinned here by comparing the data image both
+    backends leave behind at a sweep of exact budgets.
     """
     source = """
     int acc[32];
