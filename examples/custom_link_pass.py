@@ -113,7 +113,7 @@ def main() -> None:
     modules = [translate_module(obj) for obj in inputs.modules]
     proc_index = instrument(modules)
 
-    final = [reassemble_module(module)[0] for module in modules]
+    final = [reassemble_module(module) for module in modules]
     final_inputs = resolve_inputs(final, [])
     layout = compute_layout(final_inputs)
     executable = build_executable(final_inputs, layout)

@@ -26,10 +26,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.layout.callgraph import CallSite
-from repro.minicc.mcode import MInstr, MLabel
 from repro.obs import provenance
 from repro.obs.trace import TraceLog
-from repro.om.symbolic import SymbolicModule
+from repro.om.symbolic import SymbolicModule, place_module
 
 #: The legal bsr word displacement is a signed 21-bit field.
 BSR_RANGE_WORDS = 1 << 20
@@ -81,25 +80,22 @@ def _model_addresses(
 ) -> tuple[dict[int, int], dict[tuple[int, str], int]]:
     """Tentative instruction and procedure-entry addresses.
 
-    Mirrors reassembly + text layout: four bytes per surviving
-    instruction, modules 16-aligned, aligned labels padded.
+    Each module's placement, with the ``deleted`` instructions taking
+    no space, at the 16-aligned base ``compute_layout`` gives its text.
+    The only label alignment (8) divides 16, so placing relative to the
+    module start agrees with aligning absolute addresses.
     """
     addr_of: dict[int, int] = {}
     entries: dict[tuple[int, str], int] = {}
     cursor = text_base
     for module_index, module in enumerate(modules):
-        cursor = -(-cursor // 16) * 16
-        for proc in module.procs:
-            entries[(module_index, proc.name)] = cursor
-            for item in proc.items:
-                if isinstance(item, MLabel):
-                    if item.align:
-                        cursor = -(-cursor // item.align) * item.align
-                    continue
-                if item.uid in deleted:
-                    continue
-                addr_of[item.uid] = cursor
-                cursor += 4
+        base = -(-cursor // 16) * 16
+        placement = place_module(module, deleted)
+        for uid, offset in placement.uid_offset.items():
+            addr_of[uid] = base + offset
+        for name, (start, __) in placement.proc_bounds.items():
+            entries[(module_index, name)] = base + start
+        cursor = base + placement.text_size
     return addr_of, entries
 
 

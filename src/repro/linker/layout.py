@@ -94,7 +94,10 @@ class Layout:
             return self.section_base(def_index, sym.section) + sym.offset
         if name in self.common_addr:
             return self.common_addr[name]
-        raise LinkError(f"no address for symbol {name!r} (module {module.name})")
+        raise LinkError(
+            f"no address for symbol {name!r} "
+            f"(module {self.inputs.modules[module_index].name})"
+        )
 
     def _definitions(self, module_index: int):
         cached = self._defs_cache.get(module_index)

@@ -32,20 +32,6 @@ def next_uid() -> int:
     return next(_uid_counter)
 
 
-def ensure_uid_floor(floor: int) -> None:
-    """Advance the uid counter past ``floor``.
-
-    Processes that receive items created elsewhere (the partitioned OM
-    driver ships pickled modules to shard workers) must raise their own
-    counter above every received uid before creating new items, or a
-    fresh uid could collide with a shipped one inside the same
-    procedure and corrupt the uid-keyed links (lituse, gpdisp pairs).
-    """
-    global _uid_counter
-    current = next(_uid_counter)
-    _uid_counter = itertools.count(max(current, floor) + 1)
-
-
 # Items compare by identity (``eq=False``).  OM locates them with
 # ``list.index``/``list.remove``, and value equality would compare every
 # field, nested Instruction included, at each step of the scan.

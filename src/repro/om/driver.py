@@ -8,6 +8,10 @@ emergent: the final GAT is built from the literal relocations that
 survive, and the transformation rounds iterate because a smaller GAT
 brings data closer to GP, "perhaps enabling a fresh round of the other
 improvements".
+
+Each round lays out from :func:`~repro.om.symbolic.layout_object`
+(sizes, symbols and literals at the placed offsets, nothing encoded);
+only the finish encodes, once per module.
 """
 
 from __future__ import annotations
@@ -24,7 +28,7 @@ from repro.objfile.archive import Archive
 from repro.objfile.objfile import ObjectFile
 from repro.om.sched import om_schedule
 from repro.om.stats import OMStats, count_code
-from repro.om.symbolic import reassemble_module, translate_module
+from repro.om.symbolic import layout_object, reassemble_module, translate_module
 from repro.om.transform import PassCounters, Program, Transformer
 from repro.om.verify import VerifyReport
 
@@ -58,7 +62,6 @@ class OMOptions:
     bsr_range_words: int = 1 << 20  # 21-bit word displacement reach
     # -- partitioned whole-program optimization (repro.wpo) -----------
     partitions: int = 0  # >1: shard the transform rounds (byte-identical)
-    wpo_jobs: int = 0  # 0/1 = run shards inline; >1 = own process pool
 
 
 @dataclass
@@ -98,11 +101,11 @@ def om_link(
     a profile the layout planner falls back to static estimates.
 
     With ``options.partitions`` > 1 the transformation rounds run
-    partitioned (:mod:`repro.wpo`): balanced shards in parallel around
-    a serial whole-program phase, producing a byte-identical
-    executable.  ``cache`` (an :class:`repro.cache.ArtifactCache`)
-    then content-addresses each shard's transform, so relinking after
-    a one-module edit only recomputes the changed shard.
+    partitioned (:mod:`repro.wpo`): balanced shards around a serial
+    whole-program phase, producing a byte-identical executable.
+    ``cache`` (an :class:`repro.cache.ArtifactCache`) then
+    content-addresses each shard's transform, so relinking after a
+    one-module edit only recomputes the changed shard.
     """
     options = options or OMOptions()
     inputs = resolve_inputs(objects, list(libraries))
@@ -146,15 +149,20 @@ def om_link(
             max_iterations=options.relax_max_iterations,
         )
 
-    counters = PassCounters()
-    relax_iterations = relax_demoted = 0
-    wpo_stats = None
-    if level is not OMLevel.NONE:
-        layout_options = LayoutOptions(
+    # The rounds lay out exactly as the finish will.
+    layout_options = (
+        LayoutOptions()
+        if level is OMLevel.NONE
+        else LayoutOptions(
             gat_capacity=options.gat_capacity,
             sort_commons=options.sort_commons,
             symbol_weights=(plan.symbol_weights or None) if plan else None,
         )
+    )
+    counters = PassCounters()
+    relax_iterations = relax_demoted = 0
+    wpo_stats = None
+    if level is not OMLevel.NONE:
         max_rounds = 1 if level is OMLevel.SIMPLE else max(1, options.rounds)
         if options.partitions > 1:
             from repro.wpo import wpo_rounds
@@ -181,7 +189,7 @@ def om_link(
                 with span_or_null(
                     trace, f"om.round{round_index}", cat="om", level=level.value
                 ):
-                    objs = [reassemble_module(module)[0] for module in modules]
+                    objs = [layout_object(module) for module in modules]
                     round_inputs = resolve_inputs(objs, [])
                     layout = compute_layout(round_inputs, layout_options)
                     program = Program.build(modules, layout, entry=options.entry)
@@ -218,18 +226,9 @@ def om_link(
             )
 
     with span_or_null(trace, "om.finalize", cat="om"):
-        final_objs = [reassemble_module(module)[0] for module in modules]
+        final_objs = [reassemble_module(module) for module in modules]
         final_inputs = resolve_inputs(final_objs, [])
-        final_layout_options = (
-            LayoutOptions()
-            if level is OMLevel.NONE
-            else LayoutOptions(
-                gat_capacity=options.gat_capacity,
-                sort_commons=options.sort_commons,
-                symbol_weights=(plan.symbol_weights or None) if plan else None,
-            )
-        )
-        final_layout = compute_layout(final_inputs, final_layout_options)
+        final_layout = compute_layout(final_inputs, layout_options)
         executable = build_executable(final_inputs, final_layout, entry=options.entry)
 
     report: VerifyReport | None = None

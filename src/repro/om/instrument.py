@@ -142,7 +142,7 @@ def link_with_entry_counters(
     modules = [translate_module(obj) for obj in inputs.modules]
     proc_index = add_entry_counters(modules)
 
-    final = [reassemble_module(module)[0] for module in modules]
+    final = [reassemble_module(module) for module in modules]
     final_inputs = resolve_inputs(final, [])
     layout_options = (
         LayoutOptions()

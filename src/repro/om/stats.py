@@ -5,6 +5,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from repro.minicc.mcode import MInstr
 from repro.objfile.relocations import LituseKind
 from repro.om.symbolic import SymbolicModule
 
@@ -23,43 +24,40 @@ class CodeCounts:
 
 
 def count_code(modules: list[SymbolicModule]) -> CodeCounts:
-    """Measure the current symbolic form."""
+    """Measure the current symbolic form (one pass over every item)."""
     counts = CodeCounts()
-    proc_names = {proc.name for module in modules for proc in module.procs}
-    call_labels = set(proc_names)
+    call_labels: set[str] = set()
     for module in modules:
         for proc in module.procs:
-            call_labels.add(f"{proc.name}$postgp")
-            call_labels.add(f"{proc.name}$skipgp")
+            call_labels.update(
+                (proc.name, f"{proc.name}$postgp", f"{proc.name}$skipgp")
+            )
 
     for module in modules:
         for proc in module.procs:
+            literal_uids: set[int] = set()
             jsr_uses: set[int] = set()
-            for item in proc.instructions():
-                if item.lituse is not None and item.lituse[1] == LituseKind.JSR:
-                    jsr_uses.add(item.lituse[0])
-            for item in proc.instructions():
+            for item in proc.items:
+                if not isinstance(item, MInstr):
+                    continue
                 counts.instructions += 1
                 instr = item.instr
                 if instr.is_nop:
                     counts.nops += 1
                 if item.literal is not None:
                     counts.addr_loads += 1
-                    if item.uid in jsr_uses:
-                        counts.pv_loads += 1
-                if (
-                    instr.is_jump
-                    and instr.op.name == "jsr"
-                    and item.lituse is None
-                ):
-                    # Calls through procedure variables always need PV
-                    # established; no optimization level removes this.
-                    counts.pv_loads += 1
+                    literal_uids.add(item.uid)
+                if item.lituse is not None and item.lituse[1] == LituseKind.JSR:
+                    jsr_uses.add(item.lituse[0])
                 if item.gpdisp_base is not None and item.gpdisp_base != proc.name:
                     counts.gp_resets += 1
                 if instr.is_jump and instr.op.name == "jsr":
                     counts.calls += 1
                     if item.lituse is None:
+                        # Calls through procedure variables always need
+                        # PV established; no optimization level removes
+                        # this.
+                        counts.pv_loads += 1
                         counts.indirect_calls += 1
                 elif (
                     instr.is_branch
@@ -68,6 +66,8 @@ def count_code(modules: list[SymbolicModule]) -> CodeCounts:
                     and item.branch[0] in call_labels
                 ):
                     counts.calls += 1
+            # Literal loads a direct jsr in the procedure still uses.
+            counts.pv_loads += len(literal_uids & jsr_uses)
     return counts
 
 

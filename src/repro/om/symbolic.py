@@ -5,15 +5,18 @@
 label references, GPDISP pairs and literal loads/uses are re-linked by
 item uid from the relocation records, and jump-table entries in data
 become label references into text.  After transformation,
-``reassemble_module`` emits a fresh object module: instruction offsets,
-branch displacements, procedure sizes, and jump-table entries are all
-recomputed — which is precisely why OM can delete and reorder
-instructions freely.
+``place_module`` recomputes every instruction offset and procedure
+size, and ``reassemble_module`` emits a fresh object module at those
+offsets, with branch displacements and jump-table entries recomputed —
+which is precisely why OM can delete and reorder instructions freely.
+A transformation round only needs the layout of the result, which
+``layout_object`` builds from the same placement without encoding.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections.abc import Collection
+from dataclasses import dataclass, field, replace
 
 from repro.isa.encoding import decode_stream, encode_stream
 from repro.minicc.mcode import MInstr, MItem, MLabel
@@ -207,14 +210,8 @@ def translate_module(obj: ObjectFile) -> SymbolicModule:
 
     # ---- data sections ----------------------------------------------------
     for kind, section in obj.sections.items():
-        if kind is SectionKind.TEXT:
-            continue
-        copied = Section(kind, alignment=section.alignment)
-        if kind.has_bytes:
-            copied.data = bytearray(section.data)
-        else:
-            copied.bss_size = section.bss_size
-        out.data_sections[kind] = copied
+        if kind is not SectionKind.TEXT:
+            out.data_sections[kind] = replace(section, data=bytearray(section.data))
 
     for reloc in obj.relocations:
         if reloc.type is not RelocType.REFQUAD:
@@ -238,6 +235,7 @@ _GPREL_KINDS = {
     RelocType.GPRELHIGH: "gprelhigh",
     RelocType.GPRELLOW: "gprellow",
 }
+_GPREL_TYPES = {kind: rtype for rtype, kind in _GPREL_KINDS.items()}
 
 
 def _annotate(
@@ -296,55 +294,131 @@ def _annotate(
         )
 
 
-# -- reassembly ----------------------------------------------------------------
+# -- placement -----------------------------------------------------------------
 
 
-def reassemble_module(module: SymbolicModule) -> tuple[ObjectFile, dict[int, int]]:
-    """Emit a fresh object module from symbolic form.
+@dataclass
+class Placement:
+    """Where one module's text lands, in bytes from the module's start."""
 
-    Returns the object plus a map from item uid to its new text offset
-    (used by OM's analysis to reason about final addresses).
+    label_offset: dict[str, int]
+    uid_offset: dict[int, int]
+    #: Procedure name -> (start, size).
+    proc_bounds: dict[str, tuple[int, int]]
+    text_size: int
+
+
+def place_module(
+    module: SymbolicModule, deleted: Collection[int] = frozenset()
+) -> Placement:
+    """Assign text offsets: four bytes per instruction, aligned labels
+    padded with nops.
+
+    The one model of OM's text addresses: reassembly encodes at these
+    offsets, every transformation round lays out from them, and the
+    relaxation fixpoint models its tentative deletions with them
+    (instructions whose uid is in ``deleted`` take no space).
     """
-    obj = ObjectFile(module.name)
-    nop_word = _nop_instruction()
-
-    # Pass 1: offsets.
     label_offset: dict[str, int] = {}
     uid_offset: dict[int, int] = {}
     proc_bounds: dict[str, tuple[int, int]] = {}
-    emitted: list[MInstr | None] = []  # None = alignment nop
     cursor = 0
     for proc in module.procs:
         start = cursor
         for item in proc.items:
             if isinstance(item, MLabel):
-                if item.align and cursor % item.align:
+                if item.align:
                     while cursor % item.align:
-                        emitted.append(None)
                         cursor += 4
                 if item.name in label_offset:
                     raise TranslationError(f"duplicate label {item.name}")
                 label_offset[item.name] = cursor
-            else:
+            elif item.uid not in deleted:
                 uid_offset[item.uid] = cursor
-                emitted.append(item)
                 cursor += 4
         proc_bounds[proc.name] = (start, cursor - start)
+    return Placement(label_offset, uid_offset, proc_bounds, cursor)
 
-    # Pass 2: instructions and relocations.
-    instrs = []
+
+def _symbol_table(
+    module: SymbolicModule, placement: Placement, referenced: set[str]
+) -> list[Symbol]:
+    """Procedure and exported-label symbols at their placed offsets,
+    the module's data/common symbols, and an UNDEF for every name the
+    transformed code still references but does not define."""
+    symbols: list[Symbol] = []
+    for proc in module.procs:
+        start, size = placement.proc_bounds[proc.name]
+        symbols.append(
+            Symbol(
+                proc.name,
+                SymbolKind.PROC,
+                Binding.GLOBAL if proc.exported else Binding.LOCAL,
+                SectionKind.TEXT,
+                start,
+                size,
+                proc=ProcInfo(uses_gp=proc.uses_gp, frame_size=proc.frame_size),
+            )
+        )
+        for label in sorted(proc.export_labels):
+            symbols.append(
+                Symbol(
+                    label,
+                    SymbolKind.OBJECT,
+                    Binding.GLOBAL,
+                    SectionKind.TEXT,
+                    placement.label_offset[label],
+                )
+            )
+    symbols.extend(
+        sym for sym in module.other_symbols if sym.kind is not SymbolKind.UNDEF
+    )
+    known = {s.name for s in symbols}
+    for name in sorted(referenced - known):
+        symbols.append(Symbol(name, SymbolKind.UNDEF))
+    return symbols
+
+
+def _literal_reloc(item: MInstr, offset: int) -> Relocation:
+    symbol, addend = item.literal
+    return Relocation(
+        RelocType.LITERAL,
+        SectionKind.TEXT,
+        offset,
+        symbol,
+        addend,
+        int(item.lit_escaped),
+    )
+
+
+# -- reassembly ----------------------------------------------------------------
+
+
+def reassemble_module(module: SymbolicModule) -> ObjectFile:
+    """Emit a fresh, validated object module from symbolic form."""
+    obj = ObjectFile(module.name)
+    placement = place_module(module)
+    label_offset = placement.label_offset
+    uid_offset = placement.uid_offset
+    code = [
+        item
+        for proc in module.procs
+        for item in proc.items
+        if isinstance(item, MInstr)
+    ]
+
+    # Alignment padding stays a nop; every instruction lands at its
+    # placed offset, and relocations come out in text order.
+    instrs = [_nop_instruction()] * (placement.text_size // 4)
     relocs: list[Relocation] = []
     referenced: set[str] = set()
-    gpdisp_lda_of: dict[int, int] = {}  # ldah uid -> lda offset
-    for item in emitted:
-        if item is not None and item.gpdisp_pair is not None:
-            gpdisp_lda_of[item.gpdisp_pair] = uid_offset[item.uid]
+    gpdisp_lda_of = {  # ldah uid -> lda offset
+        item.gpdisp_pair: uid_offset[item.uid]
+        for item in code
+        if item.gpdisp_pair is not None
+    }
 
-    proc_names = {proc.name for proc in module.procs}
-    for item in emitted:
-        if item is None:
-            instrs.append(nop_word)
-            continue
+    for item in code:
         instr = item.instr
         offset = uid_offset[item.uid]
         if item.branch is not None:
@@ -352,7 +426,7 @@ def reassemble_module(module: SymbolicModule) -> tuple[ObjectFile, dict[int, int
             # resolves them — identical to what the compiler emitted;
             # internal labels resolve here.
             name, addend = item.branch
-            if name in label_offset and name not in proc_names:
+            if name in label_offset and name not in placement.proc_bounds:
                 target = label_offset[name] + addend
                 instr = instr.replace(disp=(target - (offset + 4)) // 4)
             else:
@@ -362,18 +436,8 @@ def reassemble_module(module: SymbolicModule) -> tuple[ObjectFile, dict[int, int
                 referenced.add(name)
                 instr = instr.replace(disp=0)
         if item.literal is not None:
-            symbol, addend = item.literal
-            relocs.append(
-                Relocation(
-                    RelocType.LITERAL,
-                    SectionKind.TEXT,
-                    offset,
-                    symbol,
-                    addend,
-                    int(item.lit_escaped),
-                )
-            )
-            referenced.add(symbol)
+            relocs.append(_literal_reloc(item, offset))
+            referenced.add(item.literal[0])
         if item.lituse is not None:
             load_uid, kind = item.lituse
             if load_uid not in uid_offset:
@@ -415,73 +479,32 @@ def reassemble_module(module: SymbolicModule) -> tuple[ObjectFile, dict[int, int
             referenced.add(symbol)
         if item.gprel is not None:
             kind, symbol, addend, group = item.gprel
-            rtype = {
-                "gprel16": RelocType.GPREL16,
-                "gprelhigh": RelocType.GPRELHIGH,
-                "gprellow": RelocType.GPRELLOW,
-            }[kind]
             relocs.append(
-                Relocation(rtype, SectionKind.TEXT, offset, symbol, addend, group)
+                Relocation(
+                    _GPREL_TYPES[kind], SectionKind.TEXT, offset, symbol, addend, group
+                )
             )
             referenced.add(symbol)
-        instrs.append(instr)
+        instrs[offset // 4] = instr
 
     text = Section(SectionKind.TEXT, alignment=16)
     text.data = bytearray(encode_stream(instrs))
     obj.sections[SectionKind.TEXT] = text
 
     for kind, section in module.data_sections.items():
-        copied = Section(kind, alignment=section.alignment)
-        if kind.has_bytes:
-            copied.data = bytearray(section.data)
-        else:
-            copied.bss_size = section.bss_size
-        obj.sections[kind] = copied
+        obj.sections[kind] = replace(section, data=bytearray(section.data))
 
     for ref in module.data_refs:
         addend = ref.addend
         symbol = ref.symbol
         if ref.label is not None:
-            start, __ = proc_bounds[ref.proc]
+            start, __ = placement.proc_bounds[ref.proc]
             addend = label_offset[ref.label] - start
             symbol = ref.proc
         relocs.append(
             Relocation(RelocType.REFQUAD, ref.section, ref.offset, symbol, addend)
         )
         referenced.add(symbol)
-
-    symbols: list[Symbol] = []
-    for proc in module.procs:
-        start, size = proc_bounds[proc.name]
-        symbols.append(
-            Symbol(
-                proc.name,
-                SymbolKind.PROC,
-                Binding.GLOBAL if proc.exported else Binding.LOCAL,
-                SectionKind.TEXT,
-                start,
-                size,
-                proc=ProcInfo(uses_gp=proc.uses_gp, frame_size=proc.frame_size),
-            )
-        )
-        for label in sorted(proc.export_labels):
-            symbols.append(
-                Symbol(
-                    label,
-                    SymbolKind.OBJECT,
-                    Binding.GLOBAL,
-                    SectionKind.TEXT,
-                    label_offset[label],
-                )
-            )
-    # Data/common symbols are copied; undefined symbols are regenerated
-    # from what the transformed code still references.
-    symbols.extend(
-        sym for sym in module.other_symbols if sym.kind is not SymbolKind.UNDEF
-    )
-    known = {s.name for s in symbols}
-    for name in sorted(referenced - known):
-        symbols.append(Symbol(name, SymbolKind.UNDEF))
 
     # The transformer allocates gprel high/low group ids from item uids,
     # which are process-unique but not stable across runs.  Renumber them
@@ -496,10 +519,56 @@ def reassemble_module(module: SymbolicModule) -> tuple[ObjectFile, dict[int, int
                 group_ids[reloc.extra] = len(group_ids) + 1
             reloc.extra = group_ids[reloc.extra]
 
-    obj.symbols = symbols
+    obj.symbols = _symbol_table(module, placement, referenced)
     obj.relocations = relocs
     obj.validate()
-    return obj, uid_offset
+    return obj
+
+
+def layout_object(module: SymbolicModule) -> ObjectFile:
+    """What ``reassemble_module`` would emit, as far as symbol
+    resolution and layout read it.
+
+    The same sections with the same sizes and alignments (text
+    zero-filled), the same symbol table, and the ``LITERAL`` relocations
+    in text order; no instruction is encoded and no other relocation is
+    built.  Transformation rounds lay out from these objects.  They are
+    never linked, so they are not validated and share the module's data
+    sections.
+    """
+    obj = ObjectFile(module.name)
+    placement = place_module(module)
+    label_offset = placement.label_offset
+    uid_offset = placement.uid_offset
+    relocs: list[Relocation] = []
+    referenced: set[str] = set()
+    for proc in module.procs:
+        for item in proc.items:
+            if isinstance(item, MLabel):
+                continue
+            if item.branch is not None:
+                name = item.branch[0]
+                if name not in label_offset or name in placement.proc_bounds:
+                    referenced.add(name)
+            if item.literal is not None:
+                relocs.append(_literal_reloc(item, uid_offset[item.uid]))
+                referenced.add(item.literal[0])
+            if item.hint is not None:
+                referenced.add(item.hint)
+            if item.jmptab is not None:
+                referenced.add(item.jmptab[0])
+            if item.gprel is not None:
+                referenced.add(item.gprel[1])
+    for ref in module.data_refs:
+        referenced.add(ref.proc if ref.label is not None else ref.symbol)
+
+    text = Section(SectionKind.TEXT, alignment=16)
+    text.data = bytearray(placement.text_size)
+    obj.sections[SectionKind.TEXT] = text
+    obj.sections.update(module.data_sections)
+    obj.symbols = _symbol_table(module, placement, referenced)
+    obj.relocations = relocs
+    return obj
 
 
 def _nop_instruction():

@@ -22,6 +22,7 @@ deletes instead of nullifying.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import islice
 
 from repro.isa.instruction import Instruction
 from repro.isa.registers import Reg
@@ -138,23 +139,19 @@ def _find_address_taken(modules: list[SymbolicModule]) -> set[str]:
         for ref in module.data_refs:
             if ref.symbol in proc_names and ref.label is None:
                 taken.add(ref.symbol)
+        literals: list[MInstr] = []
+        # Literal loads with a non-JSR use: those uses take the address.
+        address_uses: set[int] = set()
         for item in module.all_items():
-            if isinstance(item, MInstr) and item.literal is not None:
-                symbol, __ = item.literal
-                if symbol not in proc_names:
-                    continue
-                if item.lit_escaped:
-                    taken.add(symbol)
-                else:
-                    # Non-JSR uses of a procedure literal take its address.
-                    for other in module.all_items():
-                        if (
-                            isinstance(other, MInstr)
-                            and other.lituse is not None
-                            and other.lituse[0] == item.uid
-                            and other.lituse[1] != LituseKind.JSR
-                        ):
-                            taken.add(symbol)
+            if not isinstance(item, MInstr):
+                continue
+            if item.literal is not None and item.literal[0] in proc_names:
+                literals.append(item)
+            if item.lituse is not None and item.lituse[1] != LituseKind.JSR:
+                address_uses.add(item.lituse[0])
+        for item in literals:
+            if item.lit_escaped or item.uid in address_uses:
+                taken.add(item.literal[0])
     return taken
 
 
@@ -184,14 +181,17 @@ def _gpdisp_pairs(proc: SymbolicProc) -> list[tuple[MInstr, MInstr, str]]:
     return pairs
 
 
-def _remove_items(proc: SymbolicProc, doomed: set[int]) -> int:
-    before = len(proc.items)
-    proc.items = [
-        item
-        for item in proc.items
-        if not (isinstance(item, MInstr) and item.uid in doomed)
-    ]
-    return before - len(proc.items)
+def _gpdisp_pair_with_base(
+    proc: SymbolicProc, base: str
+) -> tuple[MInstr, MInstr] | None:
+    """The first (ldah, lda) GP pair, in lda order, based at ``base``."""
+    instrs = proc.instructions()
+    ldahs = {item.uid: item for item in instrs if item.gpdisp_base == base}
+    if ldahs:
+        for item in instrs:
+            if item.gpdisp_pair in ldahs:
+                return ldahs[item.gpdisp_pair], item
+    return None
 
 
 def _nullify(item: MInstr) -> None:
@@ -208,7 +208,9 @@ def _nullify(item: MInstr) -> None:
 
 def _entry_pair_at_top(proc: SymbolicProc) -> tuple[MInstr, MInstr] | None:
     """The entry GPDISP pair if it sits in the first two instruction slots."""
-    instrs = proc.instructions()
+    instrs = list(
+        islice((item for item in proc.items if isinstance(item, MInstr)), 2)
+    )
     if len(instrs) < 2:
         return None
     first, second = instrs[0], instrs[1]
@@ -267,7 +269,11 @@ class Transformer:
     def _item_pc(
         self, module_index: int, proc: SymbolicProc, item: MInstr
     ) -> int | None:
-        """The instruction's address under this round's tentative layout."""
+        """The instruction's address under this round's tentative layout,
+        for a provenance event; ``None`` when this transformer records
+        none (the scan is linear in the procedure)."""
+        if self.trace is None:
+            return None
         try:
             base = self.prog.addr(module_index, proc.name)
         except Exception:
@@ -287,17 +293,16 @@ class Transformer:
         *,
         action: str,
         pass_name: str,
-        item: MInstr | None = None,
         pc: int | None = None,
-        before: str = "",
-        after: str = "",
+        before: object = "",
+        after: object = "",
         reason: str = "",
         counter=None,
     ) -> None:
+        """Record one decision.  ``before``/``after`` may be
+        instructions: they are formatted only when recording."""
         if self.trace is None:
             return
-        if pc is None and item is not None:
-            pc = self._item_pc(module_index, proc, item)
         provenance.emit(
             self.trace,
             action=action,
@@ -305,8 +310,8 @@ class Transformer:
             module=self.prog.modules[module_index].name,
             proc=proc.name,
             pc=pc,
-            before=before,
-            after=after,
+            before=str(before),
+            after=str(after),
             reason=reason,
             counter=counter,
             round_index=self.round_index,
@@ -423,10 +428,9 @@ class Transformer:
             lda_pos = items.index(lda)
             if (ldah_pos, lda_pos) == (anchor + 1, anchor + 2):
                 continue
-            old_pcs = {
-                item.uid: self._item_pc(module_index, proc, item)
-                for item in (ldah, lda)
-            } if self.trace is not None else {}
+            old_pcs = [
+                self._item_pc(module_index, proc, item) for item in (ldah, lda)
+            ]
             for item in (lda, ldah):
                 items.remove(item)
             anchor = next(
@@ -437,15 +441,17 @@ class Transformer:
             items.insert(anchor + 1, ldah)
             items.insert(anchor + 2, lda)
             self.changed = True
-            for item in (ldah, lda):
+            if self.trace is None:
+                continue
+            for item, old_pc in zip((ldah, lda), old_pcs):
                 new_pc = self._item_pc(module_index, proc, item)
                 self._emit(
                     module_index,
                     proc,
                     action="move",
                     pass_name="canonicalize",
-                    pc=old_pcs.get(item.uid),
-                    before=str(item.instr),
+                    pc=old_pc,
+                    before=item.instr,
                     after=str(item.instr)
                     + (f" @ {new_pc:#x}" if new_pc is not None else ""),
                     reason=(
@@ -552,7 +558,7 @@ class Transformer:
         # setup, the PV-load must stay: "the compiled code normally does
         # so anyway, because the called procedure needs the PV in order
         # to set up its value for GP" — so the lituse link survives too.
-        before = str(jsr.instr)
+        before = jsr.instr
         jsr_pc = self._item_pc(module_index, proc, jsr)
         jsr.instr = Instruction.branch("bsr", Reg.RA, 0)
         jsr.branch = target
@@ -631,32 +637,30 @@ class Transformer:
         base_label = self._return_label_after(proc, call_item)
         if base_label is None:
             return
-        callee_name = callee[1].name if callee is not None else "<indirect>"
-        for ldah, lda, base in _gpdisp_pairs(proc):
-            if base != base_label:
-                continue
-            reason = f"GP provably unchanged across call to {callee_name}"
-            self._kill(
-                module_index, proc, ldah,
-                pass_name="gp-resets", reason=reason,
-                extra_counter="gp_resets_removed",
-            )
-            self._kill(
-                module_index, proc, lda,
-                pass_name="gp-resets", reason=reason,
-            )
-            self.counters.gp_resets_removed += 1
-            self.changed = True
+        pair = _gpdisp_pair_with_base(proc, base_label)
+        if pair is None:
             return
+        callee_name = callee[1].name if callee is not None else "<indirect>"
+        reason = f"GP provably unchanged across call to {callee_name}"
+        self._kill(
+            module_index, proc, pair[0],
+            pass_name="gp-resets", reason=reason,
+            extra_counter="gp_resets_removed",
+        )
+        self._kill(
+            module_index, proc, pair[1],
+            pass_name="gp-resets", reason=reason,
+        )
+        self.counters.gp_resets_removed += 1
+        self.changed = True
 
     @staticmethod
     def _return_label_after(proc: SymbolicProc, call_item: MInstr) -> str | None:
+        """The label directly after the call (its return point), if any."""
         items = proc.items
-        index = items.index(call_item)
-        for item in items[index + 1 :]:
-            if isinstance(item, MLabel):
-                return item.name
-            return None
+        index = items.index(call_item) + 1
+        if index < len(items) and isinstance(items[index], MLabel):
+            return items[index].name
         return None
 
     # ---- address-load optimization ----------------------------------------------
@@ -693,7 +697,7 @@ class Transformer:
                 if gprel_nullify_in_range(d, offsets):
                     # Nullify: every use is rebased directly onto GP.
                     for use, off in zip(uses, offsets):
-                        before = str(use.instr)
+                        before = use.instr
                         use_pc = self._item_pc(module_index, proc, use)
                         use.instr = use.instr.replace(rb=int(Reg.GP), disp=0)
                         use.gprel = ("gprel16", symbol, addend + off, 0)
@@ -701,7 +705,7 @@ class Transformer:
                         self._emit(
                             module_index, proc,
                             action="convert", pass_name="address-loads",
-                            pc=use_pc, before=before, after=str(use.instr),
+                            pc=use_pc, before=before, after=use.instr,
                             reason=(
                                 f"use rebased directly onto GP "
                                 f"(d={d + off:+d} within 16-bit window)"
@@ -730,14 +734,14 @@ class Transformer:
                     # never reach the object file.
                     group = item.uid
                     dst = item.instr.ra
-                    before = str(item.instr)
+                    before = item.instr
                     item_pc = self._item_pc(module_index, proc, item)
                     item.instr = Instruction.mem("ldah", dst, Reg.GP, 0)
                     item.literal = None
                     item.lit_escaped = False
                     item.gprel = ("gprelhigh", symbol, addend, group)
                     for use, off in zip(uses, offsets):
-                        use_before = str(use.instr)
+                        use_before = use.instr
                         use_pc = self._item_pc(module_index, proc, use)
                         use.instr = use.instr.replace(disp=0)
                         use.gprel = ("gprellow", symbol, addend + off, group)
@@ -745,7 +749,7 @@ class Transformer:
                         self._emit(
                             module_index, proc,
                             action="convert", pass_name="address-loads",
-                            pc=use_pc, before=use_before, after=str(use.instr),
+                            pc=use_pc, before=use_before, after=use.instr,
                             reason=f"use takes the low half of {symbol!r}",
                         )
                     self.counters.loads_converted += 1
@@ -753,7 +757,7 @@ class Transformer:
                     self._emit(
                         module_index, proc,
                         action="convert", pass_name="address-loads",
-                        pc=item_pc, before=before, after=str(item.instr),
+                        pc=item_pc, before=before, after=item.instr,
                         reason=(
                             f"GAT load of {symbol!r} converted to a shared "
                             f"ldah high half (d={d:+d} beyond direct window)"
@@ -766,7 +770,7 @@ class Transformer:
             # Escaped literal: the register must hold the exact address.
             if gprel_direct_in_range(d):
                 dst = item.instr.ra
-                before = str(item.instr)
+                before = item.instr
                 item_pc = self._item_pc(module_index, proc, item)
                 item.instr = Instruction.mem("lda", dst, Reg.GP, 0)
                 item.literal = None
@@ -779,7 +783,7 @@ class Transformer:
                 self._emit(
                     module_index, proc,
                     action="convert", pass_name="address-loads",
-                    pc=item_pc, before=before, after=str(item.instr),
+                    pc=item_pc, before=before, after=item.instr,
                     reason=(
                         f"escaped GAT load of {symbol!r} materialized with "
                         f"a single lda (d={d:+d} in 16-bit window)"
@@ -791,7 +795,7 @@ class Transformer:
                 # only OM-full may change instruction counts).
                 group = item.uid
                 dst = item.instr.ra
-                before = str(item.instr)
+                before = item.instr
                 item_pc = self._item_pc(module_index, proc, item)
                 item.instr = Instruction.mem("ldah", dst, Reg.GP, 0)
                 item.literal = None
@@ -878,10 +882,10 @@ class Transformer:
         reason: str = "",
         extra_counter: str | None = None,
     ) -> None:
-        before = str(item.instr)
+        before = item.instr
         pc = self._item_pc(module_index, proc, item)
         if self.full:
-            _remove_items(proc, {item.uid})
+            proc.items.remove(item)
             self.counters.instructions_deleted += 1
             counter = ["instructions_deleted"]
             action, after = "delete", "(deleted)"
@@ -889,7 +893,7 @@ class Transformer:
             _nullify(item)
             self.counters.instructions_nulled += 1
             counter = ["instructions_nulled"]
-            action, after = "nullify", str(item.instr)
+            action, after = "nullify", item.instr
         if extra_counter is not None:
             counter.append(extra_counter)
         self._emit(

@@ -13,8 +13,7 @@ Mirrors the workflow of the paper's environment:
   ``-layout`` turns on profile-guided layout + jsr->bsr relaxation,
   fed by ``--profile-in profile.json``; ``--partitions N`` runs the
   transform rounds partitioned (byte-identical output), with
-  ``--wpo-jobs`` for parallel shards and ``--cache-dir`` for
-  incremental relinks);
+  ``--cache-dir`` for incremental relinks);
 * ``run``  — execute an executable on the simulated AXP
   (``--profile-out profile.json`` writes the per-procedure profile
   that closes the PGO loop);
@@ -126,7 +125,6 @@ def _om(args) -> int:
         layout=args.layout,
         relax=args.layout,
         partitions=args.partitions,
-        wpo_jobs=args.wpo_jobs,
     )
     cache = None
     if args.cache_dir and args.partitions > 1:
@@ -362,10 +360,6 @@ def build_parser() -> argparse.ArgumentParser:
                 "--partitions", type=int, default=0,
                 help="shard the transform rounds across N partitions "
                      "(byte-identical to the monolithic link)",
-            )
-            tool.add_argument(
-                "--wpo-jobs", dest="wpo_jobs", type=int, default=0,
-                help="worker processes for partitioned rounds (0 = inline)",
             )
             tool.add_argument(
                 "--cache-dir", dest="cache_dir", default=None,

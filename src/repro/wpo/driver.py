@@ -3,12 +3,12 @@
 Replaces the monolithic per-round transform of ``om_link`` with the
 WHOPR-style split the LTO literature converged on (Glek & Hubička):
 
-* a **serial whole-program phase** per round — reassemble, layout,
-  GP-range/GAT grouping, GP-pair canonicalization, the jsr->bsr
-  range/relaxation verdict for every call site, and cross-shard
-  relocation patching (skip-label effects);
-* a **parallel per-shard phase** — the calls and address-load passes
-  over each shard, against shipped summaries of everything outside it;
+* a **serial whole-program phase** per round — layout from the
+  placement, GP-range/GAT grouping, GP-pair canonicalization, the
+  jsr->bsr range/relaxation verdict for every call site, and
+  cross-shard relocation patching (skip-label effects);
+* an **independent per-shard phase** — the calls and address-load
+  passes over each shard, against summaries of everything outside it;
 * a serial epilogue — dead entry-setup removal over the merged
   program (it needs the global blocked-set).
 
@@ -22,21 +22,26 @@ module therefore relinks in O(changed shard): every other shard's
 transform is a cache read.
 
 Byte identity with the monolithic path is structural, not aspirational:
-the parallel passes mutate only their own modules except for the
+the per-shard passes mutate only their own modules except for the
 idempotent skip-label/export insertion into callees, which is
 harvested as an effect and replayed serially; every cross-module
 *read* is answered from the post-canonicalize serial snapshot, which
 is exactly the state the monolithic pass order exposes.
 
-That same argument lets inline shards run on the driver's live
-modules: every job (GP values, addresses, groups, call decisions,
-stub summaries) is built before the first shard runs, a shard mutates
-only its own members and private stubs, and the effects land after
-all shards have run.  Nothing is pickled unless it crosses a process
-(the ``wpo_jobs`` pool) or the cache; only results that arrive as
-bytes (pool results and cache hits) get fresh uids.  A shard records
-provenance into a log of its own when the link is traced or cached,
-so a cached result carries the events a later traced hit replays.
+That same argument lets shards run on the driver's live modules:
+every job (GP values, addresses, groups, call decisions, stub
+summaries) is built before the first shard runs, a shard mutates only
+its own members and private stubs, and the effects land after all
+shards have run.  Nothing is pickled unless it goes to the cache; only
+results that arrive as bytes (cache hits) get fresh uids.  A shard
+records provenance into a log of its own when the link is traced or
+cached, so a cached result carries the events a later traced hit
+replays.
+
+A round encodes nothing unless a cache is attached: it lays out from
+:func:`~repro.om.symbolic.layout_object`.  The shard keys hash encoded
+objects, so a cached round encodes every module once and lays out
+from those same objects.
 """
 
 from __future__ import annotations
@@ -50,9 +55,9 @@ from repro.linker.layout import LayoutOptions, compute_layout
 from repro.linker.resolve import resolve_inputs
 from repro.minicc.mcode import MLabel
 from repro.obs import provenance
-from repro.obs.trace import TraceLog, now_us, span_or_null
+from repro.obs.trace import TraceLog, span_or_null
 from repro.objfile.serialize import dump_object
-from repro.om.symbolic import SymbolicModule, reassemble_module
+from repro.om.symbolic import SymbolicModule, layout_object, reassemble_module
 from repro.om.transform import (
     PassCounters,
     Program,
@@ -66,7 +71,6 @@ from repro.wpo.shard import (
     ShardResult,
     StubInfo,
     remap_module_uids,
-    run_shard,
     run_shard_job,
 )
 
@@ -199,7 +203,6 @@ def _build_shard_job(
     full: bool,
     convert_escaped: bool,
     round_index: int,
-    record: bool,
 ) -> _ShardJob:
     members = shard.members
     local_of = {g: i for i, g in enumerate(members)}
@@ -290,7 +293,6 @@ def _build_shard_job(
         "decisions": {
             uid: decisions.get(uid, False) for uid in shard_uids
         },
-        "record": record,
     }
     key_payload = None
     if digests is not None:
@@ -333,10 +335,9 @@ def wpo_rounds(
 ) -> WPORun:
     """Run the OM transformation rounds partitioned into shards.
 
-    Mutates ``modules`` in place (inline shards transform their entries;
-    cache hits and pool results replace them), exactly like the
-    monolithic round loop mutates them, and returns the merged counters
-    and telemetry.
+    Mutates ``modules`` in place (shards transform their entries; cache
+    hits replace them), exactly like the monolithic round loop mutates
+    them, and returns the merged counters and telemetry.
     """
     from repro.om.driver import OMLevel  # circular-safe: driver imports us lazily
 
@@ -350,45 +351,32 @@ def wpo_rounds(
         members=[[modules[g].name for g in shard.members] for shard in shards],
     )
     missed: set[int] = set()
-
-    pool = None
-    if options.wpo_jobs > 1 and len(shards) > 1:
-        import concurrent.futures
-
-        pool = concurrent.futures.ProcessPoolExecutor(
-            max_workers=min(options.wpo_jobs, len(shards))
-        )
-    try:
-        for round_index in range(max_rounds):
-            with span_or_null(
-                trace,
-                f"om.round{round_index}",
-                cat="om",
-                level=level.value,
-                wpo=len(shards),
-            ):
-                changed = _run_round(
-                    modules,
-                    shards,
-                    level=level,
-                    options=options,
-                    relax_options=relax_options,
-                    layout_options=layout_options,
-                    round_index=round_index,
-                    full=full,
-                    convert_escaped=convert_escaped,
-                    cache=cache,
-                    trace=trace,
-                    pool=pool,
-                    run=run,
-                    missed=missed,
-                )
-            run.stats.rounds += 1
-            if not changed:
-                break
-    finally:
-        if pool is not None:
-            pool.shutdown()
+    for round_index in range(max_rounds):
+        with span_or_null(
+            trace,
+            f"om.round{round_index}",
+            cat="om",
+            level=level.value,
+            wpo=len(shards),
+        ):
+            changed = _run_round(
+                modules,
+                shards,
+                level=level,
+                options=options,
+                relax_options=relax_options,
+                layout_options=layout_options,
+                round_index=round_index,
+                full=full,
+                convert_escaped=convert_escaped,
+                cache=cache,
+                trace=trace,
+                run=run,
+                missed=missed,
+            )
+        run.stats.rounds += 1
+        if not changed:
+            break
     run.stats.missed_shards = sorted(missed)
     return run
 
@@ -406,18 +394,18 @@ def _run_round(
     convert_escaped: bool,
     cache,
     trace: TraceLog | None,
-    pool,
     run: WPORun,
     missed: set[int],
 ) -> bool:
     # ---- serial whole-program phase -----------------------------------
-    objs = [reassemble_module(module)[0] for module in modules]
-    # The digests only feed shard cache keys.
-    digests = (
-        [hashlib.sha256(dump_object(obj)).hexdigest() for obj in objs]
-        if cache is not None
-        else None
-    )
+    # Shard cache keys hash encoded objects; an uncached round lays out
+    # from the placement alone.
+    digests = None
+    if cache is not None:
+        objs = [reassemble_module(module) for module in modules]
+        digests = [hashlib.sha256(dump_object(obj)).hexdigest() for obj in objs]
+    else:
+        objs = [layout_object(module) for module in modules]
     inputs = resolve_inputs(objs, [])
     layout = compute_layout(inputs, layout_options)
     prog = Program.build(modules, layout, entry=options.entry)
@@ -443,9 +431,6 @@ def _run_round(
     for site in sites:
         sites_by_module.setdefault(site.caller_module, []).append(site)
 
-    # Shards record provenance when this link replays it, or when a
-    # cached result must carry it for a later traced hit to replay.
-    record = trace is not None or cache is not None
     jobs = [
         _build_shard_job(
             shard,
@@ -458,16 +443,15 @@ def _run_round(
             full=full,
             convert_escaped=convert_escaped,
             round_index=round_index,
-            record=record,
         )
         for shard in shards
     ]
 
-    # ---- parallel per-shard phase -------------------------------------
-    # Inline shards transform the live modules in place (every cross-
-    # module fact they read was computed above, before any shard ran).
-    # Only cache hits and pool results arrive as bytes; a result is
-    # pickled only to be cached.
+    # ---- per-shard phase ----------------------------------------------
+    # Shards transform the live modules in place (every cross-module
+    # fact they read was computed above, before any shard ran).  Only
+    # cache hits arrive as bytes; a result is pickled only to be
+    # cached.
     results: list[ShardResult | None] = [None] * len(jobs)
     blobs: list[bytes | None] = [None] * len(jobs)
     keys: list[str | None] = [None] * len(jobs)
@@ -481,47 +465,26 @@ def _run_round(
                 continue
         pending.append(index)
 
-    if pool is not None and len(pending) > 1:
-        submitted_us = now_us()
-        futures = {
-            index: pool.submit(
-                run_shard,
-                pickle.dumps(
-                    jobs[index].job, protocol=pickle.HIGHEST_PROTOCOL
-                ),
-            )
-            for index in pending
-        }
-        for index in pending:
-            blobs[index] = futures[index].result()
-            if trace is not None:
-                # Pool shards run remotely: the span covers submit to
-                # result pickup (queueing included), one lane per shard.
-                trace.add_span(
-                    "om.wpo.shard", submitted_us, now_us(), cat="om",
-                    round=round_index, shard=jobs[index].shard.index,
-                    members=len(jobs[index].shard.members), pooled=True,
-                )
-    else:
-        for index in pending:
-            with span_or_null(
-                trace, "om.wpo.shard", cat="om",
-                round=round_index, shard=jobs[index].shard.index,
-                members=len(jobs[index].shard.members), pooled=False,
-            ):
-                results[index] = run_shard_job(
-                    jobs[index].job, TraceLog() if record else None
-                )
+    # Shards record provenance when this link replays it, or when a
+    # cached result must carry it for a later traced hit to replay.
+    record = trace is not None or cache is not None
     for index in pending:
+        with span_or_null(
+            trace, "om.wpo.shard", cat="om",
+            round=round_index, shard=jobs[index].shard.index,
+            members=len(jobs[index].shard.members),
+        ):
+            results[index] = run_shard_job(
+                jobs[index].job, TraceLog() if record else None
+            )
         run.stats.misses += 1
         missed.add(jobs[index].shard.index)
         if cache is not None:
-            blob = blobs[index]
-            if blob is None:
-                blob = pickle.dumps(
-                    results[index], protocol=pickle.HIGHEST_PROTOCOL
-                )
-            cache.put("wpo", keys[index], blob)
+            cache.put(
+                "wpo",
+                keys[index],
+                pickle.dumps(results[index], protocol=pickle.HIGHEST_PROTOCOL),
+            )
     if trace is not None:
         trace.event(
             "om.wpo.round",
@@ -537,7 +500,7 @@ def _run_round(
     for index, job in enumerate(jobs):
         result = results[index]
         if result is None:
-            # Modules from another process carry foreign uids.
+            # Cached modules carry another link's uids.
             result = pickle.loads(blobs[index])
             result.modules = [remap_module_uids(m) for m in result.modules]
             results[index] = result

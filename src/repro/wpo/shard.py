@@ -21,17 +21,14 @@ members, pass counters, the provenance events it recorded, and the
 *effects* it could not apply itself — skip labels that belong in
 out-of-shard callees, which the serial phase applies idempotently.
 
-An inline shard runs :func:`run_shard_job` on the driver's live
-modules and transforms them in place; only a pool worker receives the
-job by pickle (:func:`run_shard`).  Because the job depends only on
-member content and the context, a pickled result is cacheable under a
-content key, and a cache hit is byte-equivalent to re-running the
-shard.
+A shard runs :func:`run_shard_job` on the driver's live modules and
+transforms them in place.  Because the job depends only on member
+content and the context, a pickled result is cacheable under a content
+key, and a cache hit is byte-equivalent to re-running the shard.
 """
 
 from __future__ import annotations
 
-import pickle
 from dataclasses import dataclass, field
 
 from repro.isa.instruction import Instruction
@@ -178,20 +175,11 @@ class ShardResult:
     events: list[dict] = field(default_factory=list)
 
 
-def _max_uid(modules: list[SymbolicModule]) -> int:
-    top = 0
-    for module in modules:
-        for item in module.all_items():
-            if isinstance(item, MInstr):
-                top = max(top, item.uid)
-    return top
-
-
 def run_shard_job(job: dict, trace: TraceLog | None) -> ShardResult:
     """Execute one shard job, transforming its member modules in place.
 
-    ``job["modules"]`` may be the driver's live modules: the shard
-    mutates only those members and its private stubs, and reads every
+    ``job["modules"]`` are the driver's live modules: the shard mutates
+    only those members and its private stubs, and reads every
     cross-module fact from the job's precomputed context.  Provenance
     is recorded into ``trace`` (the shard's own log, or none).
     """
@@ -239,27 +227,13 @@ def run_shard_job(job: dict, trace: TraceLog | None) -> ShardResult:
     )
 
 
-def run_shard(payload: bytes) -> bytes:
-    """Pool entry point: pickled job in, pickled :class:`ShardResult` out.
-
-    The job's modules come from another process, so the worker first
-    raises its uid counter past every shipped uid.  Provenance is
-    recorded when the job asks for it (``job["record"]``).
-    """
-    job = pickle.loads(payload)
-    mcode.ensure_uid_floor(_max_uid(job["modules"]))
-    trace = TraceLog() if job["record"] else None
-    result = run_shard_job(job, trace)
-    return pickle.dumps(result, protocol=pickle.HIGHEST_PROTOCOL)
-
-
 def remap_module_uids(module: SymbolicModule) -> SymbolicModule:
     """Re-key every instruction to a fresh process-local uid.
 
-    Modules returning from a worker (or the shard cache) carry uids
-    from another counter; without a remap two modules could share a
-    uid and corrupt the uid-keyed whole-program tables (relaxation
-    decisions, literal-use lookups) in later rounds.  The intra-module
+    Modules returning from the shard cache carry uids from another
+    link's counter; without a remap two modules could share a uid and
+    corrupt the uid-keyed whole-program tables (relaxation decisions,
+    literal-use lookups) in later rounds.  The intra-module
     links (lituse, gpdisp_pair) are rewritten to match.
     """
     mapping: dict[int, int] = {}

@@ -85,6 +85,13 @@ def test_layout_segments_and_gat():
     assert group.size == 8  # one literal: g
 
 
+def test_symbol_addr_of_unknown_name_is_a_link_error():
+    a = module("int g; int f() { return g; }", "a.o")
+    layout = compute_layout(resolve_inputs([a]))
+    with pytest.raises(LinkError, match=r"'nosuch'.*a\.o"):
+        layout.symbol_addr(0, "nosuch")
+
+
 def test_gat_deduplicates_across_modules():
     a = module("extern int g; int f1() { return g; }", "a.o")
     b = module("extern int g; int f2() { return g + 1; }", "b.o")

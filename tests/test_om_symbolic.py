@@ -5,15 +5,23 @@ must produce a program with identical behaviour — the paper's "key
 idea" depends on this round trip being lossless.
 """
 
+import pytest
+
+from repro.benchsuite import build_program
+from repro.benchsuite.suite import DECAF_PROGRAMS, PROGRAMS
 from repro.isa.encoding import decode_stream
 from repro.linker import link, make_crt0
+from repro.linker.layout import LayoutOptions, compute_layout
 from repro.linker.resolve import resolve_inputs
 from repro.machine import run
 from repro.minicc import Options, compile_module
+from repro.objfile.archive import Archive
 from repro.objfile.relocations import RelocType
 from repro.objfile.sections import SectionKind
-from repro.om import OMLevel, om_link
-from repro.om.symbolic import reassemble_module, translate_module
+from repro.objfile.serialize import dump_archive, load_archive
+from repro.om import OMLevel, OMOptions, om_link
+from repro.om.symbolic import layout_object, reassemble_module, translate_module
+from repro.om.transform import Program, Transformer
 
 SOURCE = """
 int g;
@@ -87,7 +95,7 @@ def test_translate_links_jump_table(crt0):
 
 def test_reassembly_identity_same_bytes():
     obj = compile_module(SOURCE, "main.o")
-    back, __ = reassemble_module(translate_module(obj))
+    back = reassemble_module(translate_module(obj))
     assert bytes(back.section(SectionKind.TEXT).data) == bytes(
         obj.section(SectionKind.TEXT).data
     )
@@ -107,7 +115,7 @@ def test_om_none_executable_matches_standard_link(libmc, crt0):
 
 def test_roundtrip_of_every_stdlib_module(libmc):
     for member in libmc.members:
-        back, __ = reassemble_module(translate_module(member))
+        back = reassemble_module(translate_module(member))
         assert bytes(back.section(SectionKind.TEXT).data) == bytes(
             member.section(SectionKind.TEXT).data
         ), member.name
@@ -122,3 +130,95 @@ def test_translation_rejects_corrupt_text():
     text.data[0:4] = (0x07 << 26).to_bytes(4, "little")  # unassigned opcode
     with pytest.raises(Exception):
         translate_module(obj)
+
+
+# -- the placement contract -------------------------------------------------------
+
+
+def _linked_modules(program, mode, libmc):
+    objects = [make_crt0()] + build_program(program, mode)
+    return [translate_module(obj) for obj in resolve_inputs(objects, [libmc]).modules]
+
+
+def _layout_view(layout):
+    return (
+        layout.module_base,
+        [(group.start, group.gp, group.slots) for group in layout.groups],
+        layout.module_group,
+        layout.common_addr,
+    )
+
+
+def _assert_layout_objects_match(modules):
+    encoded = [reassemble_module(module) for module in modules]
+    placed = [layout_object(module) for module in modules]
+    for enc, lay in zip(encoded, placed):
+        assert [
+            (kind, section.size, section.alignment)
+            for kind, section in enc.sections.items()
+        ] == [
+            (kind, section.size, section.alignment)
+            for kind, section in lay.sections.items()
+        ], enc.name
+        assert enc.symbols == lay.symbols, enc.name
+        assert [
+            reloc for reloc in enc.relocations if reloc.type is RelocType.LITERAL
+        ] == lay.relocations, enc.name
+    for options in (LayoutOptions(), LayoutOptions(sort_commons=True)):
+        assert _layout_view(
+            compute_layout(resolve_inputs(encoded, []), options)
+        ) == _layout_view(compute_layout(resolve_inputs(placed, []), options))
+
+
+@pytest.mark.parametrize("program", PROGRAMS + DECAF_PROGRAMS)
+def test_layout_object_lays_out_like_the_encoded_module(program, libmc):
+    for mode in ("each", "all"):
+        modules = _linked_modules(program, mode, libmc)
+        _assert_layout_objects_match(modules)
+        # One om-full round moves, converts and deletes; the two views
+        # must still agree on everything layout reads.
+        layout = compute_layout(
+            resolve_inputs([layout_object(m) for m in modules], []),
+            LayoutOptions(sort_commons=True),
+        )
+        transformer = Transformer(Program.build(modules, layout), full=True)
+        transformer.run()
+        assert transformer.changed
+        _assert_layout_objects_match(modules)
+
+
+def test_uncached_om_links_encode_each_module_once(monkeypatch, libmc):
+    import repro.om.driver
+    import repro.wpo.driver
+
+    encoded: list[str] = []
+    placed: list[str] = []
+
+    def counting(calls, real):
+        def call(module):
+            calls.append(module.name)
+            return real(module)
+
+        return call
+
+    for driver in (repro.om.driver, repro.wpo.driver):
+        monkeypatch.setattr(
+            driver, "reassemble_module", counting(encoded, reassemble_module)
+        )
+        monkeypatch.setattr(
+            driver, "layout_object", counting(placed, layout_object)
+        )
+
+    blob = dump_archive([make_crt0()] + build_program("li", "each"))
+    linked = [
+        obj.name for obj in resolve_inputs(load_archive(blob), [libmc]).modules
+    ]
+    for options in (OMOptions(), OMOptions(partitions=4)):
+        encoded.clear()
+        placed.clear()
+        lib = Archive(libmc.name, load_archive(dump_archive(libmc.members)))
+        om_link(load_archive(blob), [lib], level=OMLevel.FULL, options=options)
+        assert sorted(encoded) == sorted(linked)
+        # Every round laid out from the placement, and there were several.
+        assert len(placed) >= 2 * len(linked)
+        assert len(placed) % len(linked) == 0

@@ -15,7 +15,7 @@ from repro.om.symbolic import reassemble_module, translate_module
 
 
 def assert_roundtrip(obj):
-    back, __ = reassemble_module(translate_module(obj))
+    back = reassemble_module(translate_module(obj))
     assert bytes(back.section(SectionKind.TEXT).data) == bytes(
         obj.section(SectionKind.TEXT).data
     )

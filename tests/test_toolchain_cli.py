@@ -64,6 +64,21 @@ def test_om_link_smaller_and_same_output(workspace, capsys):
     assert b.text_size < a.text_size
 
 
+def test_om_partitions_write_the_same_bytes(workspace, capsys):
+    main(["cc", str(workspace / "main.mc")])
+    main(["cc", str(workspace / "helper.mc")])
+    objects = [str(workspace / "main.o"), str(workspace / "helper.o")]
+    lib = ["-l", str(workspace / "libmc.a")]
+    main(["om", *objects, "-o", str(workspace / "full.exe"), *lib])
+    capsys.readouterr()
+    main(["om", *objects, "--partitions", "2",
+          "-o", str(workspace / "wpo.exe"), *lib])
+    assert "wpo: shards=2 " in capsys.readouterr().out
+    assert (workspace / "wpo.exe").read_bytes() == (
+        workspace / "full.exe"
+    ).read_bytes()
+
+
 def test_compile_all_mode(workspace, capsys):
     main(
         [

@@ -75,16 +75,9 @@ def test_wpo_byte_identical_without_cache_and_across_partition_counts():
         assert _exe(_link(program, OMOptions(partitions=partitions))) == mono
 
 
-def test_wpo_pooled_workers_match_monolithic():
-    program = generate_scale_program(9, 6)
-    mono = _link(program, OMOptions())
-    pooled = _link(program, OMOptions(partitions=2, wpo_jobs=2))
-    assert _exe(pooled) == _exe(mono)
-    assert pooled.counters == mono.counters
-
-
 def _count_pickling(monkeypatch) -> dict[str, int]:
-    """Count the pickle.dumps / pickle.loads calls made from repro.wpo."""
+    """Count the pickle.dumps / pickle.loads calls made from repro.wpo
+    (its driver is the only module there that pickles)."""
     calls = {"dumps": 0, "loads": 0}
 
     def counted(name):
@@ -100,7 +93,6 @@ def _count_pickling(monkeypatch) -> dict[str, int]:
         loads=counted("loads"),
     )
     monkeypatch.setattr(wpo.driver, "pickle", counting)
-    monkeypatch.setattr(wpo.shard, "pickle", counting)
     return calls
 
 
