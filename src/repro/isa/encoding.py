@@ -8,6 +8,8 @@ corrupted object files fail loudly rather than silently mis-execute.
 
 from __future__ import annotations
 
+import struct
+
 from repro.isa.instruction import Instruction
 from repro.isa.opcodes import OPS, Format, Op
 
@@ -19,23 +21,42 @@ class EncodingError(ValueError):
 _MASK16 = 0xFFFF
 _MASK21 = 0x1FFFFF
 
-# Decode lookup tables built once from the catalogue.
-_BY_OPCODE: dict[int, Op] = {}
-_BY_OPCODE_FUNC: dict[tuple[int, int], Op] = {}
+# Decode lookup tables built once from the catalogue: the op of every
+# major opcode that names one instruction, and by ``opcode << 7 | func``
+# the ops of the two majors that select by function code.
+_BY_OPCODE: list[Op | None] = [None] * 64
+_BY_OPCODE_FUNC: dict[int, Op] = {}
 for _op in OPS.values():
     if _op.format in (Format.OPERATE, Format.MEMORY_JUMP):
-        _BY_OPCODE_FUNC[(_op.opcode, _op.func)] = _op
+        _BY_OPCODE_FUNC[_op.opcode << 7 | _op.func] = _op
     else:
         _BY_OPCODE[_op.opcode] = _op
 
+_MEMORY = Format.MEMORY
+_MEMORY_JUMP = Format.MEMORY_JUMP
+_BRANCH = Format.BRANCH
+_OPERATE = Format.OPERATE
+_PAL = Format.PAL
+_JUMP_OPCODE = 0x1A
 
-def _check_range(value: int, bits: int, what: str, *, signed: bool) -> None:
+
+def _field_range(bits: int, *, signed: bool) -> tuple[int, int]:
+    """The lowest and highest value a ``bits``-wide field holds."""
     if signed:
-        lo, hi = -(1 << (bits - 1)), (1 << (bits - 1)) - 1
-    else:
-        lo, hi = 0, (1 << bits) - 1
-    if not lo <= value <= hi:
-        raise EncodingError(f"{what} {value} out of {bits}-bit range [{lo}, {hi}]")
+        return -(1 << (bits - 1)), (1 << (bits - 1)) - 1
+    return 0, (1 << bits) - 1
+
+
+_DISP16_LO, _DISP16_HI = _field_range(16, signed=True)
+_DISP21_LO, _DISP21_HI = _field_range(21, signed=True)
+_HINT_HI = _field_range(14, signed=False)[1]
+_LIT_HI = _field_range(8, signed=False)[1]
+_PAL_HI = _field_range(26, signed=False)[1]
+
+
+def _range_error(value: int, bits: int, what: str, *, signed: bool) -> EncodingError:
+    lo, hi = _field_range(bits, signed=signed)
+    return EncodingError(f"{what} {value} out of {bits}-bit range [{lo}, {hi}]")
 
 
 def encode(instr: Instruction) -> int:
@@ -43,93 +64,88 @@ def encode(instr: Instruction) -> int:
     op = instr.op
     word = op.opcode << 26
     fmt = op.format
-    if fmt is Format.MEMORY:
-        _check_range(instr.disp, 16, f"{op.name} displacement", signed=True)
-        return word | (instr.ra << 21) | (instr.rb << 16) | (instr.disp & _MASK16)
-    if fmt is Format.MEMORY_JUMP:
-        _check_range(instr.disp, 14, f"{op.name} hint", signed=False)
-        return (
-            word
-            | (instr.ra << 21)
-            | (instr.rb << 16)
-            | (op.func << 14)
-            | instr.disp
-        )
-    if fmt is Format.BRANCH:
-        _check_range(instr.disp, 21, f"{op.name} displacement", signed=True)
-        return word | (instr.ra << 21) | (instr.disp & _MASK21)
-    if fmt is Format.OPERATE:
+    if fmt is _MEMORY:
+        disp = instr.disp
+        if not _DISP16_LO <= disp <= _DISP16_HI:
+            raise _range_error(disp, 16, f"{op.name} displacement", signed=True)
+        return word | (instr.ra << 21) | (instr.rb << 16) | (disp & _MASK16)
+    if fmt is _OPERATE:
         word |= (instr.ra << 21) | (op.func << 5) | instr.rc
-        if instr.lit is not None:
-            _check_range(instr.lit, 8, f"{op.name} literal", signed=False)
-            return word | (instr.lit << 13) | (1 << 12)
+        lit = instr.lit
+        if lit is not None:
+            if not 0 <= lit <= _LIT_HI:
+                raise _range_error(lit, 8, f"{op.name} literal", signed=False)
+            return word | (lit << 13) | (1 << 12)
         return word | (instr.rb << 16)
-    if fmt is Format.PAL:
-        _check_range(instr.disp, 26, "PAL function", signed=False)
-        return word | instr.disp
+    if fmt is _BRANCH:
+        disp = instr.disp
+        if not _DISP21_LO <= disp <= _DISP21_HI:
+            raise _range_error(disp, 21, f"{op.name} displacement", signed=True)
+        return word | (instr.ra << 21) | (disp & _MASK21)
+    if fmt is _MEMORY_JUMP:
+        disp = instr.disp
+        if not 0 <= disp <= _HINT_HI:
+            raise _range_error(disp, 14, f"{op.name} hint", signed=False)
+        return word | (instr.ra << 21) | (instr.rb << 16) | (op.func << 14) | disp
+    if fmt is _PAL:
+        disp = instr.disp
+        if not 0 <= disp <= _PAL_HI:
+            raise _range_error(disp, 26, "PAL function", signed=False)
+        return word | disp
     raise EncodingError(f"unencodable format {fmt}")  # pragma: no cover
-
-
-def _sext(value: int, bits: int) -> int:
-    sign = 1 << (bits - 1)
-    return (value & (sign - 1)) - (value & sign)
 
 
 def decode(word: int) -> Instruction:
     """Decode a 32-bit word into an :class:`Instruction`.
 
     Raises :class:`EncodingError` for words outside the subset.
+    Displacements are sign-extended as ``(field ^ sign) - sign``.
     """
     if not 0 <= word <= 0xFFFFFFFF:
         raise EncodingError(f"not a 32-bit word: {word:#x}")
     opcode = word >> 26
-    ra = (word >> 21) & 31
-    rb = (word >> 16) & 31
-
-    op = _BY_OPCODE.get(opcode)
+    op = _BY_OPCODE[opcode]
     if op is not None:
         fmt = op.format
-        if fmt is Format.MEMORY:
-            return Instruction(op, ra=ra, rb=rb, disp=_sext(word, 16))
-        if fmt is Format.BRANCH:
-            return Instruction(op, ra=ra, disp=_sext(word, 21))
-        if fmt is Format.PAL:
-            return Instruction(op, disp=word & 0x3FFFFFF)
+        if fmt is _MEMORY:
+            return Instruction(
+                op, (word >> 21) & 31, (word >> 16) & 31, 31,
+                ((word & _MASK16) ^ 0x8000) - 0x8000,
+            )
+        if fmt is _BRANCH:
+            return Instruction(
+                op, (word >> 21) & 31, 31, 31,
+                ((word & _MASK21) ^ 0x100000) - 0x100000,
+            )
+        if fmt is _PAL:
+            return Instruction(op, 31, 31, 31, word & 0x3FFFFFF)
         raise EncodingError(f"bad table entry for opcode {opcode:#x}")  # pragma: no cover
 
-    if opcode == 0x1A:  # memory-format jumps
+    if opcode == _JUMP_OPCODE:  # memory-format jumps
         func = (word >> 14) & 3
-        op = _BY_OPCODE_FUNC.get((opcode, func))
+        op = _BY_OPCODE_FUNC.get(opcode << 7 | func)
         if op is None:  # pragma: no cover - all four funcs defined
             raise EncodingError(f"unknown jump func {func}")
-        return Instruction(op, ra=ra, rb=rb, disp=word & 0x3FFF)
+        return Instruction(op, (word >> 21) & 31, (word >> 16) & 31, 31, word & 0x3FFF)
 
     # Operate format.
-    func = (word >> 5) & 0x7F
-    op = _BY_OPCODE_FUNC.get((opcode, func))
+    op = _BY_OPCODE_FUNC.get(opcode << 7 | (word >> 5) & 0x7F)
     if op is None:
         raise EncodingError(f"unknown instruction word {word:#010x}")
-    rc = word & 31
-    if word & (1 << 12):
-        return Instruction(op, ra=ra, rc=rc, lit=(word >> 13) & 0xFF)
+    if word & 0x1000:
+        return Instruction(op, (word >> 21) & 31, 31, word & 31, 0, (word >> 13) & 0xFF)
     if (word >> 13) & 7:
         raise EncodingError(f"SBZ bits set in operate word {word:#010x}")
-    return Instruction(op, ra=ra, rb=rb, rc=rc)
+    return Instruction(op, (word >> 21) & 31, (word >> 16) & 31, word & 31)
 
 
 def encode_stream(instructions: list[Instruction]) -> bytes:
     """Encode a sequence of instructions to little-endian bytes."""
-    out = bytearray()
-    for instr in instructions:
-        out += encode(instr).to_bytes(4, "little")
-    return bytes(out)
+    return struct.pack(f"<{len(instructions)}I", *map(encode, instructions))
 
 
 def decode_stream(data: bytes) -> list[Instruction]:
     """Decode little-endian instruction bytes; length must be a multiple of 4."""
     if len(data) % 4:
         raise EncodingError(f"instruction stream length {len(data)} not word-aligned")
-    return [
-        decode(int.from_bytes(data[i : i + 4], "little"))
-        for i in range(0, len(data), 4)
-    ]
+    return [decode(word) for word in struct.unpack(f"<{len(data) // 4}I", data)]

@@ -9,7 +9,7 @@ symbols have been resolved.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace as _dc_replace
+from dataclasses import dataclass
 
 from repro.isa.opcodes import CONDITIONAL_BRANCHES, OPS, Format, Op
 from repro.isa.registers import Reg
@@ -77,9 +77,19 @@ class Instruction:
         """The canonical integer no-op ``bis zero, zero, zero``."""
         return cls.opr("bis", Reg.ZERO, Reg.ZERO, Reg.ZERO)
 
-    def replace(self, **kwargs) -> Instruction:
-        """Return a copy with fields replaced."""
-        return _dc_replace(self, **kwargs)
+    def replace(self, **changes) -> Instruction:
+        """Return a copy with fields replaced (an unknown field raises
+        ``TypeError``, as in the constructor)."""
+        get = changes.pop
+        return Instruction(
+            get("op", self.op),
+            get("ra", self.ra),
+            get("rb", self.rb),
+            get("rc", self.rc),
+            get("disp", self.disp),
+            get("lit", self.lit),
+            **changes,
+        )
 
     # -- classification -------------------------------------------------
 

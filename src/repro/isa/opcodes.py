@@ -58,6 +58,15 @@ class Op:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Op({self.name})"
 
+    def __reduce__(self):
+        # Unpickle to the catalogue's own instance, so that ops from a
+        # pickled program still compare by identity.
+        return (_op_named, (self.name,))
+
+
+def _op_named(name: str) -> Op:
+    return OPS[name]
+
 
 def _mem(name: str, opcode: int, *, load: bool = False, store: bool = False) -> Op:
     return Op(name, Format.MEMORY, opcode, is_load=load, is_store=store)

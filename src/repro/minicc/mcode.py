@@ -51,7 +51,7 @@ class MInstr:
     """One instruction plus relocation requests (see Assembler.emit)."""
 
     instr: Instruction
-    uid: int = field(default_factory=next_uid)
+    uid: int = field(default_factory=_uid_counter.__next__)
     literal: tuple[str, int] | None = None
     lit_escaped: bool = False  # literal value escapes beyond load/store bases
     lituse: tuple[int, LituseKind] | None = None  # (uid of literal load, kind)

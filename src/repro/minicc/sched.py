@@ -21,20 +21,8 @@ pairs drift away from their base points.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
-from repro.isa.timing import can_dual_issue, result_latency
+from repro.isa.timing import issue_class, result_latency
 from repro.minicc.mcode import MInstr, MItem, MLabel, MProc
-
-
-@dataclass
-class _Node:
-    item: MInstr
-    index: int
-    succs: list[tuple[int, int]] = field(default_factory=list)  # (node, latency)
-    npreds: int = 0
-    priority: int = 0
-    ready_at: int = 0
 
 
 def schedule_proc(proc: MProc) -> None:
@@ -46,143 +34,148 @@ def schedule_items(items: list[MItem]) -> list[MItem]:
     """Return the item list with each basic block list-scheduled."""
     out: list[MItem] = []
     block: list[MInstr] = []
-
-    def flush() -> None:
-        out.extend(_schedule_block(block))
-        block.clear()
-
     for item in items:
         if isinstance(item, MLabel):
-            if item.is_target:
-                flush()
-                out.append(item)
-            else:
-                # Marker labels pin to a block start.
-                flush()
-                out.append(item)
+            # Target labels begin a block; marker labels pin to a
+            # block start.
+            out.extend(_schedule_block(block))
+            block = []
+            out.append(item)
             continue
         block.append(item)
         if item.instr.is_control:
-            flush()
-    flush()
+            out.extend(_schedule_block(block))
+            block = []
+    out.extend(_schedule_block(block))
     return out
 
 
 def _schedule_block(block: list[MInstr]) -> list[MInstr]:
     if len(block) <= 1:
-        return list(block)
-
+        return block
     # A trailing control instruction is pinned last.
+    body = block
     tail: list[MInstr] = []
-    body = list(block)
-    if body and body[-1].instr.is_control:
-        tail = [body.pop()]
+    if body[-1].instr.is_control:
+        body, tail = block[:-1], block[-1:]
     if len(body) <= 1:
-        return body + tail
-
-    nodes = _build_dag(body)
-    _compute_priorities(nodes)
-    order = _list_schedule(nodes)
-    return [nodes[i].item for i in order] + tail
+        return block
+    order = _list_schedule(body)
+    return [body[i] for i in order] + tail
 
 
-def _build_dag(body: list[MInstr]) -> list[_Node]:
-    nodes = [_Node(item, index) for index, item in enumerate(body)]
+def _build_dag(
+    body: list[MInstr],
+) -> tuple[list[list[tuple[int, int]]], list[int], list[int]]:
+    """The block's dependence DAG over instruction indices:
+    ``(succs, npreds, latency)``, where ``succs[i]`` lists
+    ``(successor, edge latency)``."""
+    n = len(body)
+    succs: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+    npreds = [0] * n
+    latency = [0] * n
     last_def: dict[int, int] = {}
     uses_since_def: dict[int, list[int]] = {}
     last_store: int | None = None
     mem_reads_since_store: list[int] = []
 
-    def add_edge(src: int, dst: int, latency: int) -> None:
-        nodes[src].succs.append((dst, latency))
-        nodes[dst].npreds += 1
-
-    for index, node in enumerate(nodes):
-        instr = node.item.instr
+    for index, item in enumerate(body):
+        instr = item.instr
+        latency[index] = result_latency(instr)
         for reg in instr.uses():
-            if reg in last_def:  # RAW
-                add_edge(last_def[reg], index, result_latency(nodes[last_def[reg]].item.instr))
+            src = last_def.get(reg)
+            if src is not None:  # RAW
+                succs[src].append((index, latency[src]))
+                npreds[index] += 1
             uses_since_def.setdefault(reg, []).append(index)
         for reg in instr.defs():
-            if reg in last_def:  # WAW
-                add_edge(last_def[reg], index, 1)
-            for user in uses_since_def.get(reg, []):  # WAR
+            src = last_def.get(reg)
+            if src is not None:  # WAW
+                succs[src].append((index, 1))
+                npreds[index] += 1
+            for user in uses_since_def.get(reg, ()):  # WAR
                 if user != index:
-                    add_edge(user, index, 0)
+                    succs[user].append((index, 0))
+                    npreds[index] += 1
             last_def[reg] = index
             uses_since_def[reg] = []
-        if instr.op.is_store:
+        op = instr.op
+        if op.is_store:
             if last_store is not None:
-                add_edge(last_store, index, 1)
+                succs[last_store].append((index, 1))
+                npreds[index] += 1
             for reader in mem_reads_since_store:
-                add_edge(reader, index, 0)
+                succs[reader].append((index, 0))
+                npreds[index] += 1
             last_store = index
             mem_reads_since_store = []
-        elif instr.op.is_load:
+        elif op.is_load:
             if last_store is not None:
-                add_edge(last_store, index, 1)
+                succs[last_store].append((index, 1))
+                npreds[index] += 1
             mem_reads_since_store.append(index)
-    return nodes
+    return succs, npreds, latency
 
 
-def _compute_priorities(nodes: list[_Node]) -> None:
+def _priorities(succs: list[list[tuple[int, int]]], latency: list[int]) -> list[int]:
     """Priority = critical-path length to the end of the block."""
-    for node in reversed(nodes):
-        latency = result_latency(node.item.instr)
+    priority = [0] * len(succs)
+    for index in range(len(succs) - 1, -1, -1):
         best = 0
-        for succ, edge_latency in node.succs:
-            best = max(best, nodes[succ].priority + max(edge_latency, 1))
-        node.priority = best + (latency - 1)
+        for succ, edge_latency in succs[index]:
+            path = priority[succ] + (edge_latency if edge_latency > 1 else 1)
+            if path > best:
+                best = path
+        priority[index] = best + latency[index] - 1
+    return priority
 
 
-def _list_schedule(nodes: list[_Node]) -> list[int]:
-    """Cycle-by-cycle dual-issue list scheduling; returns issue order."""
-    pending = {node.index for node in nodes}
-    npreds = [node.npreds for node in nodes]
-    ready: list[int] = [n.index for n in nodes if n.npreds == 0]
+def _list_schedule(body: list[MInstr]) -> list[int]:
+    """Cycle-by-cycle dual-issue list scheduling; returns issue order.
+
+    Each cycle issues the ready instruction of highest priority, lowest
+    index first (stability), then the best one in another issue pipe.
+    """
+    succs, npreds, latency = _build_dag(body)
+    priority = _priorities(succs, latency)
+    pipe = [issue_class(item.instr) for item in body]
+    n = len(body)
+    ready_at = [0] * n
+    ready = [index for index in range(n) if npreds[index] == 0]
     order: list[int] = []
     cycle = 0
 
-    def pick(exclude: int | None) -> int | None:
-        candidates = [
-            i
-            for i in ready
-            if nodes[i].ready_at <= cycle
-            and (
-                exclude is None
-                or can_dual_issue(nodes[exclude].item.instr, nodes[i].item.instr)
-            )
-        ]
-        if not candidates:
-            return None
-        # Highest priority first; original order breaks ties (stability).
-        return min(candidates, key=lambda i: (-nodes[i].priority, i))
+    def pick(busy: str | None) -> int:
+        best = -1
+        for index in ready:
+            if ready_at[index] <= cycle and pipe[index] != busy and (
+                best < 0
+                or priority[index] > priority[best]
+                or (priority[index] == priority[best] and index < best)
+            ):
+                best = index
+        return best
 
-    while pending:
-        issued: list[int] = []
+    while len(order) < n:
         first = pick(None)
-        if first is not None:
-            issued.append(first)
-            ready.remove(first)
-            second = pick(first)
-            if second is not None:
-                issued.append(second)
-                ready.remove(second)
+        if first < 0:
+            # Nothing ready this cycle: jump to the next ready time.
+            cycle = min(ready_at[index] for index in ready)
+            continue
+        ready.remove(first)
+        issued = [first]
+        second = pick(pipe[first])
+        if second >= 0:
+            ready.remove(second)
+            issued.append(second)
         for index in issued:
-            pending.discard(index)
             order.append(index)
-            for succ, edge_latency in nodes[index].succs:
+            for succ, edge_latency in succs[index]:
                 npreds[succ] -= 1
-                earliest = cycle + max(edge_latency, 1)
-                nodes[succ].ready_at = max(nodes[succ].ready_at, earliest)
+                earliest = cycle + (edge_latency if edge_latency > 1 else 1)
+                if earliest > ready_at[succ]:
+                    ready_at[succ] = earliest
                 if npreds[succ] == 0:
                     ready.append(succ)
         cycle += 1
-        if not issued and not ready:
-            # Nothing ready this cycle: jump to the next ready time.
-            future = [
-                nodes[i].ready_at for i in pending if npreds[nodes[i].index] == 0
-            ]
-            if future:
-                cycle = max(cycle, min(future))
     return order

@@ -31,11 +31,14 @@ def om_schedule(
     """Schedule every procedure, in place."""
     for module in modules:
         for proc in module.procs:
-            before_order = [
-                item.uid for item in proc.items if isinstance(item, MInstr)
-            ]
+            # The compile-time order matters only to a ``move`` event.
+            before_order = (
+                [item.uid for item in proc.items if isinstance(item, MInstr)]
+                if trace is not None
+                else None
+            )
             proc.items = schedule_items(proc.items)
-            if trace is not None:
+            if before_order is not None:
                 after_order = [
                     item.uid for item in proc.items if isinstance(item, MInstr)
                 ]

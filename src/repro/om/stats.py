@@ -5,7 +5,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.minicc.mcode import MInstr
+from repro.isa.opcodes import OPS, Format
+from repro.isa.registers import Reg
+from repro.minicc.mcode import MLabel
 from repro.objfile.relocations import LituseKind
 from repro.om.symbolic import SymbolicModule
 
@@ -23,52 +25,79 @@ class CodeCounts:
     indirect_calls: int = 0
 
 
+_JSR = OPS["jsr"]
+_BSR = OPS["bsr"]
+_LDA, _LDAH, _LDQ_U = OPS["lda"], OPS["ldah"], OPS["ldq_u"]
+_OPERATE = Format.OPERATE
+_ZERO = int(Reg.ZERO)
+
+
 def count_code(modules: list[SymbolicModule]) -> CodeCounts:
-    """Measure the current symbolic form (one pass over every item)."""
-    counts = CodeCounts()
+    """Measure the current symbolic form (one pass over every item).
+
+    Ops are tested by identity: a nop is an operate instruction writing
+    ZERO, or ``lda``/``ldah``/``ldq_u`` writing ZERO
+    (``Instruction.is_nop``); a call is a ``jsr``, or a ``bsr`` to a
+    procedure entry or its ``$postgp``/``$skipgp`` label.
+    """
     call_labels: set[str] = set()
     for module in modules:
         for proc in module.procs:
-            call_labels.update(
-                (proc.name, f"{proc.name}$postgp", f"{proc.name}$skipgp")
-            )
+            name = proc.name
+            call_labels.update((name, f"{name}$postgp", f"{name}$skipgp"))
 
+    instructions = nops = addr_loads = pv_loads = 0
+    gp_resets = calls = indirect_calls = 0
+    jsr_kind = LituseKind.JSR
     for module in modules:
         for proc in module.procs:
+            name = proc.name
             literal_uids: set[int] = set()
             jsr_uses: set[int] = set()
             for item in proc.items:
-                if not isinstance(item, MInstr):
+                if isinstance(item, MLabel):
                     continue
-                counts.instructions += 1
+                instructions += 1
                 instr = item.instr
-                if instr.is_nop:
-                    counts.nops += 1
+                op = instr.op
+                if op.format is _OPERATE:
+                    if instr.rc == _ZERO:
+                        nops += 1
+                elif op is _LDA or op is _LDAH or op is _LDQ_U:
+                    if instr.ra == _ZERO:
+                        nops += 1
                 if item.literal is not None:
-                    counts.addr_loads += 1
+                    addr_loads += 1
                     literal_uids.add(item.uid)
-                if item.lituse is not None and item.lituse[1] == LituseKind.JSR:
-                    jsr_uses.add(item.lituse[0])
-                if item.gpdisp_base is not None and item.gpdisp_base != proc.name:
-                    counts.gp_resets += 1
-                if instr.is_jump and instr.op.name == "jsr":
-                    counts.calls += 1
-                    if item.lituse is None:
+                lituse = item.lituse
+                if lituse is not None and lituse[1] == jsr_kind:
+                    jsr_uses.add(lituse[0])
+                base = item.gpdisp_base
+                if base is not None and base != name:
+                    gp_resets += 1
+                if op is _JSR:
+                    calls += 1
+                    if lituse is None:
                         # Calls through procedure variables always need
                         # PV established; no optimization level removes
                         # this.
-                        counts.pv_loads += 1
-                        counts.indirect_calls += 1
-                elif (
-                    instr.is_branch
-                    and instr.op.name == "bsr"
-                    and item.branch is not None
-                    and item.branch[0] in call_labels
-                ):
-                    counts.calls += 1
+                        pv_loads += 1
+                        indirect_calls += 1
+                elif op is _BSR:
+                    branch = item.branch
+                    if branch is not None and branch[0] in call_labels:
+                        calls += 1
             # Literal loads a direct jsr in the procedure still uses.
-            counts.pv_loads += len(literal_uids & jsr_uses)
-    return counts
+            pv_loads += len(literal_uids & jsr_uses)
+    return CodeCounts(
+        instructions=instructions,
+        nops=nops,
+        addr_loads=addr_loads,
+        pv_loads=pv_loads,
+        gp_resets=gp_resets,
+        calls=calls,
+        indirect_calls=indirect_calls,
+    )
 
 
 @dataclass

@@ -19,6 +19,7 @@ from collections.abc import Collection
 from dataclasses import dataclass, field, replace
 
 from repro.isa.encoding import decode_stream, encode_stream
+from repro.isa.opcodes import Format
 from repro.minicc.mcode import MInstr, MItem, MLabel
 from repro.objfile.objfile import ObjectFile
 from repro.objfile.relocations import LituseKind, Relocation, RelocType
@@ -84,6 +85,24 @@ class SymbolicModule:
 # -- translation ---------------------------------------------------------------
 
 
+#: Which of ``translate_module``'s by-offset tables each translatable
+#: text relocation type goes to: LITERAL, LITUSE, GPDISP, BRADDR, HINT,
+#: JMPTAB, and the three GPREL kinds (one table) that OM itself emits.
+_TEXT_TABLE = {
+    RelocType.LITERAL: 0,
+    RelocType.LITUSE: 1,
+    RelocType.GPDISP: 2,
+    RelocType.BRADDR: 3,
+    RelocType.HINT: 4,
+    RelocType.JMPTAB: 5,
+    RelocType.GPREL16: 6,
+    RelocType.GPRELHIGH: 6,
+    RelocType.GPRELLOW: 6,
+}
+
+_BRANCH = Format.BRANCH
+
+
 def translate_module(obj: ObjectFile) -> SymbolicModule:
     """Recover the symbolic form of one object module."""
     out = SymbolicModule(obj.name)
@@ -102,32 +121,17 @@ def translate_module(obj: ObjectFile) -> SymbolicModule:
         raise TranslationError(f"{obj.name}: no procedure covers text+{offset:#x}")
 
     # Index relocations by type and offset.
-    literal_at: dict[int, Relocation] = {}
-    lituse_at: dict[int, Relocation] = {}
-    gpdisp_at: dict[int, Relocation] = {}
-    braddr_at: dict[int, Relocation] = {}
-    hint_at: dict[int, Relocation] = {}
-    jmptab_at: dict[int, Relocation] = {}
-    gprel_at: dict[int, Relocation] = {}
+    tables: tuple[dict[int, Relocation], ...] = ({}, {}, {}, {}, {}, {}, {})
+    literal_at, lituse_at, gpdisp_at, braddr_at, hint_at, jmptab_at, gprel_at = tables
     for reloc in obj.relocations:
         if reloc.section is not SectionKind.TEXT:
             continue
-        table = {
-            RelocType.LITERAL: literal_at,
-            RelocType.LITUSE: lituse_at,
-            RelocType.GPDISP: gpdisp_at,
-            RelocType.BRADDR: braddr_at,
-            RelocType.HINT: hint_at,
-            RelocType.JMPTAB: jmptab_at,
-            RelocType.GPREL16: gprel_at,
-            RelocType.GPRELHIGH: gprel_at,
-            RelocType.GPRELLOW: gprel_at,
-        }.get(reloc.type)
+        table = _TEXT_TABLE.get(reloc.type)
         if table is None:
             raise TranslationError(
                 f"{obj.name}: cannot translate relocation {reloc.type.value}"
             )
-        table[reloc.offset] = reloc
+        tables[table][reloc.offset] = reloc
 
     # ---- decide which offsets need labels --------------------------------
     target_offsets: set[int] = set()
@@ -138,10 +142,17 @@ def translate_module(obj: ObjectFile) -> SymbolicModule:
         marker_offsets.add(reloc.extra)
         lda_to_ldah[offset + reloc.addend] = offset
 
+    # Words translation annotates: those a relocation names, the lda of
+    # each GPDISP pair, and branches (whose targets become labels).
+    annotated = set(lda_to_ldah)
+    for table in tables:
+        annotated.update(table)
     for index, instr in enumerate(instrs):
-        offset = 4 * index
-        if instr.is_branch and offset not in braddr_at:
-            target_offsets.add(offset + 4 + 4 * instr.disp)
+        if instr.op.format is _BRANCH:
+            offset = 4 * index
+            annotated.add(offset)
+            if offset not in braddr_at:
+                target_offsets.add(offset + 4 + 4 * instr.disp)
     for offset, reloc in braddr_at.items():
         target = defined.get(reloc.symbol)
         if target is not None and reloc.addend:
@@ -156,7 +167,8 @@ def translate_module(obj: ObjectFile) -> SymbolicModule:
         if target is not None and target.kind is SymbolKind.PROC and reloc.addend:
             target_offsets.add(target.offset + reloc.addend)
 
-    for offset in target_offsets | marker_offsets:
+    label_offsets = target_offsets | marker_offsets
+    for offset in label_offsets:
         if offset % 4 or offset > 4 * nwords:
             raise TranslationError(f"{obj.name}: misaligned label target {offset:#x}")
 
@@ -170,6 +182,47 @@ def translate_module(obj: ObjectFile) -> SymbolicModule:
     item_at: dict[int, MInstr] = {}
     proc_entry_offsets = {sym.offset for sym in procs}
 
+    def annotate(item: MInstr, offset: int) -> None:
+        reloc = literal_at.get(offset)
+        if reloc is not None:
+            item.literal = (reloc.symbol, reloc.addend)
+            item.lit_escaped = bool(reloc.extra)
+        reloc = lituse_at.get(offset)
+        if reloc is not None:
+            load_item = item_at.get(reloc.addend)
+            if load_item is None:
+                raise TranslationError(f"lituse at {offset:#x} references missing load")
+            item.lituse = (load_item.uid, LituseKind(reloc.extra))
+        reloc = gpdisp_at.get(offset)
+        if reloc is not None:
+            item.gpdisp_base = label_name(reloc.extra)
+        ldah_offset = lda_to_ldah.get(offset)
+        if ldah_offset is not None:
+            ldah_item = item_at.get(ldah_offset)
+            if ldah_item is None:
+                raise TranslationError(f"gpdisp lda at {offset:#x} precedes its ldah")
+            item.gpdisp_pair = ldah_item.uid
+        reloc = braddr_at.get(offset)
+        if reloc is not None:
+            target = defined.get(reloc.symbol)
+            if target is not None and reloc.addend:
+                item.branch = (label_name(target.offset + reloc.addend), 0)
+            else:
+                item.branch = (reloc.symbol, reloc.addend)
+        elif item.instr.op.format is _BRANCH:
+            item.branch = (label_name(offset + 4 + 4 * item.instr.disp), 0)
+        reloc = hint_at.get(offset)
+        if reloc is not None:
+            item.hint = reloc.symbol
+        reloc = jmptab_at.get(offset)
+        if reloc is not None:
+            item.jmptab = (reloc.symbol, reloc.addend)
+        reloc = gprel_at.get(offset)
+        if reloc is not None:
+            item.gprel = (
+                _GPREL_KINDS[reloc.type], reloc.symbol, reloc.addend, reloc.extra
+            )
+
     for sym in procs:
         proc = SymbolicProc(
             sym.name,
@@ -177,35 +230,24 @@ def translate_module(obj: ObjectFile) -> SymbolicModule:
             uses_gp=sym.proc.uses_gp if sym.proc else True,
             frame_size=sym.proc.frame_size if sym.proc else 0,
         )
-        proc.items.append(MLabel(sym.name, is_target=True))
+        items = proc.items
+        items.append(MLabel(sym.name, is_target=True))
         for index in range(sym.offset // 4, (sym.offset + sym.size) // 4):
             offset = 4 * index
-            if offset != sym.offset and offset in target_offsets:
-                proc.items.append(MLabel(label_name(offset), is_target=True))
-            if (
-                offset in marker_offsets
-                and offset not in target_offsets
-                and offset not in proc_entry_offsets
-            ):
-                proc.items.append(MLabel(label_name(offset), is_target=False))
+            if offset in label_offsets:
+                if offset != sym.offset and offset in target_offsets:
+                    items.append(MLabel(label_name(offset), is_target=True))
+                if (
+                    offset in marker_offsets
+                    and offset not in target_offsets
+                    and offset not in proc_entry_offsets
+                ):
+                    items.append(MLabel(label_name(offset), is_target=False))
             item = MInstr(instrs[index])
             item_at[offset] = item
-            _annotate(
-                item,
-                offset,
-                literal_at,
-                lituse_at,
-                gpdisp_at,
-                braddr_at,
-                hint_at,
-                jmptab_at,
-                gprel_at,
-                lda_to_ldah,
-                item_at,
-                label_name,
-                defined,
-            )
-            proc.items.append(item)
+            if offset in annotated:
+                annotate(item, offset)
+            items.append(item)
         out.procs.append(proc)
 
     # ---- data sections ----------------------------------------------------
@@ -236,62 +278,6 @@ _GPREL_KINDS = {
     RelocType.GPRELLOW: "gprellow",
 }
 _GPREL_TYPES = {kind: rtype for rtype, kind in _GPREL_KINDS.items()}
-
-
-def _annotate(
-    item: MInstr,
-    offset: int,
-    literal_at,
-    lituse_at,
-    gpdisp_at,
-    braddr_at,
-    hint_at,
-    jmptab_at,
-    gprel_at,
-    lda_to_ldah,
-    item_at,
-    label_name,
-    defined,
-) -> None:
-    reloc = literal_at.get(offset)
-    if reloc is not None:
-        item.literal = (reloc.symbol, reloc.addend)
-        item.lit_escaped = bool(reloc.extra)
-    reloc = lituse_at.get(offset)
-    if reloc is not None:
-        load_item = item_at.get(reloc.addend)
-        if load_item is None:
-            raise TranslationError(f"lituse at {offset:#x} references missing load")
-        item.lituse = (load_item.uid, LituseKind(reloc.extra))
-    reloc = gpdisp_at.get(offset)
-    if reloc is not None:
-        item.gpdisp_base = label_name(reloc.extra)
-    ldah_offset = lda_to_ldah.get(offset)
-    if ldah_offset is not None:
-        ldah_item = item_at.get(ldah_offset)
-        if ldah_item is None:
-            raise TranslationError(f"gpdisp lda at {offset:#x} precedes its ldah")
-        item.gpdisp_pair = ldah_item.uid
-    reloc = braddr_at.get(offset)
-    if reloc is not None:
-        target = defined.get(reloc.symbol)
-        if target is not None and reloc.addend:
-            item.branch = (label_name(target.offset + reloc.addend), 0)
-        else:
-            item.branch = (reloc.symbol, reloc.addend)
-    elif item.instr.is_branch:
-        item.branch = (label_name(offset + 4 + 4 * item.instr.disp), 0)
-    reloc = hint_at.get(offset)
-    if reloc is not None:
-        item.hint = reloc.symbol
-    reloc = jmptab_at.get(offset)
-    if reloc is not None:
-        item.jmptab = (reloc.symbol, reloc.addend)
-    reloc = gprel_at.get(offset)
-    if reloc is not None:
-        item.gprel = (
-            _GPREL_KINDS[reloc.type], reloc.symbol, reloc.addend, reloc.extra
-        )
 
 
 # -- placement -----------------------------------------------------------------

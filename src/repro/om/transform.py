@@ -25,8 +25,10 @@ from dataclasses import dataclass, field
 from itertools import islice
 
 from repro.isa.instruction import Instruction
+from repro.isa.opcodes import OPS
 from repro.isa.registers import Reg
 from repro.linker.layout import Layout
+from repro.linker.resolve import LinkError
 from repro.minicc.mcode import MInstr, MLabel
 from repro.obs import provenance
 from repro.obs.trace import TraceLog
@@ -142,13 +144,16 @@ def _find_address_taken(modules: list[SymbolicModule]) -> set[str]:
         literals: list[MInstr] = []
         # Literal loads with a non-JSR use: those uses take the address.
         address_uses: set[int] = set()
-        for item in module.all_items():
-            if not isinstance(item, MInstr):
-                continue
-            if item.literal is not None and item.literal[0] in proc_names:
-                literals.append(item)
-            if item.lituse is not None and item.lituse[1] != LituseKind.JSR:
-                address_uses.add(item.lituse[0])
+        for proc in module.procs:
+            for item in proc.items:
+                if isinstance(item, MLabel):
+                    continue
+                literal = item.literal
+                if literal is not None and literal[0] in proc_names:
+                    literals.append(item)
+                lituse = item.lituse
+                if lituse is not None and lituse[1] != LituseKind.JSR:
+                    address_uses.add(lituse[0])
         for item in literals:
             if item.lit_escaped or item.uid in address_uses:
                 taken.add(item.literal[0])
@@ -157,41 +162,80 @@ def _find_address_taken(modules: list[SymbolicModule]) -> set[str]:
 
 # -- helpers over item lists ------------------------------------------------------
 
+_JSR = OPS["jsr"]
+_BSR = OPS["bsr"]
 
-def _uses_of_literal(proc: SymbolicProc, uid: int) -> list[MInstr]:
+
+class _ProcIndex:
+    """What the calls and address-load passes look up in one procedure,
+    gathered in one scan: its literal loads and its ``jsr``s in item
+    order, each literal's uses (by load uid, in item order), and its GP
+    pairs by base label (in ``lda`` order).
+
+    A round builds one per procedure, after canonicalization, and its
+    calls and address-load passes share it.  Every item they delete or
+    nullify goes through :meth:`forget`, and every use the calls pass
+    unlinks through :meth:`drop_use`, so a lookup answers as a rescan
+    of the procedure would.  (The address-load pass reads a literal's
+    uses once, when it reaches that literal, and unlinks only those.)
+    Another procedure's passes only ever add a label here, which the
+    index does not hold.
+    """
+
+    def __init__(self, proc: SymbolicProc):
+        self.literals: list[MInstr] = []
+        self.jsrs: list[MInstr] = []
+        self.uses: dict[int, list[MInstr]] = {}
+        ldahs: dict[int, MInstr] = {}
+        ldas: list[MInstr] = []
+        for item in proc.items:
+            if isinstance(item, MLabel):
+                continue
+            if item.literal is not None:
+                self.literals.append(item)
+            if item.lituse is not None:
+                self.uses.setdefault(item.lituse[0], []).append(item)
+            if item.gpdisp_base is not None:
+                ldahs[item.uid] = item
+            if item.gpdisp_pair is not None:
+                ldas.append(item)
+            if item.instr.op is _JSR:
+                self.jsrs.append(item)
+        self.pairs: dict[str, list[tuple[MInstr, MInstr]]] = {}
+        for ldah, lda in _pair_up(ldahs, ldas):
+            self.pairs.setdefault(ldah.gpdisp_base, []).append((ldah, lda))
+
+    def uses_of(self, uid: int) -> list[MInstr]:
+        return self.uses.get(uid, [])
+
+    def pair_with_base(self, base: str) -> tuple[MInstr, MInstr] | None:
+        """The first (ldah, lda) GP pair, in lda order, based at ``base``."""
+        pairs = self.pairs.get(base)
+        return pairs[0] if pairs else None
+
+    def drop_use(self, item: MInstr) -> None:
+        """``item`` stops using its literal; call before clearing ``lituse``."""
+        self.uses[item.lituse[0]].remove(item)
+
+    def forget(self, item: MInstr) -> None:
+        """``item`` is about to be deleted or nullified."""
+        if item.literal is not None:
+            self.literals.remove(item)
+        if item.lituse is not None:
+            self.drop_use(item)
+        if item.gpdisp_base is not None or item.gpdisp_pair is not None:
+            for pairs in self.pairs.values():
+                pairs[:] = [pair for pair in pairs if item not in pair]
+
+
+def _pair_up(
+    ldahs: dict[int, MInstr], ldas: list[MInstr]
+) -> list[tuple[MInstr, MInstr]]:
+    """A procedure's GP-establishing (ldah, lda) pairs, in lda order,
+    from its GPDISP ldahs by uid and its paired ldas in item order."""
     return [
-        item
-        for item in proc.instructions()
-        if item.lituse is not None and item.lituse[0] == uid
+        (ldahs[lda.gpdisp_pair], lda) for lda in ldas if lda.gpdisp_pair in ldahs
     ]
-
-
-def _gpdisp_pairs(proc: SymbolicProc) -> list[tuple[MInstr, MInstr, str]]:
-    """All (ldah, lda, base_label) GP-establishing pairs in the proc."""
-    ldahs = {
-        item.uid: item
-        for item in proc.instructions()
-        if item.gpdisp_base is not None
-    }
-    pairs = []
-    for item in proc.instructions():
-        if item.gpdisp_pair is not None and item.gpdisp_pair in ldahs:
-            ldah = ldahs[item.gpdisp_pair]
-            pairs.append((ldah, item, ldah.gpdisp_base))
-    return pairs
-
-
-def _gpdisp_pair_with_base(
-    proc: SymbolicProc, base: str
-) -> tuple[MInstr, MInstr] | None:
-    """The first (ldah, lda) GP pair, in lda order, based at ``base``."""
-    instrs = proc.instructions()
-    ldahs = {item.uid: item for item in instrs if item.gpdisp_base == base}
-    if ldahs:
-        for item in instrs:
-            if item.gpdisp_pair in ldahs:
-                return ldahs[item.gpdisp_pair], item
-    return None
 
 
 def _nullify(item: MInstr) -> None:
@@ -276,7 +320,7 @@ class Transformer:
             return None
         try:
             base = self.prog.addr(module_index, proc.name)
-        except Exception:
+        except LinkError:
             return None
         offset = 0
         for other in proc.items:
@@ -348,14 +392,18 @@ class Transformer:
             # pair at top, hence retarget + PV-load deletion) match
             # exactly what the calls pass will see.
             self._compute_relax()
+        if calls or address_loads:
+            indexed = [
+                (module_index, proc, _ProcIndex(proc))
+                for module_index, module in enumerate(self.prog.modules)
+                for proc in module.procs
+            ]
         if calls:
-            for index, module in enumerate(self.prog.modules):
-                for proc in module.procs:
-                    self._optimize_calls(index, proc)
+            for module_index, proc, index in indexed:
+                self._optimize_calls(module_index, proc, index)
         if address_loads:
-            for index, module in enumerate(self.prog.modules):
-                for proc in module.procs:
-                    self._optimize_address_loads(index, proc)
+            for module_index, proc, index in indexed:
+                self._optimize_address_loads(module_index, proc, index)
         if entry_setups and self.full:
             self._remove_dead_entry_setups()
         return self.counters
@@ -374,8 +422,12 @@ class Transformer:
         from repro.layout.relax import RelaxCandidate, relax_call_sites
 
         candidates = []
+        indexes: dict[int, _ProcIndex] = {}  # by id() of the caller
         for site in iter_direct_call_sites(self.prog.modules):
-            deletable, extra = self._relax_site_shape(site)
+            index = indexes.get(id(site.caller))
+            if index is None:
+                index = indexes[id(site.caller)] = _ProcIndex(site.caller)
+            deletable, extra = self._relax_site_shape(site, index)
             candidates.append(RelaxCandidate(site, deletable, extra))
         self.relax_result = relax_call_sites(
             self.prog.modules,
@@ -388,8 +440,9 @@ class Transformer:
             round_index=self.round_index,
         )
 
-    def _relax_site_shape(self, site) -> tuple[bool, int]:
-        """(PV load deleted when converted, byte offset past entry)."""
+    def _relax_site_shape(self, site, index: _ProcIndex) -> tuple[bool, int]:
+        """(PV load deleted when converted, byte offset past entry).
+        ``index`` indexes the caller."""
         callee = site.callee
         if not callee.uses_gp:
             skip = self.full
@@ -402,7 +455,7 @@ class Transformer:
             extra = 8 if skip else 0
         deletable = False
         if skip and self.full:
-            uses = _uses_of_literal(site.caller, site.load.uid)
+            uses = index.uses_of(site.load.uid)
             others = [use for use in uses if use is not site.jsr]
             deletable = not others and not site.load.lit_escaped
         return deletable, extra
@@ -414,30 +467,34 @@ class Transformer:
         to the top of the procedure, post-call pairs directly after the
         call's return point.  Safe because nothing between the logical
         and scheduled position can read or write GP, PV, or RA."""
-        for ldah, lda, base in _gpdisp_pairs(proc):
-            items = proc.items
-            try:
-                anchor = next(
-                    i
-                    for i, item in enumerate(items)
-                    if isinstance(item, MLabel) and item.name == base
-                )
-            except StopIteration:
+        items = proc.items
+        ldahs: dict[int, MInstr] = {}
+        ldas: list[MInstr] = []
+        # Each base's anchor is the first label of that name; moving
+        # instructions never adds or removes a label.
+        anchors: dict[str, MLabel] = {}
+        for item in items:
+            if isinstance(item, MLabel):
+                anchors.setdefault(item.name, item)
                 continue
-            ldah_pos = items.index(ldah)
-            lda_pos = items.index(lda)
-            if (ldah_pos, lda_pos) == (anchor + 1, anchor + 2):
+            if item.gpdisp_base is not None:
+                ldahs[item.uid] = item
+            if item.gpdisp_pair is not None:
+                ldas.append(item)
+        for ldah, lda in _pair_up(ldahs, ldas):
+            base = ldah.gpdisp_base
+            label = anchors.get(base)
+            if label is None:
+                continue
+            anchor = items.index(label)
+            if items[anchor + 1 : anchor + 3] == [ldah, lda]:
                 continue
             old_pcs = [
                 self._item_pc(module_index, proc, item) for item in (ldah, lda)
             ]
             for item in (lda, ldah):
                 items.remove(item)
-            anchor = next(
-                i
-                for i, item in enumerate(items)
-                if isinstance(item, MLabel) and item.name == base
-            )
+            anchor = items.index(label)
             items.insert(anchor + 1, ldah)
             items.insert(anchor + 2, lda)
             self.changed = True
@@ -463,35 +520,29 @@ class Transformer:
 
     # ---- call optimization ------------------------------------------------------
 
-    def _optimize_calls(self, module_index: int, proc: SymbolicProc) -> None:
+    def _optimize_calls(
+        self, module_index: int, proc: SymbolicProc, index: _ProcIndex
+    ) -> None:
         # Map literal-load uid -> item, for PV loads.
-        literal_items = {
-            item.uid: item
-            for item in proc.instructions()
-            if item.literal is not None
-        }
+        literal_items = {item.uid: item for item in index.literals}
 
-        for item in list(proc.items):  # snapshot: sites mutate the list
-            if not isinstance(item, MInstr):
-                continue
-            instr = item.instr
-            is_direct_jsr = (
-                instr.is_jump
-                and instr.op.name == "jsr"
-                and item.lituse is not None
-                and item.lituse[1] == LituseKind.JSR
-            )
-            if is_direct_jsr:
-                load = literal_items.get(item.lituse[0])
+        # Sites only ever convert themselves, so the jsrs found before
+        # the first site are exactly the jsrs each visit would see.
+        for item in index.jsrs:
+            lituse = item.lituse
+            if lituse is not None and lituse[1] == LituseKind.JSR:
+                load = literal_items.get(lituse[0])
                 if load is None or load.literal is None:
                     continue
                 callee_name, addend = load.literal
                 if addend:
                     continue
-                self._convert_call_site(module_index, proc, item, load, callee_name)
-            elif instr.is_jump and instr.op.name == "jsr":
+                self._convert_call_site(
+                    module_index, proc, item, load, callee_name, index
+                )
+            else:
                 # Indirect call: GP-reset handling only.
-                self._maybe_drop_reset(module_index, proc, item, callee=None)
+                self._maybe_drop_reset(module_index, proc, item, None, index)
 
     def _convert_call_site(
         self,
@@ -500,6 +551,7 @@ class Transformer:
         jsr: MInstr,
         load: MInstr,
         callee_name: str,
+        index: _ProcIndex,
     ) -> None:
         prog = self.prog
         resolved = prog.callee_info(module_index, callee_name)
@@ -517,7 +569,7 @@ class Transformer:
             try:
                 caller_addr = prog.addr(module_index, proc.name)
                 callee_addr = prog.addr(callee_module, callee.name)
-            except Exception:
+            except LinkError:
                 return
             if (
                 abs(callee_addr - caller_addr)
@@ -578,13 +630,15 @@ class Transformer:
         )
 
         if skip_ok:
+            index.drop_use(jsr)
             jsr.lituse = None
-            remaining = _uses_of_literal(proc, load.uid)
+            remaining = index.uses_of(load.uid)
             if not remaining and not load.lit_escaped:
                 self._kill(
                     module_index,
                     proc,
                     load,
+                    index=index,
                     pass_name="calls",
                     reason=(
                         f"PV-load unnecessary: call retargeted past "
@@ -611,7 +665,9 @@ class Transformer:
                 counter="bsr_retargeted",
             )
 
-        self._maybe_drop_reset(module_index, proc, jsr, callee=(callee_module, callee))
+        self._maybe_drop_reset(
+            module_index, proc, jsr, (callee_module, callee), index
+        )
 
     def _maybe_drop_reset(
         self,
@@ -619,6 +675,7 @@ class Transformer:
         proc: SymbolicProc,
         call_item: MInstr,
         callee: tuple[int, SymbolicProc] | None,
+        index: _ProcIndex,
     ) -> None:
         """Remove the GP-reset pair after a call when GP is provably
         unchanged across it."""
@@ -637,18 +694,18 @@ class Transformer:
         base_label = self._return_label_after(proc, call_item)
         if base_label is None:
             return
-        pair = _gpdisp_pair_with_base(proc, base_label)
+        pair = index.pair_with_base(base_label)
         if pair is None:
             return
         callee_name = callee[1].name if callee is not None else "<indirect>"
         reason = f"GP provably unchanged across call to {callee_name}"
         self._kill(
-            module_index, proc, pair[0],
+            module_index, proc, pair[0], index=index,
             pass_name="gp-resets", reason=reason,
             extra_counter="gp_resets_removed",
         )
         self._kill(
-            module_index, proc, pair[1],
+            module_index, proc, pair[1], index=index,
             pass_name="gp-resets", reason=reason,
         )
         self.counters.gp_resets_removed += 1
@@ -665,19 +722,21 @@ class Transformer:
 
     # ---- address-load optimization ----------------------------------------------
 
-    def _optimize_address_loads(self, module_index: int, proc: SymbolicProc) -> None:
+    def _optimize_address_loads(
+        self, module_index: int, proc: SymbolicProc, index: _ProcIndex
+    ) -> None:
         prog = self.prog
         gp = prog.gp(module_index)
-        for item in list(proc.instructions()):
-            if item.literal is None:
-                continue
-            uses = _uses_of_literal(proc, item.uid)
+        # Visiting a literal edits only it and its own uses, so each
+        # literal's uses are read once, when the pass reaches it.
+        for item in list(index.literals):  # snapshot: kills forget items
+            uses = index.uses_of(item.uid)
             if any(kind == LituseKind.JSR for __, kind in (u.lituse for u in uses)):
                 continue  # unconverted call site keeps its PV load
             symbol, addend = item.literal
             try:
                 target = prog.addr(module_index, symbol, addend)
-            except Exception:
+            except LinkError:
                 continue
             d = target - gp
 
@@ -686,7 +745,7 @@ class Transformer:
                 if not uses:
                     # Dead address load.
                     self._kill(
-                        module_index, proc, item,
+                        module_index, proc, item, index=index,
                         pass_name="address-loads",
                         reason=f"address load of {symbol!r} has no remaining uses",
                         extra_counter="loads_nullified",
@@ -712,7 +771,7 @@ class Transformer:
                             ),
                         )
                     self._kill(
-                        module_index, proc, item,
+                        module_index, proc, item, index=index,
                         pass_name="address-loads",
                         reason=(
                             f"address load of {symbol!r} nullified: every "
@@ -837,15 +896,16 @@ class Transformer:
             for ref in module.data_refs:
                 if ref.label is None:
                     blocked.add(ref.symbol)
-            for item in module.all_items():
-                if not isinstance(item, MInstr):
-                    continue
-                if item.literal is not None:
-                    blocked.add(item.literal[0])
-                if item.branch is not None:
-                    blocked.add(item.branch[0])
-                if item.hint is not None:
-                    blocked.add(item.hint)
+            for proc in module.procs:
+                for item in proc.items:
+                    if isinstance(item, MLabel):
+                        continue
+                    if item.literal is not None:
+                        blocked.add(item.literal[0])
+                    if item.branch is not None:
+                        blocked.add(item.branch[0])
+                    if item.hint is not None:
+                        blocked.add(item.hint)
 
         for module_index, module in enumerate(prog.modules):
             for proc in module.procs:
@@ -878,12 +938,15 @@ class Transformer:
         proc: SymbolicProc,
         item: MInstr,
         *,
+        index: _ProcIndex | None = None,
         pass_name: str = "",
         reason: str = "",
         extra_counter: str | None = None,
     ) -> None:
         before = item.instr
         pc = self._item_pc(module_index, proc, item)
+        if index is not None:
+            index.forget(item)
         if self.full:
             proc.items.remove(item)
             self.counters.instructions_deleted += 1
@@ -906,9 +969,12 @@ class Transformer:
 
 def _is_reset_free_leaf(proc: SymbolicProc) -> bool:
     """A procedure that cannot change GP (no gpdisp pairs, no calls)."""
-    for item in proc.instructions():
+    for item in proc.items:
+        if isinstance(item, MLabel):
+            continue
         if item.gpdisp_base is not None or item.gpdisp_pair is not None:
             return False
-        if item.instr.is_call:
+        op = item.instr.op
+        if op is _JSR or op is _BSR:
             return False
     return True

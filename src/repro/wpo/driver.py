@@ -52,7 +52,7 @@ from dataclasses import dataclass, field
 
 from repro.layout.callgraph import iter_direct_call_sites
 from repro.linker.layout import LayoutOptions, compute_layout
-from repro.linker.resolve import resolve_inputs
+from repro.linker.resolve import LinkError, resolve_inputs
 from repro.minicc.mcode import MLabel
 from repro.obs import provenance
 from repro.obs.trace import TraceLog, span_or_null
@@ -125,7 +125,7 @@ def _site_decisions(
         try:
             caller_addr = prog.addr(site.caller_module, site.caller.name)
             callee_addr = prog.addr(site.callee_module, site.callee.name)
-        except Exception:
+        except LinkError:
             decisions[site.jsr.uid] = False
             continue
         decisions[site.jsr.uid] = (
@@ -233,7 +233,7 @@ def _build_shard_job(
         for symbol in sorted(syms | {proc.name for proc in module.procs}):
             try:
                 addr[(local, symbol)] = layout.symbol_addr(g, symbol)
-            except Exception:
+            except LinkError:
                 pass
 
     resolutions: dict[tuple[int, str], tuple] = {}

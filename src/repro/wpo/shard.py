@@ -33,6 +33,7 @@ from dataclasses import dataclass, field
 
 from repro.isa.instruction import Instruction
 from repro.isa.registers import Reg
+from repro.linker.resolve import LinkError
 from repro.minicc import mcode
 from repro.minicc.mcode import MInstr, MLabel
 from repro.obs import provenance
@@ -128,9 +129,12 @@ class ShardProgram:
         self._stubs = stubs
 
     def addr(self, module_index: int, symbol: str, addend: int = 0) -> int:
-        # KeyError for unknown symbols mirrors Layout.symbol_addr
-        # raising for undefined names; the transformer catches it.
-        return self._addr[(module_index, symbol)] + addend
+        # A symbol without an address raises LinkError, as
+        # Layout.symbol_addr does; the transformer catches only that.
+        address = self._addr.get((module_index, symbol))
+        if address is None:
+            raise LinkError(f"no address for symbol {symbol!r} in the shard")
+        return address + addend
 
     def gp(self, module_index: int) -> int:
         return self._gp[module_index]

@@ -1,12 +1,14 @@
-"""OM's output bytes, pinned across commits.
+"""OM's output bytes and counts, pinned across commits.
 
 Every cell links one benchsuite program in one compile mode under one
-link variant and records the SHA-256 of ``dump_executable``.  The fuzz
-oracle's ``exe-bytes`` pin only compares variants within one commit;
-this table compares a commit with the one that generated it, so a
-change that claims to keep OM's output must leave it unchanged.
+link variant and records the SHA-256 of ``dump_executable``; every OM
+cell also records its ``OMStats`` and ``PassCounters``, the numerators
+and denominators of the paper's Figs. 3-5.  The fuzz oracle's
+``exe-bytes`` pin only compares variants within one commit; these
+tables compare a commit with the one that generated them, so a change
+that claims to keep OM's output must leave both unchanged.
 
-A change to OM's output on purpose regenerates the table and says so
+A change to OM's output on purpose regenerates the tables and says so
 in CHANGES.md::
 
     PYTHONPATH=src python tests/test_om_exe_pins.py
@@ -15,6 +17,9 @@ in CHANGES.md::
 from __future__ import annotations
 
 import hashlib
+from dataclasses import astuple
+
+import pytest
 
 from repro.benchsuite import build_program, build_stdlib
 from repro.linker import link, make_crt0
@@ -81,57 +86,120 @@ PINS = {
     ('nasa7', 'each', 'om-simple'): '92e0c06fd02d4838bdc47f6849f4662b9be8cb1db74b4f61e8746f1ed9f8ff72',
 }
 
+#: ``(astuple(OMStats), astuple(PassCounters))`` per OM cell: the
+#: level; before and after ``CodeCounts`` (instructions, nops,
+#: addr_loads, pv_loads, gp_resets, calls, indirect_calls); loads
+#: converted and nullified; GAT and text bytes before and after; procs
+#: moved, relax iterations and demotions; then the ``PassCounters``
+#: fields in declaration order.
+COUNTS = {
+    ('eqntott', 'all', 'om-full'): (('full', (1190, 0, 48, 27, 25, 28, 5), (1072, 0, 2, 5, 0, 28, 5), 10, 36, 160, 8, 4808, 4324, 0, 0, 0), (10, 14, 22, 25, 22, 22, 16, 0, 118, 0)),
+    ('eqntott', 'all', 'om-full-sched'): (('full', (1190, 0, 48, 27, 25, 28, 5), (1072, 0, 2, 5, 0, 28, 5), 10, 36, 160, 8, 4808, 4356, 0, 0, 0), (10, 14, 22, 25, 22, 22, 16, 0, 118, 0)),
+    ('eqntott', 'all', 'om-full-wpo'): (('full', (1190, 0, 48, 27, 25, 28, 5), (1072, 0, 2, 5, 0, 28, 5), 10, 36, 160, 8, 4808, 4324, 0, 0, 0), (10, 14, 22, 25, 22, 22, 16, 0, 118, 0)),
+    ('eqntott', 'all', 'om-simple'): (('simple', (1190, 0, 48, 27, 25, 28, 5), (1190, 68, 20, 23, 0, 28, 5), 10, 18, 160, 104, 4808, 4808, 0, 0, 0), (10, 14, 4, 25, 22, 4, 0, 68, 0, 0)),
+    ('eqntott', 'each', 'om-full'): (('full', (1196, 0, 50, 29, 27, 29, 5), (1072, 0, 2, 5, 0, 29, 5), 10, 38, 176, 8, 4840, 4324, 0, 0, 0), (10, 14, 24, 27, 24, 24, 16, 0, 124, 0)),
+    ('eqntott', 'each', 'om-full-sched'): (('full', (1196, 0, 50, 29, 27, 29, 5), (1072, 0, 2, 5, 0, 29, 5), 10, 38, 176, 8, 4840, 4356, 0, 0, 0), (10, 14, 24, 27, 24, 24, 16, 0, 124, 0)),
+    ('eqntott', 'each', 'om-full-wpo'): (('full', (1196, 0, 50, 29, 27, 29, 5), (1072, 0, 2, 5, 0, 29, 5), 10, 38, 176, 8, 4840, 4324, 0, 0, 0), (10, 14, 24, 27, 24, 24, 16, 0, 124, 0)),
+    ('eqntott', 'each', 'om-simple'): (('simple', (1196, 0, 50, 29, 27, 29, 5), (1196, 72, 22, 25, 0, 29, 5), 10, 18, 176, 120, 4840, 4840, 0, 0, 0), (10, 14, 4, 27, 24, 4, 0, 72, 0, 0)),
+    ('li', 'all', 'om-full'): (('full', (806, 0, 58, 18, 18, 18, 1), (688, 0, 6, 1, 0, 18, 1), 8, 44, 200, 48, 3256, 2772, 0, 0, 0), (8, 27, 17, 18, 17, 17, 19, 0, 118, 0)),
+    ('li', 'all', 'om-full-sched'): (('full', (806, 0, 58, 18, 18, 18, 1), (688, 0, 6, 1, 0, 18, 1), 8, 44, 200, 48, 3256, 2788, 0, 0, 0), (8, 27, 17, 18, 17, 17, 19, 0, 118, 0)),
+    ('li', 'all', 'om-full-wpo'): (('full', (806, 0, 58, 18, 18, 18, 1), (688, 0, 6, 1, 0, 18, 1), 8, 44, 200, 48, 3256, 2772, 0, 0, 0), (8, 27, 17, 18, 17, 17, 19, 0, 118, 0)),
+    ('li', 'all', 'om-simple'): (('simple', (806, 0, 58, 18, 18, 18, 1), (806, 67, 19, 14, 0, 18, 1), 8, 31, 200, 112, 3256, 3256, 0, 0, 0), (8, 27, 4, 18, 17, 4, 0, 67, 0, 0)),
+    ('li', 'each', 'om-full'): (('full', (860, 0, 75, 36, 36, 36, 1), (689, 0, 6, 1, 0, 36, 1), 8, 61, 240, 48, 3480, 2788, 0, 0, 0), (8, 26, 35, 36, 35, 35, 19, 0, 171, 0)),
+    ('li', 'each', 'om-full-sched'): (('full', (860, 0, 75, 36, 36, 36, 1), (689, 0, 6, 1, 0, 36, 1), 8, 61, 240, 48, 3480, 2788, 0, 0, 0), (8, 26, 35, 36, 35, 35, 19, 0, 171, 0)),
+    ('li', 'each', 'om-full-wpo'): (('full', (860, 0, 75, 36, 36, 36, 1), (689, 0, 6, 1, 0, 36, 1), 8, 61, 240, 48, 3480, 2788, 0, 0, 0), (8, 26, 35, 36, 35, 35, 19, 0, 171, 0)),
+    ('li', 'each', 'om-simple'): (('simple', (860, 0, 75, 36, 36, 36, 1), (860, 104, 35, 30, 0, 36, 1), 8, 32, 240, 136, 3480, 3480, 0, 0, 0), (8, 26, 6, 36, 35, 6, 0, 104, 0, 0)),
+    ('mixcall', 'all', 'om-full'): (('full', (813, 0, 40, 23, 23, 23, 5), (714, 0, 3, 5, 0, 23, 5), 4, 33, 128, 24, 3284, 2884, 0, 0, 0), (4, 15, 18, 23, 18, 18, 10, 0, 99, 0)),
+    ('mixcall', 'all', 'om-full-sched'): (('full', (813, 0, 40, 23, 23, 23, 5), (714, 0, 3, 5, 0, 23, 5), 4, 33, 128, 24, 3284, 2912, 0, 0, 0), (4, 15, 18, 23, 18, 18, 10, 0, 99, 0)),
+    ('mixcall', 'all', 'om-full-wpo'): (('full', (813, 0, 40, 23, 23, 23, 5), (714, 0, 3, 5, 0, 23, 5), 4, 33, 128, 24, 3284, 2884, 0, 0, 0), (4, 15, 18, 23, 18, 18, 10, 0, 99, 0)),
+    ('mixcall', 'all', 'om-simple'): (('simple', (813, 0, 40, 23, 23, 23, 5), (813, 64, 18, 20, 0, 23, 5), 4, 18, 128, 72, 3284, 3284, 0, 0, 0), (4, 15, 3, 23, 18, 3, 0, 64, 0, 0)),
+    ('mixcall', 'each', 'om-full'): (('full', (776, 0, 41, 22, 22, 22, 3), (678, 0, 3, 3, 0, 22, 3), 4, 34, 144, 24, 3140, 2740, 0, 0, 0), (4, 15, 19, 22, 19, 19, 10, 0, 98, 0)),
+    ('mixcall', 'each', 'om-full-sched'): (('full', (776, 0, 41, 22, 22, 22, 3), (678, 0, 3, 3, 0, 22, 3), 4, 34, 144, 24, 3140, 2768, 0, 0, 0), (4, 15, 19, 22, 19, 19, 10, 0, 98, 0)),
+    ('mixcall', 'each', 'om-full-wpo'): (('full', (776, 0, 41, 22, 22, 22, 3), (678, 0, 3, 3, 0, 22, 3), 4, 34, 144, 24, 3140, 2740, 0, 0, 0), (4, 15, 19, 22, 19, 19, 10, 0, 98, 0)),
+    ('mixcall', 'each', 'om-simple'): (('simple', (776, 0, 41, 22, 22, 22, 3), (776, 62, 19, 19, 0, 22, 3), 4, 18, 144, 88, 3140, 3140, 0, 0, 0), (4, 15, 3, 22, 19, 3, 0, 62, 0, 0)),
+    ('nasa7', 'all', 'om-full'): (('full', (2112, 0, 131, 53, 53, 53, 0), (1867, 0, 0, 0, 0, 53, 0), 52, 79, 216, 0, 8492, 7500, 0, 0, 0), (52, 26, 53, 53, 53, 53, 30, 0, 245, 0)),
+    ('nasa7', 'all', 'om-full-sched'): (('full', (2112, 0, 131, 53, 53, 53, 0), (1867, 0, 0, 0, 0, 53, 0), 52, 79, 216, 0, 8492, 7532, 0, 0, 0), (52, 26, 53, 53, 53, 53, 30, 0, 245, 0)),
+    ('nasa7', 'all', 'om-full-wpo'): (('full', (2112, 0, 131, 53, 53, 53, 0), (1867, 0, 0, 0, 0, 53, 0), 52, 79, 216, 0, 8492, 7500, 0, 0, 0), (52, 26, 53, 53, 53, 53, 30, 0, 245, 0)),
+    ('nasa7', 'all', 'om-simple'): (('simple', (2112, 0, 131, 53, 53, 53, 0), (2112, 135, 50, 50, 0, 53, 0), 52, 29, 216, 152, 8492, 8492, 0, 0, 0), (52, 26, 3, 53, 53, 3, 0, 135, 0, 0)),
+    ('nasa7', 'each', 'om-full'): (('full', (2161, 0, 146, 69, 69, 69, 0), (1868, 0, 0, 0, 0, 69, 0), 51, 95, 288, 0, 8748, 7548, 0, 0, 0), (51, 26, 69, 69, 69, 69, 30, 0, 293, 0)),
+    ('nasa7', 'each', 'om-full-relax235'): (('full', (2161, 0, 146, 69, 69, 69, 0), (2032, 0, 44, 44, 44, 69, 0), 51, 51, 288, 152, 8748, 8188, 50, 4, 88), (51, 26, 25, 25, 25, 25, 14, 0, 129, 0)),
+    ('nasa7', 'each', 'om-full-sched'): (('full', (2161, 0, 146, 69, 69, 69, 0), (1868, 0, 0, 0, 0, 69, 0), 51, 95, 288, 0, 8748, 7580, 0, 0, 0), (51, 26, 69, 69, 69, 69, 30, 0, 293, 0)),
+    ('nasa7', 'each', 'om-full-wpo'): (('full', (2161, 0, 146, 69, 69, 69, 0), (1868, 0, 0, 0, 0, 69, 0), 51, 95, 288, 0, 8748, 7548, 0, 0, 0), (51, 26, 69, 69, 69, 69, 30, 0, 293, 0)),
+    ('nasa7', 'each', 'om-simple'): (('simple', (2161, 0, 146, 69, 69, 69, 0), (2161, 168, 65, 65, 0, 69, 0), 51, 30, 288, 216, 8748, 8748, 0, 0, 0), (51, 26, 4, 69, 69, 4, 0, 168, 0, 0)),
+}
 
-def compute_table() -> dict[tuple[str, str, str], str]:
-    """Link every cell and return its executable digest."""
+
+def compute_tables() -> tuple[dict, dict]:
+    """Link every cell: ``(executable digests, OM counts)``.
+
+    A cell's counts are ``(astuple(OMStats), astuple(PassCounters))``.
+    """
     stdlib_blob = dump_archive(build_stdlib().members)
 
     def digest(executable) -> str:
         return hashlib.sha256(dump_executable(executable)).hexdigest()
 
-    table: dict[tuple[str, str, str], str] = {}
+    digests: dict[tuple[str, str, str], str] = {}
+    counts: dict[tuple[str, str, str], tuple] = {}
     for program in PROGRAMS:
         for mode in MODES:
             blob = dump_archive([make_crt0()] + build_program(program, mode))
 
-            def om(level, options):
+            def om(key, level, options):
                 lib = Archive("libmc", load_archive(stdlib_blob))
                 result = om_link(load_archive(blob), [lib], level=level,
                                  options=options)
-                return result.executable
+                digests[key] = digest(result.executable)
+                counts[key] = (astuple(result.stats), astuple(result.counters))
 
             lib = Archive("libmc", load_archive(stdlib_blob))
-            table[(program, mode, "ld")] = digest(
+            digests[(program, mode, "ld")] = digest(
                 link(load_archive(blob), [lib])
             )
             for variant, (level, options) in VARIANTS.items():
-                table[(program, mode, variant)] = digest(om(level, options()))
+                om((program, mode, variant), level, options())
             if (program, mode) == RELAX_CELL[:2]:
                 relax = OMOptions(
                     layout=True, relax=True, bsr_range_words=RELAX_WORDS
                 )
-                table[RELAX_CELL] = digest(om(OMLevel.FULL, relax))
-    return table
+                om(RELAX_CELL, OMLevel.FULL, relax)
+    return digests, counts
 
 
-def _format(table) -> str:
-    return "\n".join(
+def _format(name, table) -> str:
+    rows = "\n".join(
         f"    {key!r}: {value!r}," for key, value in sorted(table.items())
     )
+    return f"{name} = {{\n{rows}\n}}"
 
 
-def test_om_executables_match_their_pins():
-    table = compute_table()
-    if table != PINS:
+@pytest.fixture(scope="module")
+def tables():
+    return compute_tables()
+
+
+def _check(name, table, pins) -> None:
+    if table != pins:
         changed = sorted(
-            key for key in table.keys() | PINS.keys()
-            if table.get(key) != PINS.get(key)
+            key for key in table.keys() | pins.keys()
+            if table.get(key) != pins.get(key)
         )
         raise AssertionError(
             f"{len(changed)} pinned cell(s) changed: {changed}\n"
-            f"recomputed table:\nPINS = {{\n{_format(table)}\n}}"
+            f"recomputed table:\n{_format(name, table)}"
         )
 
 
+def test_om_executables_match_their_pins(tables):
+    _check("PINS", tables[0], PINS)
+
+
+def test_om_counts_match_their_pins(tables):
+    _check("COUNTS", tables[1], COUNTS)
+
+
 if __name__ == "__main__":
-    print(f"PINS = {{\n{_format(compute_table())}\n}}")
+    digests, counts = compute_tables()
+    print(_format("PINS", digests))
+    print()
+    print(_format("COUNTS", counts))

@@ -9,7 +9,7 @@ import pytest
 
 from repro.benchsuite import build_program
 from repro.benchsuite.suite import DECAF_PROGRAMS, PROGRAMS
-from repro.isa.encoding import decode_stream
+from repro.isa.encoding import EncodingError, decode_stream
 from repro.linker import link, make_crt0
 from repro.linker.layout import LayoutOptions, compute_layout
 from repro.linker.resolve import resolve_inputs
@@ -20,7 +20,12 @@ from repro.objfile.relocations import RelocType
 from repro.objfile.sections import SectionKind
 from repro.objfile.serialize import dump_archive, load_archive
 from repro.om import OMLevel, OMOptions, om_link
-from repro.om.symbolic import layout_object, reassemble_module, translate_module
+from repro.om.symbolic import (
+    TranslationError,
+    layout_object,
+    reassemble_module,
+    translate_module,
+)
 from repro.om.transform import Program, Transformer
 
 SOURCE = """
@@ -122,14 +127,59 @@ def test_roundtrip_of_every_stdlib_module(libmc):
 
 
 def test_translation_rejects_corrupt_text():
-    from repro.om.symbolic import TranslationError
-    import pytest
-
     obj = compile_module("int f() { return 1; }", "t.o")
     text = obj.section(SectionKind.TEXT)
     text.data[0:4] = (0x07 << 26).to_bytes(4, "little")  # unassigned opcode
-    with pytest.raises(Exception):
+    with pytest.raises(EncodingError, match="unknown instruction word 0x1c000000"):
         translate_module(obj)
+
+
+# -- translation's rejections: one relocation of a compiled module edited --------
+
+CALLER = """
+int g;
+extern int h(int x);
+int f(int x) { g = x; return h(x) + g; }
+"""
+
+
+def _text_reloc(obj, rtype, pred=lambda reloc: True):
+    return next(
+        reloc
+        for reloc in obj.relocations
+        if reloc.type is rtype and reloc.section is SectionKind.TEXT and pred(reloc)
+    )
+
+
+def _rejects(obj, message):
+    with pytest.raises(TranslationError, match=message):
+        translate_module(obj)
+
+
+def test_translation_rejects_a_text_relocation_type_it_cannot_translate():
+    obj = compile_module(CALLER, "caller.o")
+    _text_reloc(obj, RelocType.LITERAL).type = RelocType.REFQUAD
+    _rejects(obj, "cannot translate relocation refquad")
+
+
+def test_translation_rejects_a_misaligned_label_target():
+    obj = compile_module(CALLER, "caller.o")
+    _text_reloc(obj, RelocType.GPDISP).extra = 2
+    _rejects(obj, "misaligned label target 0x2")
+
+
+def test_translation_rejects_a_lituse_whose_load_comes_later():
+    obj = compile_module(CALLER, "caller.o")
+    lituse = _text_reloc(obj, RelocType.LITUSE)
+    lituse.addend = lituse.offset + 4
+    _rejects(obj, f"lituse at {lituse.offset:#x} references missing load")
+
+
+def test_translation_rejects_a_gpdisp_lda_before_its_ldah():
+    obj = compile_module(CALLER, "caller.o")
+    gpdisp = _text_reloc(obj, RelocType.GPDISP, lambda reloc: reloc.offset >= 4)
+    gpdisp.addend = -4
+    _rejects(obj, f"gpdisp lda at {gpdisp.offset - 4:#x} precedes its ldah")
 
 
 # -- the placement contract -------------------------------------------------------

@@ -1,14 +1,22 @@
 """OM transformation tests: each optimization of the paper's catalogue."""
 
+import pytest
+
+from repro.benchsuite import build_program
 from repro.isa.encoding import decode_stream
 from repro.isa.registers import Reg
-from repro.linker import link, make_crt0
-from repro.linker.layout import LayoutOptions
+from repro.linker import LinkError, link, make_crt0
+from repro.linker.layout import LayoutOptions, compute_layout
+from repro.linker.resolve import resolve_inputs
 from repro.machine import run
 from repro.minicc import Options, compile_module
+from repro.minicc.mcode import MInstr
 from repro.objfile.archive import Archive
 from repro.objfile.sections import SectionKind
+from repro.obs.trace import TraceLog
 from repro.om import OMLevel, OMOptions, om_link
+from repro.om.symbolic import layout_object, translate_module
+from repro.om.transform import Program, Transformer, _ProcIndex
 
 NOSCHED = Options(schedule=False)
 
@@ -278,3 +286,87 @@ def test_scheduling_aligns_backward_branch_targets(libmc, crt0):
         objs, libmc, OMLevel.FULL, schedule=True, align_loop_targets=False
     )
     assert run(no_align.executable).output == "2016\n"
+
+
+# -- address lookups: only a symbol without an address drops an optimization ----
+
+
+def _addr_raising(exc):
+    def addr(self, module_index, symbol, addend=0):
+        raise exc(f"no address for symbol {symbol!r}")
+
+    return addr
+
+
+def test_an_address_lookup_fault_fails_the_link(libmc, crt0, monkeypatch):
+    monkeypatch.setattr(Program, "addr", _addr_raising(KeyError))
+    with pytest.raises(KeyError):
+        om(simple_program(crt0), libmc, OMLevel.FULL)
+
+
+def test_a_symbol_without_an_address_only_drops_its_optimizations(
+    libmc, crt0, monkeypatch
+):
+    objs = simple_program(crt0)
+    expected = run(link(objs, [libmc])).output
+    monkeypatch.setattr(Program, "addr", _addr_raising(LinkError))
+    result = om(objs, libmc, OMLevel.FULL)
+    counters = result.counters
+    assert counters.loads_converted == counters.loads_nullified == 0
+    assert counters.jsr_to_bsr == 0
+    assert run(result.executable).output == expected
+
+
+def test_provenance_pcs_let_only_link_errors_through(libmc, crt0, monkeypatch):
+    modules = [
+        translate_module(obj)
+        for obj in resolve_inputs(simple_program(crt0), [libmc]).modules
+    ]
+    layout = compute_layout(
+        resolve_inputs([layout_object(module) for module in modules], []),
+        LayoutOptions(),
+    )
+    transformer = Transformer(
+        Program.build(modules, layout), full=True, trace=TraceLog()
+    )
+    proc = modules[1].procs[0]
+    item = next(item for item in proc.items if isinstance(item, MInstr))
+    assert transformer._item_pc(1, proc, item) == layout.symbol_addr(1, proc.name)
+    monkeypatch.setattr(Program, "addr", _addr_raising(LinkError))
+    assert transformer._item_pc(1, proc, item) is None
+    monkeypatch.setattr(Program, "addr", _addr_raising(KeyError))
+    with pytest.raises(KeyError):
+        transformer._item_pc(1, proc, item)
+
+
+@pytest.mark.parametrize("full", [True, False], ids=["full", "simple"])
+def test_proc_index_answers_as_a_rescan_after_the_calls_pass(libmc, full):
+    """The calls pass deletes or nullifies PV loads and GP resets and
+    unlinks uses; the index it shares with the address-load pass must
+    then answer as a fresh scan of each procedure does."""
+    objects = [make_crt0()] + build_program("li", "each")
+    modules = [
+        translate_module(obj) for obj in resolve_inputs(objects, [libmc]).modules
+    ]
+    layout = compute_layout(
+        resolve_inputs([layout_object(module) for module in modules], []),
+        LayoutOptions(),
+    )
+    transformer = Transformer(Program.build(modules, layout), full=full)
+    transformer.run_passes(calls=False, address_loads=False, entry_setups=False)
+    indexed = [
+        (module_index, proc, _ProcIndex(proc))
+        for module_index, module in enumerate(modules)
+        for proc in module.procs
+    ]
+    for module_index, proc, index in indexed:
+        transformer._optimize_calls(module_index, proc, index)
+    counters = transformer.counters
+    assert counters.pv_loads_removed and counters.gp_resets_removed
+    for _, proc, index in indexed:
+        fresh = _ProcIndex(proc)
+        assert index.literals == fresh.literals
+        assert {uid: uses for uid, uses in index.uses.items() if uses} == fresh.uses
+        assert {
+            base: pairs for base, pairs in index.pairs.items() if pairs
+        } == fresh.pairs

@@ -12,7 +12,7 @@ from repro import wpo
 from repro.benchsuite import build_program, build_stdlib
 from repro.cache import ArtifactCache
 from repro.fuzz.generate import generate_scale_program
-from repro.linker import make_crt0
+from repro.linker import LinkError, make_crt0
 from repro.linker.executable import dump_executable
 from repro.linker.resolve import resolve_inputs
 from repro.minicc import compile_module
@@ -23,6 +23,7 @@ from repro.obs.trace import TraceLog
 from repro.om import OMLevel, OMOptions, om_link
 from repro.om.symbolic import translate_module
 from repro.wpo import partition_modules
+from repro.wpo.shard import ShardProgram
 
 
 def _compile(program):
@@ -94,6 +95,40 @@ def _count_pickling(monkeypatch) -> dict[str, int]:
     )
     monkeypatch.setattr(wpo.driver, "pickle", counting)
     return calls
+
+
+# -- address lookups: only a symbol without an address drops an optimization ----
+
+
+def test_shard_program_addr_of_a_missing_symbol_is_a_link_error():
+    prog = ShardProgram(
+        [], gp=[], group={}, single=True, addr={(0, "x"): 8},
+        resolutions={}, stubs={},
+    )
+    assert prog.addr(0, "x", 4) == 12
+    with pytest.raises(LinkError, match="'y'"):
+        prog.addr(0, "y")
+
+
+@pytest.mark.parametrize("relax", [False, True], ids=["site-decisions", "shard-addresses"])
+def test_wpo_address_lookup_fault_fails_the_link(monkeypatch, relax):
+    """A round layout whose lookups fail with anything but LinkError
+    fails the link.  Without relaxation the site decisions look up
+    first; with it, the shard jobs' address tables do."""
+    real = wpo.driver.compute_layout
+
+    def compute_layout(inputs, options):
+        layout = real(inputs, options)
+
+        def symbol_addr(module_index, name):
+            raise KeyError(name)
+
+        layout.symbol_addr = symbol_addr
+        return layout
+
+    monkeypatch.setattr(wpo.driver, "compute_layout", compute_layout)
+    with pytest.raises(KeyError):
+        _link(generate_scale_program(4, 7), OMOptions(partitions=2, relax=relax))
 
 
 def test_inline_shards_pickle_only_for_the_cache(tmp_path, monkeypatch):
