@@ -1,16 +1,17 @@
 """Decaf lexer.
 
-Hand-written scanner in the style of :mod:`repro.minicc.lexer`.  The
-token stream is flat; tokens carry their line for diagnostics.  Decaf
-adds the object-language keywords (``class``, ``extends``, ``new``,
-``this``, ``null``) and the ``.`` member operator, and drops MiniC's
-pointer/bit-twiddling operators.
+Built by :func:`repro.minicc.lexer.make_tokenizer` from Decaf's
+keyword and operator tables.  Decaf adds the object-language keywords
+(``class``, ``extends``, ``new``, ``this``, ``null``) and the ``.``
+member operator, and drops MiniC's pointer/bit-twiddling operators and
+its hex and char literals.
 """
 
 from __future__ import annotations
 
-from repro.minicc.errors import CompileError
-from repro.minicc.lexer import Token
+from repro.minicc.lexer import Token, make_tokenizer
+
+__all__ = ["KEYWORDS", "Token", "tokenize"]
 
 KEYWORDS = frozenset(
     [
@@ -33,7 +34,6 @@ KEYWORDS = frozenset(
     ]
 )
 
-#: Multi-character operators first so maximal munch works.
 _OPERATORS = [
     "==",
     "!=",
@@ -61,77 +61,4 @@ _OPERATORS = [
     "]",
 ]
 
-
-def tokenize(source: str, filename: str = "<input>") -> list[Token]:
-    """Scan Decaf source into tokens; raises CompileError on bad input."""
-    tokens: list[Token] = []
-    pos = 0
-    line = 1
-    length = len(source)
-    while pos < length:
-        ch = source[pos]
-        if ch == "\n":
-            line += 1
-            pos += 1
-            continue
-        if ch in " \t\r":
-            pos += 1
-            continue
-        if source.startswith("//", pos):
-            end = source.find("\n", pos)
-            pos = length if end < 0 else end
-            continue
-        if source.startswith("/*", pos):
-            end = source.find("*/", pos + 2)
-            if end < 0:
-                raise CompileError("unterminated comment", filename, line)
-            line += source.count("\n", pos, end)
-            pos = end + 2
-            continue
-        if ch.isdigit():
-            start = pos
-            while pos < length and source[pos].isdigit():
-                pos += 1
-            tokens.append(Token("num", int(source[start:pos]), line))
-            continue
-        if ch.isalpha() or ch == "_":
-            start = pos
-            while pos < length and (source[pos].isalnum() or source[pos] == "_"):
-                pos += 1
-            word = source[start:pos]
-            kind = word if word in KEYWORDS else "ident"
-            tokens.append(Token(kind, word, line))
-            continue
-        if ch == '"':
-            end = pos + 1
-            chars: list[str] = []
-            escapes = {"n": "\n", "t": "\t", "0": "\0", "\\": "\\", '"': '"'}
-            while end < length and source[end] != '"':
-                if source[end] == "\\":
-                    if end + 1 >= length or source[end + 1] not in escapes:
-                        raise CompileError(
-                            "bad escape in string literal", filename, line
-                        )
-                    chars.append(escapes[source[end + 1]])
-                    end += 2
-                elif source[end] == "\n":
-                    raise CompileError(
-                        "unterminated string literal", filename, line
-                    )
-                else:
-                    chars.append(source[end])
-                    end += 1
-            if end >= length:
-                raise CompileError("unterminated string literal", filename, line)
-            tokens.append(Token("str", "".join(chars), line))
-            pos = end + 1
-            continue
-        for operator in _OPERATORS:
-            if source.startswith(operator, pos):
-                tokens.append(Token(operator, operator, line))
-                pos += len(operator)
-                break
-        else:
-            raise CompileError(f"unexpected character {ch!r}", filename, line)
-    tokens.append(Token("eof", "", line))
-    return tokens
+tokenize = make_tokenizer(KEYWORDS, _OPERATORS)

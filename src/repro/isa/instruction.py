@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 from repro.isa.opcodes import CONDITIONAL_BRANCHES, OPS, Format, Op
 from repro.isa.registers import Reg
+from repro.isa.timing import OP_FACTS
 
 
 @dataclass(slots=True)
@@ -124,51 +125,27 @@ class Instruction:
 
     @property
     def is_control(self) -> bool:
-        """True if this instruction can change the PC."""
-        return (
-            self.op.format in (Format.BRANCH, Format.MEMORY_JUMP)
-            or self.op.format is Format.PAL
-        )
+        """True if this instruction can change the PC: branches, jumps
+        and PAL calls, the ops of the control issue pipe."""
+        return OP_FACTS[self.op.name].pipe == "B"
 
     # -- register dependences (for scheduling and analysis) --------------
 
     def defs(self) -> tuple[int, ...]:
         """Registers written (ZERO filtered out)."""
-        op = self.op
-        fmt = op.format
-        if fmt is Format.OPERATE:
-            regs = (self.rc,)
-        elif fmt is Format.MEMORY:
-            regs = () if op.is_store else (self.ra,)
-        elif fmt is Format.MEMORY_JUMP:
-            regs = (self.ra,)
-        elif fmt is Format.BRANCH:
-            regs = () if self.is_cond_branch else (self.ra,)
-        else:  # PAL
-            regs = (Reg.V0.value,)
-        return tuple(r for r in regs if r != Reg.ZERO)
+        return self._registers(OP_FACTS[self.op.name].writes)
 
     def uses(self) -> tuple[int, ...]:
         """Registers read (ZERO filtered out)."""
-        op = self.op
-        fmt = op.format
-        if fmt is Format.OPERATE:
-            regs = [self.ra]
-            if self.lit is None:
-                regs.append(self.rb)
-            if op.name.startswith("cmov"):
-                regs.append(self.rc)
-        elif fmt is Format.MEMORY:
-            regs = [self.rb]
-            if op.is_store:
-                regs.append(self.ra)
-        elif fmt is Format.MEMORY_JUMP:
-            regs = [self.rb]
-        elif fmt is Format.BRANCH:
-            regs = [self.ra] if self.is_cond_branch else []
-        else:  # PAL
-            regs = [Reg.A0.value]
-        return tuple(r for r in regs if r != Reg.ZERO)
+        facts = OP_FACTS[self.op.name]
+        return self._registers(facts.reads if self.lit is None else facts.reads_lit)
+
+    def _registers(self, operands: tuple[str | int, ...]) -> tuple[int, ...]:
+        regs = (
+            getattr(self, operand) if operand.__class__ is str else operand
+            for operand in operands
+        )
+        return tuple(reg for reg in regs if reg != Reg.ZERO)
 
     # -- display ---------------------------------------------------------
 

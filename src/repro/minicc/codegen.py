@@ -115,10 +115,11 @@ def analyze_unit(
         info.uses_gp[func.name] = _function_uses_gp(func)
     for func in module.functions:
         for instr in func.body:
+            kind = type(instr)
             callee = None
-            if isinstance(instr, ir.Call):
+            if kind is ir.Call:
                 callee = instr.callee
-            elif isinstance(instr, ir.Bin) and instr.op in DIV_CALLS:
+            elif kind is ir.Bin and instr.op in DIV_CALLS:
                 callee = DIV_CALLS[instr.op]
             if callee and info.is_local_call(callee) and info.uses_gp.get(callee):
                 info.postgp_targets.add(callee)
@@ -128,9 +129,10 @@ def analyze_unit(
 def _function_uses_gp(func: ir.IRFunc) -> bool:
     """A function needs GP iff it performs any GAT access."""
     for instr in func.body:
-        if isinstance(instr, (ir.AddrGlobal, ir.JumpTable, ir.Call)):
+        kind = type(instr)
+        if kind is ir.AddrGlobal or kind is ir.JumpTable or kind is ir.Call:
             return True
-        if isinstance(instr, ir.Bin) and instr.op in DIV_CALLS:
+        if kind is ir.Bin and instr.op in DIV_CALLS:
             return True
     return False
 
@@ -157,13 +159,9 @@ class ProcCodegen:
         self._jt_counter = 0
 
         self.uses_gp = unit.uses_gp[func.name]
-        self.makes_calls = any(
-            isinstance(i, (ir.Call, ir.CallPtr))
-            or (isinstance(i, ir.Bin) and i.op in DIV_CALLS)
-            for i in func.body
-        )
+        self.makes_calls = any(_is_call(instr) for instr in func.body)
         # PAL builtins read a0, so a0-resident parameter homes are unsafe.
-        self.has_pal = any(isinstance(i, ir.Pal) for i in func.body)
+        self.has_pal = any(type(instr) is ir.Pal for instr in func.body)
 
         # Virtual register bookkeeping.
         self.vreg_loc: dict[int, tuple[str, int]] = {}  # vreg -> ("reg", r) | ("spill", off)
@@ -255,11 +253,13 @@ class ProcCodegen:
 
     def _compute_liveness(self) -> None:
         body = self.func.body
+        uses_of, defs_of = ir.uses_of, ir.defs_of
+        last_use = self.last_use
         def_count: dict[int, int] = {}
         for index, instr in enumerate(body):
-            for reg in ir.uses_of(instr):
-                self.last_use[reg] = index
-            for reg in ir.defs_of(instr):
+            for reg in uses_of(instr):
+                last_use[reg] = index
+            for reg in defs_of(instr):
                 def_count[reg] = def_count.get(reg, 0) + 1
         # Multi-definition vregs (ternary merges) must never be spilled:
         # an eviction on one control-flow arm would leave the other arm's
@@ -267,24 +267,23 @@ class ProcCodegen:
         self.pinned = {vreg for vreg, count in def_count.items() if count > 1}
         # Alias-safe LoadLocal detection: all uses happen before anything
         # that could change the underlying s-register or control flow.
-        for index, instr in enumerate(body):
-            if not isinstance(instr, ir.LoadLocal):
-                continue
-            if instr.local not in self.local_reg:
-                continue
-            last = self.last_use.get(instr.dst, index)
-            safe = True
-            for probe in body[index + 1 : last + 1]:
-                if isinstance(probe, ir.StoreLocal) and probe.local == instr.local:
-                    safe = False
-                elif isinstance(probe, (ir.Call, ir.CallPtr, ir.Label)):
-                    safe = False
-                elif isinstance(probe, ir.Bin) and probe.op in DIV_CALLS:
-                    safe = False
-                if not safe:
-                    break
-            if safe:
-                self.alias_ok.add(index)
+        # Walking backward, ``barrier`` is the nearest later call or label
+        # and ``next_store`` the nearest later store to each local.
+        end = len(body)
+        barrier = end
+        next_store: dict[int, int] = {}
+        for index in range(end - 1, -1, -1):
+            instr = body[index]
+            kind = type(instr)
+            if kind is ir.LoadLocal:
+                if instr.local in self.local_reg:
+                    last = last_use.get(instr.dst, index)
+                    if barrier > last and next_store.get(instr.local, end) > last:
+                        self.alias_ok.add(index)
+            elif kind is ir.StoreLocal:
+                next_store[instr.local] = index
+            elif kind is ir.Label or _is_call(instr):
+                barrier = index
 
     def _alloc_treg(self, vreg: int) -> int:
         existing = self.vreg_loc.get(vreg)
@@ -402,24 +401,16 @@ class ProcCodegen:
         for sreg in self.sregs_used:
             self.emit(Instruction.mem("ldq", sreg, Reg.SP, self.sreg_save_offset[sreg]))
         if self._sp_adjust is not None:
-            self.emit(Instruction.mem("lda", Reg.SP, Reg.SP, 0))  # patched below
+            # Patched with the frame size once spilling has settled it.
+            self._sp_restore = self.emit(Instruction.mem("lda", Reg.SP, Reg.SP, 0))
         self.emit(Instruction.jump("ret", Reg.ZERO, Reg.RA, 1))
 
     def _patch_frame(self) -> None:
-        frame = self.frame_size
         if self._sp_adjust is None:
             return
+        frame = self.frame_size
         self._sp_adjust.instr.disp = -frame
-        for item in self.items:
-            if (
-                isinstance(item, MInstr)
-                and item.instr.op.name == "lda"
-                and item.instr.ra == Reg.SP
-                and item.instr.rb == Reg.SP
-                and item.instr.disp == 0
-                and item is not self._sp_adjust
-            ):
-                item.instr.disp = frame
+        self._sp_restore.instr.disp = frame
 
     # -- main loop --------------------------------------------------------------------
 
@@ -427,14 +418,20 @@ class ProcCodegen:
         self._compute_liveness()
         self.emit_label(self.func.name, is_target=False)
         self._emit_prologue()
-        body = self.func.body
-        for index, instr in enumerate(body):
-            self._gen_instr(instr, index, body)
+        generators = self._GENERATORS
+        for index, instr in enumerate(self.func.body):
+            if self.lit_load_of:
+                self._track_escapes(instr)
+            generator = generators.get(type(instr))
+            if generator is None:  # pragma: no cover
+                raise self.error(f"unhandled IR {type(instr).__name__}", instr.line)
+            generator(self, instr, index)
         self._emit_epilogue()
         self._patch_frame()
-        for item in self.items:
-            if isinstance(item, MInstr) and item.uid in self.escaped_uids:
-                item.lit_escaped = True
+        if self.escaped_uids:
+            for item in self.items:
+                if item.__class__ is MInstr and item.uid in self.escaped_uids:
+                    item.lit_escaped = True
         proc = MProc(
             self.func.name,
             self.items,
@@ -444,107 +441,82 @@ class ProcCodegen:
         )
         return proc
 
-    def _gen_instr(self, instr: ir.Instr, index: int, body: list[ir.Instr]) -> None:
-        self._track_escapes(instr)
-        if isinstance(instr, ir.Const):
-            self._gen_const(instr.dst, instr.value)
-        elif isinstance(instr, ir.Mov):
-            (src,) = self._use_regs([instr.src], index)
-            dst = self._alloc_treg(instr.dst)
-            self.emit(Instruction.opr("bis", src, src, dst))
-        elif isinstance(instr, ir.AddrGlobal):
-            dst = self._alloc_treg(instr.dst)
-            if self.unit.is_small_data(instr.symbol):
-                # Optimistic small-data mode: compute the address
-                # directly off GP, assuming the final layout keeps the
-                # symbol within a 16-bit displacement.
-                self.emit(
-                    Instruction.mem("lda", dst, Reg.GP, 0),
-                    gprel=("gprel16", instr.symbol, instr.addend, 0),
-                )
-                self.externs.add(instr.symbol)
-            else:
-                item = self.emit(
-                    Instruction.mem("ldq", dst, Reg.GP, 0),
-                    literal=(instr.symbol, instr.addend),
-                )
-                self.externs.add(instr.symbol)
-                self.lit_load_of[instr.dst] = item.uid
-                self.lit_sym_of[instr.dst] = (instr.symbol, instr.addend)
-        elif isinstance(instr, ir.AddrLocal):
-            dst = self._alloc_treg(instr.dst)
-            self.emit(
-                Instruction.mem("lda", dst, Reg.SP, self.local_offset[instr.local])
-            )
-        elif isinstance(instr, ir.LoadLocal):
-            self._gen_load_local(instr, index)
-        elif isinstance(instr, ir.StoreLocal):
-            self._gen_store_local(instr, index)
-        elif isinstance(instr, ir.Load):
-            lituse = self._lituse_for(instr.base)
-            (base,) = self._use_regs([instr.base], index)
-            dst = self._alloc_treg(instr.dst)
-            self.emit(Instruction.mem("ldq", dst, base, instr.offset), **lituse)
-        elif isinstance(instr, ir.Store):
-            lituse = self._lituse_for(instr.base)
-            src, base = self._use_regs([instr.src, instr.base], index)
-            self.emit(Instruction.mem("stq", src, base, instr.offset), **lituse)
-        elif isinstance(instr, ir.Un):
-            self._gen_un(instr, index)
-        elif isinstance(instr, ir.Bin):
-            self._gen_bin(instr, index)
-        elif isinstance(instr, ir.BinImm):
-            (a,) = self._use_regs([instr.a], index)
-            dst = self._alloc_treg(instr.dst)
-            self.emit(Instruction.opr(_BIN_TO_OP[instr.op], a, instr.imm, dst, lit=True))
-        elif isinstance(instr, ir.Call):
-            self._gen_call(instr.callee, instr.args, instr.dst, index)
-        elif isinstance(instr, ir.CallPtr):
-            self._gen_call_ptr(instr, index)
-        elif isinstance(instr, ir.Pal):
-            self._gen_pal(instr, index)
-        elif isinstance(instr, ir.Label):
-            self.emit_label(instr.name, is_target=True)
-        elif isinstance(instr, ir.Jump):
-            self.emit(Instruction.branch("br", Reg.ZERO, 0), branch=(instr.target, 0))
-        elif isinstance(instr, ir.CJump):
-            self._gen_cjump(instr, index, body)
-        elif isinstance(instr, ir.JumpTable):
-            self._gen_jump_table(instr, index)
-        elif isinstance(instr, ir.Ret):
-            if instr.src is not None:
-                (src,) = self._use_regs([instr.src], index)
-                self.emit(Instruction.opr("bis", src, src, Reg.V0))
-            if not self._falls_to_exit(index, body):
-                self.emit(
-                    Instruction.branch("br", Reg.ZERO, 0),
-                    branch=(f"{self.func.name}$exit", 0),
-                )
-        else:  # pragma: no cover
-            raise self.error(f"unhandled IR {type(instr).__name__}", instr.line)
-
-    @staticmethod
-    def _falls_to_exit(index: int, body: list[ir.Instr]) -> bool:
-        return index == len(body) - 1
-
     def _track_escapes(self, instr: ir.Instr) -> None:
         """Record address loads whose value is consumed by anything other
         than the base register of a load/store."""
-        sanctioned: set[int] = set()
-        if isinstance(instr, (ir.Load, ir.Store)):
-            sanctioned.add(instr.base)
+        kind = type(instr)
+        base = instr.base if kind is ir.Load or kind is ir.Store else None
         for vreg in ir.uses_of(instr):
-            if vreg in sanctioned:
-                continue
-            uid = self.lit_load_of.get(vreg)
-            if uid is not None:
-                self.escaped_uids.add(uid)
+            if vreg != base:
+                uid = self.lit_load_of.get(vreg)
+                if uid is not None:
+                    self.escaped_uids.add(uid)
 
     # -- individual constructs -----------------------------------------------------
 
-    def _gen_const(self, dst_vreg: int, value: int) -> None:
-        dst = self._alloc_treg(dst_vreg)
-        self._materialize(dst, value)
+    def _gen_const(self, instr: ir.Const, index: int) -> None:
+        dst = self._alloc_treg(instr.dst)
+        self._materialize(dst, instr.value)
+
+    def _gen_mov(self, instr: ir.Mov, index: int) -> None:
+        (src,) = self._use_regs([instr.src], index)
+        dst = self._alloc_treg(instr.dst)
+        self.emit(Instruction.opr("bis", src, src, dst))
+
+    def _gen_addr_global(self, instr: ir.AddrGlobal, index: int) -> None:
+        dst = self._alloc_treg(instr.dst)
+        self.externs.add(instr.symbol)
+        if self.unit.is_small_data(instr.symbol):
+            # Optimistic small-data mode: compute the address directly
+            # off GP, assuming the final layout keeps the symbol within
+            # a 16-bit displacement.
+            self.emit(
+                Instruction.mem("lda", dst, Reg.GP, 0),
+                gprel=("gprel16", instr.symbol, instr.addend, 0),
+            )
+        else:
+            item = self.emit(
+                Instruction.mem("ldq", dst, Reg.GP, 0),
+                literal=(instr.symbol, instr.addend),
+            )
+            self.lit_load_of[instr.dst] = item.uid
+            self.lit_sym_of[instr.dst] = (instr.symbol, instr.addend)
+
+    def _gen_addr_local(self, instr: ir.AddrLocal, index: int) -> None:
+        dst = self._alloc_treg(instr.dst)
+        self.emit(Instruction.mem("lda", dst, Reg.SP, self.local_offset[instr.local]))
+
+    def _gen_load(self, instr: ir.Load, index: int) -> None:
+        lituse = self._lituse_for(instr.base)
+        (base,) = self._use_regs([instr.base], index)
+        dst = self._alloc_treg(instr.dst)
+        self.emit(Instruction.mem("ldq", dst, base, instr.offset), **lituse)
+
+    def _gen_store(self, instr: ir.Store, index: int) -> None:
+        lituse = self._lituse_for(instr.base)
+        src, base = self._use_regs([instr.src, instr.base], index)
+        self.emit(Instruction.mem("stq", src, base, instr.offset), **lituse)
+
+    def _gen_bin_imm(self, instr: ir.BinImm, index: int) -> None:
+        (a,) = self._use_regs([instr.a], index)
+        dst = self._alloc_treg(instr.dst)
+        self.emit(Instruction.opr(_BIN_TO_OP[instr.op], a, instr.imm, dst, lit=True))
+
+    def _gen_label(self, instr: ir.Label, index: int) -> None:
+        self.emit_label(instr.name, is_target=True)
+
+    def _gen_jump(self, instr: ir.Jump, index: int) -> None:
+        self.emit(Instruction.branch("br", Reg.ZERO, 0), branch=(instr.target, 0))
+
+    def _gen_ret(self, instr: ir.Ret, index: int) -> None:
+        if instr.src is not None:
+            (src,) = self._use_regs([instr.src], index)
+            self.emit(Instruction.opr("bis", src, src, Reg.V0))
+        if index != len(self.func.body) - 1:  # the last instruction falls to exit
+            self.emit(
+                Instruction.branch("br", Reg.ZERO, 0),
+                branch=(f"{self.func.name}$exit", 0),
+            )
 
     def _materialize(self, dst: int, value: int) -> None:
         """Build an arbitrary 64-bit constant in ``dst``.
@@ -609,24 +581,25 @@ class ProcCodegen:
         dst = self._alloc_treg(instr.dst)
         self.emit(Instruction.opr(_BIN_TO_OP[instr.op], a, b, dst))
 
-    def _gen_cjump(self, instr: ir.CJump, index: int, body: list[ir.Instr]) -> None:
+    def _gen_cjump(self, instr: ir.CJump, index: int) -> None:
         (cond,) = self._use_regs([instr.cond], index)
         self.emit(
             Instruction.branch("bne", cond, 0), branch=(instr.if_true, 0)
         )
-        if not self._label_is_next(instr.if_false, index, body):
+        if not self._label_is_next(instr.if_false, index):
             self.emit(
                 Instruction.branch("br", Reg.ZERO, 0), branch=(instr.if_false, 0)
             )
 
-    @staticmethod
-    def _label_is_next(label: str, index: int, body: list[ir.Instr]) -> bool:
-        for probe in body[index + 1 :]:
-            if isinstance(probe, ir.Label):
-                if probe.name == label:
-                    return True
-                continue
-            return False
+    def _label_is_next(self, label: str, index: int) -> bool:
+        """Whether ``label`` is among the labels right after ``index``."""
+        body = self.func.body
+        for position in range(index + 1, len(body)):
+            probe = body[position]
+            if type(probe) is not ir.Label:
+                return False
+            if probe.name == label:
+                return True
         return False
 
     def _gen_jump_table(self, instr: ir.JumpTable, index: int) -> None:
@@ -692,6 +665,9 @@ class ProcCodegen:
         for vreg in args:
             self._release(vreg, index)
 
+    def _gen_call_instr(self, instr: ir.Call, index: int) -> None:
+        self._gen_call(instr.callee, instr.args, instr.dst, index)
+
     def _gen_call(
         self, callee: str, args: list[int], dst: int | None, index: int
     ) -> None:
@@ -756,3 +732,36 @@ class ProcCodegen:
         if instr.dst is not None:
             reg = self._alloc_treg(instr.dst)
             self.emit(Instruction.opr("bis", Reg.V0, Reg.V0, reg))
+
+    #: Per IR type, the method that generates its code.
+    _GENERATORS = {
+        ir.Const: _gen_const,
+        ir.Mov: _gen_mov,
+        ir.AddrGlobal: _gen_addr_global,
+        ir.AddrLocal: _gen_addr_local,
+        ir.LoadLocal: _gen_load_local,
+        ir.StoreLocal: _gen_store_local,
+        ir.Load: _gen_load,
+        ir.Store: _gen_store,
+        ir.Un: _gen_un,
+        ir.Bin: _gen_bin,
+        ir.BinImm: _gen_bin_imm,
+        ir.Call: _gen_call_instr,
+        ir.CallPtr: _gen_call_ptr,
+        ir.Pal: _gen_pal,
+        ir.Label: _gen_label,
+        ir.Jump: _gen_jump,
+        ir.CJump: _gen_cjump,
+        ir.JumpTable: _gen_jump_table,
+        ir.Ret: _gen_ret,
+    }
+
+
+def _is_call(instr: ir.Instr) -> bool:
+    """Whether ``instr`` compiles to a call (division is a library call)."""
+    kind = type(instr)
+    return (
+        kind is ir.Call
+        or kind is ir.CallPtr
+        or (kind is ir.Bin and instr.op in DIV_CALLS)
+    )

@@ -254,46 +254,81 @@ class IRModule:
     global_sizes: dict[str, int] = field(default_factory=dict)
 
 
+def _no_regs(instr) -> tuple[int, ...]:
+    return ()
+
+
+def _dst(instr) -> tuple[int, ...]:
+    return (instr.dst,)
+
+
+def _optional_dst(instr) -> tuple[int, ...]:
+    return () if instr.dst is None else (instr.dst,)
+
+
+def _src(instr) -> tuple[int, ...]:
+    return (instr.src,)
+
+
+def _optional_src(instr) -> tuple[int, ...]:
+    return () if instr.src is None else (instr.src,)
+
+
+#: Per IR type, the virtual registers an instruction defines.
+_DEFS = {
+    Const: _dst,
+    Mov: _dst,
+    AddrGlobal: _dst,
+    AddrLocal: _dst,
+    LoadLocal: _dst,
+    StoreLocal: _no_regs,
+    Load: _dst,
+    Store: _no_regs,
+    Un: _dst,
+    Bin: _dst,
+    BinImm: _dst,
+    Call: _optional_dst,
+    CallPtr: _optional_dst,
+    Pal: _optional_dst,
+    Label: _no_regs,
+    Jump: _no_regs,
+    CJump: _no_regs,
+    JumpTable: _no_regs,
+    Ret: _no_regs,
+}
+
+#: Per IR type, the virtual registers an instruction uses, in operand order.
+_USES = {
+    Const: _no_regs,
+    Mov: _src,
+    AddrGlobal: _no_regs,
+    AddrLocal: _no_regs,
+    LoadLocal: _no_regs,
+    StoreLocal: _src,
+    Load: lambda instr: (instr.base,),
+    Store: lambda instr: (instr.src, instr.base),
+    Un: _src,
+    Bin: lambda instr: (instr.a, instr.b),
+    BinImm: lambda instr: (instr.a,),
+    Call: lambda instr: tuple(instr.args),
+    CallPtr: lambda instr: (instr.func, *instr.args),
+    Pal: lambda instr: () if instr.arg is None else (instr.arg,),
+    Label: _no_regs,
+    Jump: _no_regs,
+    CJump: lambda instr: (instr.cond,),
+    JumpTable: lambda instr: (instr.index,),
+    Ret: _optional_src,
+}
+
+
 def defs_of(instr: Instr) -> tuple[int, ...]:
     """Virtual registers defined by ``instr``."""
-    if isinstance(
-        instr, (Const, Mov, AddrGlobal, AddrLocal, LoadLocal, Load, Un, Bin, BinImm)
-    ):
-        return (instr.dst,)
-    if isinstance(instr, (Call, CallPtr, Pal)) and instr.dst is not None:
-        return (instr.dst,)
-    return ()
+    return _DEFS[type(instr)](instr)
 
 
 def uses_of(instr: Instr) -> tuple[int, ...]:
     """Virtual registers used by ``instr``."""
-    if isinstance(instr, Mov):
-        return (instr.src,)
-    if isinstance(instr, StoreLocal):
-        return (instr.src,)
-    if isinstance(instr, Load):
-        return (instr.base,)
-    if isinstance(instr, Store):
-        return (instr.src, instr.base)
-    if isinstance(instr, Un):
-        return (instr.src,)
-    if isinstance(instr, Bin):
-        return (instr.a, instr.b)
-    if isinstance(instr, BinImm):
-        return (instr.a,)
-    if isinstance(instr, Call):
-        return tuple(instr.args)
-    if isinstance(instr, CallPtr):
-        return (instr.func, *instr.args)
-    if isinstance(instr, Pal):
-        return (instr.arg,) if instr.arg is not None else ()
-    if isinstance(instr, CJump):
-        return (instr.cond,)
-    if isinstance(instr, JumpTable):
-        return (instr.index,)
-    if isinstance(instr, Ret):
-        return (instr.src,) if instr.src is not None else ()
-    return ()
+    return _USES[type(instr)](instr)
 
 
 def format_function(func: IRFunc) -> str:

@@ -1,7 +1,9 @@
 """Intraprocedural IR optimizer — the ``-O2`` analog.
 
-Passes (run to a local fixpoint):
+Passes, in sweep order (up to four sweeps, until one changes nothing):
 
+* store-to-load forwarding through non-address-taken locals, within a
+  basic block;
 * constant folding and algebraic simplification (``x*8`` → shift,
   ``x+0`` → copy, compile-time evaluation of constant operands);
 * immediate forming: binary ops whose second operand is a small constant
@@ -9,6 +11,7 @@ Passes (run to a local fixpoint):
 * copy propagation over single-definition moves;
 * dead code elimination (pure definitions with no uses; call results
   that are never read become void calls);
+* dead-store elimination: stores to locals nothing reads;
 * branch simplification: constant conditions, jump-to-next threading,
   unreachable-code and dead-label removal.
 
@@ -87,9 +90,12 @@ _COMMUTATIVE = frozenset(["add", "mul", "and", "or", "xor", "cmpeq"])
 def optimize_function(func: ir.IRFunc) -> None:
     """Run the optimization pipeline on one function, in place."""
     for _ in range(4):
-        changed = _forward_locals(func)
-        changed |= _fold_and_simplify(func)
-        changed |= _propagate_copies(func)
+        # The next three passes swap an instruction for one with the same
+        # ``dst`` or rewrite uses, so one count of definitions serves all.
+        def_count = _def_counts(func.body)
+        changed = _forward_locals(func, def_count)
+        changed |= _fold_and_simplify(func, def_count)
+        changed |= _propagate_copies(func, def_count)
         changed |= _eliminate_dead_code(func)
         changed |= _eliminate_dead_stores(func)
         changed |= _simplify_branches(func)
@@ -106,25 +112,28 @@ def optimize_module(module: ir.IRModule) -> None:
 # -- constant folding ----------------------------------------------------------
 
 
-def _constant_defs(func: ir.IRFunc) -> dict[int, int]:
-    """Map each single-definition constant vreg to its value."""
-    def_count: dict[int, int] = {}
-    for instr in func.body:
-        for dst in ir.defs_of(instr):
-            def_count[dst] = def_count.get(dst, 0) + 1
-    constants: dict[int, int] = {}
-    for instr in func.body:
-        if isinstance(instr, ir.Const) and def_count.get(instr.dst) == 1:
-            constants[instr.dst] = instr.value
-    return constants
+def _def_counts(body: list[ir.Instr]) -> dict[int, int]:
+    """How many instructions define each vreg."""
+    counts: dict[int, int] = {}
+    defs_of = ir.defs_of
+    for instr in body:
+        for dst in defs_of(instr):
+            counts[dst] = counts.get(dst, 0) + 1
+    return counts
 
 
-def _fold_and_simplify(func: ir.IRFunc) -> bool:
-    constants = _constant_defs(func)
+def _fold_and_simplify(func: ir.IRFunc, def_count: dict[int, int]) -> bool:
+    # Single-definition constant vregs and their values.
+    constants = {
+        instr.dst: instr.value
+        for instr in func.body
+        if type(instr) is ir.Const and def_count.get(instr.dst) == 1
+    }
     changed = False
     body = func.body
     for index, instr in enumerate(body):
-        if isinstance(instr, ir.Bin):
+        kind = type(instr)
+        if kind is ir.Bin:
             a = constants.get(instr.a)
             b = constants.get(instr.b)
             if a is not None and b is not None:
@@ -141,14 +150,14 @@ def _fold_and_simplify(func: ir.IRFunc) -> bool:
             if replacement is not None:
                 body[index] = replacement
                 changed = True
-        elif isinstance(instr, ir.BinImm):
+        elif kind is ir.BinImm:
             a = constants.get(instr.a)
             if a is not None:
                 value = _fold_bin(instr.op, a, instr.imm)
                 if value is not None:
                     body[index] = ir.Const(instr.line, instr.dst, value)
                     changed = True
-        elif isinstance(instr, ir.Un):
+        elif kind is ir.Un:
             a = constants.get(instr.src)
             if a is not None:
                 body[index] = ir.Const(instr.line, instr.dst, _fold_un(instr.op, a))
@@ -156,7 +165,7 @@ def _fold_and_simplify(func: ir.IRFunc) -> bool:
             elif instr.op == "lognot":
                 body[index] = ir.BinImm(instr.line, "cmpeq", instr.dst, instr.src, 0)
                 changed = True
-        elif isinstance(instr, ir.CJump):
+        elif kind is ir.CJump:
             cond = constants.get(instr.cond)
             if cond is not None:
                 target = instr.if_true if cond else instr.if_false
@@ -190,7 +199,7 @@ def _simplify_with_const_rhs(instr: ir.Bin, b: int | None) -> ir.Instr | None:
 # -- store-load forwarding through locals -----------------------------------------
 
 
-def _forward_locals(func: ir.IRFunc) -> bool:
+def _forward_locals(func: ir.IRFunc, def_count: dict[int, int]) -> bool:
     """Within a basic block, a LoadLocal after a StoreLocal of the same
     (non-address-taken) local becomes a copy of the stored value.
 
@@ -199,27 +208,23 @@ def _forward_locals(func: ir.IRFunc) -> bool:
     forwarded across a join or around a back edge (preserving the IR's
     linear-interval liveness invariant).
     """
-    def_count: dict[int, int] = {}
-    for instr in func.body:
-        for dst in ir.defs_of(instr):
-            def_count[dst] = def_count.get(dst, 0) + 1
-
     addr_taken = {
         index for index, local in enumerate(func.locals) if local.addr_taken
     }
     known: dict[int, int] = {}  # local index -> vreg holding its value
     changed = False
     for position, instr in enumerate(func.body):
-        if isinstance(instr, ir.Label):
+        kind = type(instr)
+        if kind is ir.Label:
             known.clear()
-        elif isinstance(instr, ir.StoreLocal):
+        elif kind is ir.StoreLocal:
             if instr.local in addr_taken:
                 continue
             if def_count.get(instr.src) == 1:
                 known[instr.local] = instr.src
             else:
                 known.pop(instr.local, None)
-        elif isinstance(instr, ir.LoadLocal):
+        elif kind is ir.LoadLocal:
             source = known.get(instr.local)
             if source is not None and source != instr.dst:
                 func.body[position] = ir.Mov(instr.line, instr.dst, source)
@@ -229,10 +234,11 @@ def _forward_locals(func: ir.IRFunc) -> bool:
 
 def _eliminate_dead_stores(func: ir.IRFunc) -> bool:
     """Drop stores to locals that are never read or address-taken."""
-    read: set[int] = set()
-    for instr in func.body:
-        if isinstance(instr, (ir.LoadLocal, ir.AddrLocal)):
-            read.add(instr.local)
+    read = {
+        instr.local
+        for instr in func.body
+        if type(instr) is ir.LoadLocal or type(instr) is ir.AddrLocal
+    }
     for index, local in enumerate(func.locals):
         if local.addr_taken:
             read.add(index)
@@ -240,7 +246,7 @@ def _eliminate_dead_stores(func: ir.IRFunc) -> bool:
     func.body = [
         instr
         for instr in func.body
-        if not (isinstance(instr, ir.StoreLocal) and instr.local not in read)
+        if not (type(instr) is ir.StoreLocal and instr.local not in read)
     ]
     return len(func.body) != before
 
@@ -248,16 +254,11 @@ def _eliminate_dead_stores(func: ir.IRFunc) -> bool:
 # -- copy propagation -----------------------------------------------------------
 
 
-def _propagate_copies(func: ir.IRFunc) -> bool:
-    def_count: dict[int, int] = {}
-    for instr in func.body:
-        for dst in ir.defs_of(instr):
-            def_count[dst] = def_count.get(dst, 0) + 1
-
+def _propagate_copies(func: ir.IRFunc, def_count: dict[int, int]) -> bool:
     mapping: dict[int, int] = {}
     for instr in func.body:
         if (
-            isinstance(instr, ir.Mov)
+            type(instr) is ir.Mov
             and def_count.get(instr.dst) == 1
             and def_count.get(instr.src, 0) == 1
         ):
@@ -268,90 +269,122 @@ def _propagate_copies(func: ir.IRFunc) -> bool:
 
     changed = False
     for instr in func.body:
-        changed |= _rewrite_uses(instr, mapping)
-    return changed
-
-
-def _rewrite_uses(instr: ir.Instr, mapping: dict[int, int]) -> bool:
-    changed = False
-
-    def sub(reg: int) -> int:
-        nonlocal changed
-        new = mapping.get(reg, reg)
-        if new != reg:
+        rewrite = _REWRITE_USES.get(type(instr))
+        if rewrite is not None and rewrite(instr, mapping):
             changed = True
-        return new
-
-    if isinstance(instr, ir.Mov):
-        instr.src = sub(instr.src)
-    elif isinstance(instr, ir.StoreLocal):
-        instr.src = sub(instr.src)
-    elif isinstance(instr, ir.Load):
-        instr.base = sub(instr.base)
-    elif isinstance(instr, ir.Store):
-        instr.src, instr.base = sub(instr.src), sub(instr.base)
-    elif isinstance(instr, ir.Un):
-        instr.src = sub(instr.src)
-    elif isinstance(instr, ir.Bin):
-        instr.a, instr.b = sub(instr.a), sub(instr.b)
-    elif isinstance(instr, ir.BinImm):
-        instr.a = sub(instr.a)
-    elif isinstance(instr, ir.Call):
-        instr.args = [sub(a) for a in instr.args]
-    elif isinstance(instr, ir.CallPtr):
-        instr.func = sub(instr.func)
-        instr.args = [sub(a) for a in instr.args]
-    elif isinstance(instr, ir.Pal) and instr.arg is not None:
-        instr.arg = sub(instr.arg)
-    elif isinstance(instr, ir.CJump):
-        instr.cond = sub(instr.cond)
-    elif isinstance(instr, ir.JumpTable):
-        instr.index = sub(instr.index)
-    elif isinstance(instr, ir.Ret) and instr.src is not None:
-        instr.src = sub(instr.src)
     return changed
+
+
+def _field_rewriter(*fields: str):
+    """Rewrite the named vreg fields through a mapping (None stays None)."""
+
+    def rewrite(instr: ir.Instr, mapping: dict[int, int]) -> bool:
+        changed = False
+        for name in fields:
+            reg = getattr(instr, name)
+            new = mapping.get(reg, reg)
+            if new != reg:
+                setattr(instr, name, new)
+                changed = True
+        return changed
+
+    return rewrite
+
+
+def _rewrite_args(instr: ir.Call | ir.CallPtr, mapping: dict[int, int]) -> bool:
+    args = [mapping.get(reg, reg) for reg in instr.args]
+    if args == instr.args:
+        return False
+    instr.args = args
+    return True
+
+
+_rewrite_func = _field_rewriter("func")
+
+#: Per IR type, the rewrite of its uses; types without uses are absent.
+_REWRITE_USES = {
+    ir.Mov: _field_rewriter("src"),
+    ir.StoreLocal: _field_rewriter("src"),
+    ir.Load: _field_rewriter("base"),
+    ir.Store: _field_rewriter("src", "base"),
+    ir.Un: _field_rewriter("src"),
+    ir.Bin: _field_rewriter("a", "b"),
+    ir.BinImm: _field_rewriter("a"),
+    ir.Call: _rewrite_args,
+    ir.CallPtr: lambda instr, mapping: (
+        _rewrite_func(instr, mapping) | _rewrite_args(instr, mapping)
+    ),
+    ir.Pal: _field_rewriter("arg"),
+    ir.CJump: _field_rewriter("cond"),
+    ir.JumpTable: _field_rewriter("index"),
+    ir.Ret: _field_rewriter("src"),
+}
 
 
 # -- dead code elimination ---------------------------------------------------------
 
 
-_PURE = (
-    ir.Const,
-    ir.Mov,
-    ir.AddrGlobal,
-    ir.AddrLocal,
-    ir.LoadLocal,
-    ir.Load,
-    ir.Un,
-    ir.Bin,
-    ir.BinImm,
+_PURE = frozenset(
+    [
+        ir.Const,
+        ir.Mov,
+        ir.AddrGlobal,
+        ir.AddrLocal,
+        ir.LoadLocal,
+        ir.Load,
+        ir.Un,
+        ir.Bin,
+        ir.BinImm,
+    ]
 )
+_CALLS = frozenset([ir.Call, ir.CallPtr, ir.Pal])
 
 
 def _eliminate_dead_code(func: ir.IRFunc) -> bool:
+    """Drop pure definitions that nothing reads, and make calls whose
+    result nothing reads void.
+
+    One backward pass over use counts reaches the fixpoint: every use
+    of a vreg follows its definitions (the linear-interval invariant),
+    so when the walk reaches a definition, each of its uses is either
+    counted or already removed with its instruction.
+    """
+    uses_of = ir.uses_of
+    use_count: dict[int, int] = {}
+    for instr in func.body:
+        for reg in uses_of(instr):
+            use_count[reg] = use_count.get(reg, 0) + 1
+    kept: list[ir.Instr] = []
     changed = False
-    while True:
-        used: set[int] = set()
-        for instr in func.body:
-            used.update(ir.uses_of(instr))
-        new_body: list[ir.Instr] = []
-        removed = False
-        for instr in func.body:
-            if isinstance(instr, _PURE) and instr.dst not in used:
-                removed = True
+    for instr in reversed(func.body):
+        kind = type(instr)
+        if kind in _PURE:
+            if not use_count.get(instr.dst):
+                for reg in uses_of(instr):
+                    use_count[reg] -= 1
+                changed = True
                 continue
-            if isinstance(instr, (ir.Call, ir.CallPtr, ir.Pal)):
-                if instr.dst is not None and instr.dst not in used:
-                    instr.dst = None
-                    changed = True
-            new_body.append(instr)
-        func.body = new_body
-        changed |= removed
-        if not removed:
-            return changed
+        elif kind in _CALLS and instr.dst is not None and not use_count.get(instr.dst):
+            instr.dst = None
+            changed = True
+        kept.append(instr)
+    if changed:
+        kept.reverse()
+        func.body = kept
+    return changed
 
 
 # -- branch simplification -----------------------------------------------------------
+
+
+#: Per control-transfer IR type, the labels it may branch to; control
+#: never falls through any of them.
+_TARGETS = {
+    ir.Jump: lambda instr: (instr.target,),
+    ir.CJump: lambda instr: (instr.if_true, instr.if_false),
+    ir.JumpTable: lambda instr: instr.labels,
+    ir.Ret: lambda instr: (),
+}
 
 
 def _reachable_indices(body: list[ir.Instr]) -> set[int]:
@@ -363,11 +396,11 @@ def _reachable_indices(body: list[ir.Instr]) -> set[int]:
     (also unreachable) definition dead-code elimination already
     removed — which codegen would then reject.
     """
-    starts: dict[str, int] = {}
-    for index, instr in enumerate(body):
-        if isinstance(instr, ir.Label):
-            starts[instr.name] = index
-
+    starts = {
+        instr.name: index
+        for index, instr in enumerate(body)
+        if type(instr) is ir.Label
+    }
     reachable: set[int] = set()
     work = [0]
     while work:
@@ -375,21 +408,11 @@ def _reachable_indices(body: list[ir.Instr]) -> set[int]:
         while index < len(body) and index not in reachable:
             reachable.add(index)
             instr = body[index]
-            if isinstance(instr, ir.Jump):
-                if instr.target in starts:
-                    work.append(starts[instr.target])
-                break
-            if isinstance(instr, ir.CJump):
-                for target in (instr.if_true, instr.if_false):
+            targets = _TARGETS.get(type(instr))
+            if targets is not None:
+                for target in targets(instr):
                     if target in starts:
                         work.append(starts[target])
-                break
-            if isinstance(instr, ir.JumpTable):
-                for target in instr.labels:
-                    if target in starts:
-                        work.append(starts[target])
-                break
-            if isinstance(instr, ir.Ret):
                 break
             index += 1
     return reachable
@@ -409,38 +432,39 @@ def _simplify_branches(func: ir.IRFunc) -> bool:
     # jumps to the very next label.
     label_next: dict[str, ir.Instr | None] = {}
     for index, instr in enumerate(body):
-        if isinstance(instr, ir.Label):
+        if type(instr) is ir.Label:
             follow = index + 1
-            while follow < len(body) and isinstance(body[follow], ir.Label):
+            while follow < len(body) and type(body[follow]) is ir.Label:
                 follow += 1
             label_next[instr.name] = body[follow] if follow < len(body) else None
 
     def resolve(target: str, depth: int = 0) -> str:
         follower = label_next.get(target)
-        if depth < 8 and isinstance(follower, ir.Jump):
+        if depth < 8 and type(follower) is ir.Jump:
             return resolve(follower.target, depth + 1)
         return target
 
     for instr in body:
-        if isinstance(instr, ir.Jump):
+        kind = type(instr)
+        if kind is ir.Jump:
             new_target = resolve(instr.target)
             changed |= new_target != instr.target
             instr.target = new_target
-        elif isinstance(instr, ir.CJump):
+        elif kind is ir.CJump:
             new_true, new_false = resolve(instr.if_true), resolve(instr.if_false)
             changed |= (new_true, new_false) != (instr.if_true, instr.if_false)
             instr.if_true, instr.if_false = new_true, new_false
-        elif isinstance(instr, ir.JumpTable):
+        elif kind is ir.JumpTable:
             new_labels = [resolve(label) for label in instr.labels]
             changed |= new_labels != instr.labels
             instr.labels = new_labels
 
     cleaned: list[ir.Instr] = []
     for index, instr in enumerate(body):
-        if isinstance(instr, ir.Jump):
+        if type(instr) is ir.Jump:
             follow = index + 1
             is_next = False
-            while follow < len(body) and isinstance(body[follow], ir.Label):
+            while follow < len(body) and type(body[follow]) is ir.Label:
                 if body[follow].name == instr.target:
                     is_next = True
                     break
@@ -454,16 +478,13 @@ def _simplify_branches(func: ir.IRFunc) -> bool:
     # Drop labels nothing references.
     used_labels: set[str] = set()
     for instr in body:
-        if isinstance(instr, ir.Jump):
-            used_labels.add(instr.target)
-        elif isinstance(instr, ir.CJump):
-            used_labels.update((instr.if_true, instr.if_false))
-        elif isinstance(instr, ir.JumpTable):
-            used_labels.update(instr.labels)
+        targets = _TARGETS.get(type(instr))
+        if targets is not None:
+            used_labels.update(targets(instr))
     final = [
         instr
         for instr in body
-        if not (isinstance(instr, ir.Label) and instr.name not in used_labels)
+        if not (type(instr) is ir.Label and instr.name not in used_labels)
     ]
     changed |= len(final) != len(body)
     func.body = final

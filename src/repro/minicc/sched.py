@@ -21,8 +21,11 @@ pairs drift away from their base points.
 
 from __future__ import annotations
 
-from repro.isa.timing import issue_class, result_latency
+from repro.isa.registers import Reg
+from repro.isa.timing import OP_FACTS
 from repro.minicc.mcode import MInstr, MItem, MLabel, MProc
+
+_ZERO = Reg.ZERO.value
 
 
 def schedule_proc(proc: MProc) -> None:
@@ -35,45 +38,43 @@ def schedule_items(items: list[MItem]) -> list[MItem]:
     out: list[MItem] = []
     block: list[MInstr] = []
     for item in items:
-        if isinstance(item, MLabel):
+        if item.__class__ is MLabel:
             # Target labels begin a block; marker labels pin to a
             # block start.
-            out.extend(_schedule_block(block))
-            block = []
+            if block:
+                out += _schedule_block(block, [])
+                block = []
             out.append(item)
-            continue
-        block.append(item)
-        if item.instr.is_control:
-            out.extend(_schedule_block(block))
+        elif item.instr.is_control:
+            # A control instruction ends its block and is pinned last.
+            out += _schedule_block(block, [item])
             block = []
-    out.extend(_schedule_block(block))
+        else:
+            block.append(item)
+    if block:
+        out += _schedule_block(block, [])
     return out
 
 
-def _schedule_block(block: list[MInstr]) -> list[MInstr]:
-    if len(block) <= 1:
-        return block
-    # A trailing control instruction is pinned last.
-    body = block
-    tail: list[MInstr] = []
-    if body[-1].instr.is_control:
-        body, tail = block[:-1], block[-1:]
+def _schedule_block(body: list[MInstr], tail: list[MInstr]) -> list[MInstr]:
     if len(body) <= 1:
-        return block
+        return body + tail
     order = _list_schedule(body)
     return [body[i] for i in order] + tail
 
 
 def _build_dag(
     body: list[MInstr],
-) -> tuple[list[list[tuple[int, int]]], list[int], list[int]]:
+) -> tuple[list[list[tuple[int, int]]], list[int], list[int], list[str]]:
     """The block's dependence DAG over instruction indices:
-    ``(succs, npreds, latency)``, where ``succs[i]`` lists
-    ``(successor, edge latency)``."""
+    ``(succs, npreds, latency, pipe)``, where ``succs[i]`` lists
+    ``(successor, edge latency)``.  Every fact comes from the ISA's
+    :data:`~repro.isa.timing.OP_FACTS`."""
     n = len(body)
     succs: list[list[tuple[int, int]]] = [[] for _ in range(n)]
     npreds = [0] * n
     latency = [0] * n
+    pipe = [""] * n
     last_def: dict[int, int] = {}
     uses_since_def: dict[int, list[int]] = {}
     last_store: int | None = None
@@ -81,14 +82,26 @@ def _build_dag(
 
     for index, item in enumerate(body):
         instr = item.instr
-        latency[index] = result_latency(instr)
-        for reg in instr.uses():
+        facts = OP_FACTS[instr.op.name]
+        latency[index] = facts.latency
+        pipe[index] = facts.pipe
+        for operand in facts.reads if instr.lit is None else facts.reads_lit:
+            reg = getattr(instr, operand) if operand.__class__ is str else operand
+            if reg == _ZERO:
+                continue
             src = last_def.get(reg)
             if src is not None:  # RAW
                 succs[src].append((index, latency[src]))
                 npreds[index] += 1
-            uses_since_def.setdefault(reg, []).append(index)
-        for reg in instr.defs():
+            users = uses_since_def.get(reg)
+            if users is None:
+                uses_since_def[reg] = [index]
+            else:
+                users.append(index)
+        for operand in facts.writes:
+            reg = getattr(instr, operand) if operand.__class__ is str else operand
+            if reg == _ZERO:
+                continue
             src = last_def.get(reg)
             if src is not None:  # WAW
                 succs[src].append((index, 1))
@@ -99,8 +112,7 @@ def _build_dag(
                     npreds[index] += 1
             last_def[reg] = index
             uses_since_def[reg] = []
-        op = instr.op
-        if op.is_store:
+        if facts.is_store:
             if last_store is not None:
                 succs[last_store].append((index, 1))
                 npreds[index] += 1
@@ -109,12 +121,12 @@ def _build_dag(
                 npreds[index] += 1
             last_store = index
             mem_reads_since_store = []
-        elif op.is_load:
+        elif facts.is_load:
             if last_store is not None:
                 succs[last_store].append((index, 1))
                 npreds[index] += 1
             mem_reads_since_store.append(index)
-    return succs, npreds, latency
+    return succs, npreds, latency, pipe
 
 
 def _priorities(succs: list[list[tuple[int, int]]], latency: list[int]) -> list[int]:
@@ -136,9 +148,8 @@ def _list_schedule(body: list[MInstr]) -> list[int]:
     Each cycle issues the ready instruction of highest priority, lowest
     index first (stability), then the best one in another issue pipe.
     """
-    succs, npreds, latency = _build_dag(body)
+    succs, npreds, latency, pipe = _build_dag(body)
     priority = _priorities(succs, latency)
-    pipe = [issue_class(item.instr) for item in body]
     n = len(body)
     ready_at = [0] * n
     ready = [index for index in range(n) if npreds[index] == 0]

@@ -8,11 +8,58 @@ surface as :class:`CompileError` with a usable message and location.
 import pytest
 
 from repro.decafc import CompileError, compile_module
+from repro.decafc.lexer import Token, tokenize
 
 
 def expect_error(source, match):
     with pytest.raises(CompileError, match=match):
         compile_module(source, "t.o")
+
+
+# -- lexer -------------------------------------------------------------------
+
+#: Two lines holding a multi-line block comment and a string literal,
+#: so that every diagnostic below reports a line counted through both.
+PREFIX = '/* a block\n   comment */ int f() { print_str("a \\"b\\""); }\n'
+
+
+def lex_error(source):
+    """``(message, line)`` of the diagnostic compiling ``source`` raises."""
+    with pytest.raises(CompileError) as info:
+        compile_module(source, "t.o")
+    return info.value.message, info.value.line
+
+
+def test_unterminated_comment():
+    assert lex_error(PREFIX + "int x;\n/* never\nends") == ("unterminated comment", 4)
+
+
+def test_unterminated_string():
+    assert lex_error(PREFIX + '"abc') == ("unterminated string literal", 3)
+    assert lex_error(PREFIX + '"ab\ncd"') == ("unterminated string literal", 3)
+
+
+def test_bad_string_escape():
+    assert lex_error(PREFIX + '"a\\qb"') == ("bad escape in string literal", 3)
+
+
+def test_unexpected_character():
+    assert lex_error(PREFIX + "int x;\n@") == ("unexpected character '@'", 4)
+
+
+def test_char_literals_are_not_decaf():
+    assert lex_error(PREFIX + "int x = 'a';") == ('unexpected character "\'"', 3)
+
+
+def test_hex_literals_are_not_decaf():
+    assert tokenize("0x10")[:2] == [Token("num", 0, 1), Token("ident", "x10", 1)]
+
+
+def test_source_outside_literals_is_ascii():
+    # str.isdigit/str.isalpha accept these; Decaf identifiers and
+    # numbers do not.
+    assert lex_error(PREFIX + "int x = \u00b2;") == ("unexpected character '\u00b2'", 3)
+    assert lex_error(PREFIX + "int caf\u00e9;") == ("unexpected character '\u00e9'", 3)
 
 
 # -- parser ------------------------------------------------------------------
