@@ -114,21 +114,6 @@ class CacheStats:
     def snapshot(self) -> tuple[int, int]:
         return self.total_hits, self.total_misses
 
-    def to_dict(self) -> dict:
-        """The ``status``-payload shape: totals plus per-kind maps."""
-        return {
-            "hits": self.total_hits,
-            "misses": self.total_misses,
-            "errors": self.total_errors,
-            "quarantines": self.total_quarantines,
-            "by_kind": {
-                "hits": dict(self.hits),
-                "misses": dict(self.misses),
-                "errors": dict(self.errors),
-                "quarantines": dict(self.quarantines),
-            },
-        }
-
 
 #: Entry envelope: magic, payload length, payload SHA-256, payload.
 #: The checksum lets ``get`` detect a torn or bit-rotted entry and

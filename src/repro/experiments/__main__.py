@@ -63,7 +63,7 @@ client's observations against the server's ``status`` counters.
 ``--fleet N`` embeds N daemons behind the consistent-hash router
 instead of one; ``--soak --duration S --tenants T`` switches to the
 gated multi-tenant endurance run (warm-p99 ceiling, error budget,
-fleet-wide counter reconciliation, optional ``--speedup-floor``).
+fleet-wide counter reconciliation).
 Exits non-zero on any failed request, reconciliation mismatch, or
 tripped gate.
 """

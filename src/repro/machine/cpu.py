@@ -29,7 +29,7 @@ from repro.isa.timing import (
     DCACHE_BYTES,
     ICACHE_BYTES,
     LOAD_LATENCY,
-    MUL_LATENCY,
+    OP_FACTS,
     TAKEN_BRANCH_PENALTY,
 )
 from repro.linker.executable import Executable, STACK_BYTES, STACK_TOP
@@ -61,9 +61,12 @@ _OPERATE_NAMES = [
     "addq", "subq", "mulq", "s4addq", "s8addq", "addl", "subl", "mull",
     "umulh", "cmpeq", "cmplt", "cmple", "cmpult", "cmpule", "and", "bic",
     "bis", "ornot", "xor", "eqv", "sll", "srl", "sra", "cmoveq", "cmovne",
-    "cmovlt", "cmovge", "cmovle", "cmovgt", "cmovlbs", "cmovlbc",
+    "cmovlt", "cmovge", "cmovle", "cmovgt",
 ]
 _OPERATE_CODE = {name: i for i, name in enumerate(_OPERATE_NAMES)}
+#: Result latency of each operate function code, from the schedulers'
+#: table, so the timing model and the schedulers cannot disagree.
+_OPERATE_LATENCY = tuple(OP_FACTS[name].latency for name in _OPERATE_NAMES)
 
 _COND_BRANCH_NAMES = {
     "beq": 0, "bne": 1, "blt": 2, "ble": 3, "bge": 4, "bgt": 5,
@@ -364,6 +367,7 @@ class Machine:
         in_lines = _IN_LINES
         dn_lines = _DN_LINES
         miss_penalty = CACHE_MISS_PENALTY
+        op_latency = _OPERATE_LATENCY
 
         while True:
             op = decoded[index]
@@ -447,7 +451,7 @@ class Machine:
             elif kind == K_OP_RR or kind == K_OP_RL:
                 b = rb if kind == K_OP_RL else regs[rb]
                 regs[rc] = _operate(fn, regs[ra], b, regs[rc])
-                ready[rc] = issue + (MUL_LATENCY if fn in (2, 7, 8) else 1)
+                ready[rc] = issue + op_latency[fn]
             elif kind == K_LDA:
                 regs[ra] = (regs[rb] + disp) & _MASK
                 ready[ra] = issue + 1
@@ -661,10 +665,6 @@ def _operate(fn: int, a: int, b: int, old_c: int) -> int:
         return b if _to_signed(a) <= 0 else old_c
     if fn == 28:  # cmovgt
         return b if _to_signed(a) > 0 else old_c
-    if fn == 29:  # cmovlbs
-        return b if a & 1 else old_c
-    if fn == 30:  # cmovlbc
-        return b if not a & 1 else old_c
     raise MachineError(f"unhandled operate function {fn}")
 
 

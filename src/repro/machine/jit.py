@@ -58,7 +58,6 @@ from repro.isa.opcodes import PalFunc
 from repro.isa.timing import (
     CACHE_MISS_PENALTY,
     LOAD_LATENCY,
-    MUL_LATENCY,
     TAKEN_BRANCH_PENALTY,
 )
 from repro.machine.cpu import (
@@ -89,6 +88,7 @@ from repro.machine.cpu import (
     _ILINE_SHIFT,
     _IN_LINES,
     _MASK,
+    _OPERATE_LATENCY,
     _operate,
 )
 from repro.machine.profile import ProfilingMachine
@@ -146,7 +146,7 @@ def _reads_list(op) -> list[int]:
         rs = [ra]
         if kind == K_OP_RR:
             rs.append(rb)
-        if 23 <= fn <= 30:  # cmov keeps the old value
+        if 23 <= fn <= 28:  # cmov keeps the old value
             rs.append(rc)
     elif kind == K_CBR:
         rs = [op[2]]
@@ -192,7 +192,6 @@ def _sgn(expr: str) -> str:
 _CMOV_CONDS = {
     23: "not {a}", 24: "{a}", 25: "{a} >> 63", 26: "not {a} >> 63",
     27: "{a} == 0 or {a} >> 63", 28: "{a} != 0 and not {a} >> 63",
-    29: "{a} & 1", 30: "not {a} & 1",
 }
 
 _CBR_CONDS = {
@@ -1174,7 +1173,7 @@ class _Emitter:
         __, fn, ra, rb, rc = op
         a = self._r(ra)
         b = repr(rb) if lit else self._r(rb)
-        if 23 <= fn <= 30:  # cmov
+        if 23 <= fn <= 28:  # cmov
             if rc == 31:
                 return
             if self.opt and a.isdigit():
@@ -1225,8 +1224,7 @@ class _Emitter:
                         return
                 out.append(f"{ind}r{rc} = {expr}")
         if self.timed and rc != 31:
-            lat = MUL_LATENCY if fn in (2, 7, 8) else 1
-            out.append(f"{ind}ready[{rc}] = issue + {lat}")
+            out.append(f"{ind}ready[{rc}] = issue + {_OPERATE_LATENCY[fn]}")
 
     def _k9(self, out, ind, s, i, op):  # K_OP_RR
         self._operate_body(out, ind, s, i, op, lit=False)

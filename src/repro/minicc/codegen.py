@@ -154,7 +154,6 @@ class ProcCodegen:
         self.unit = unit
         self.items: list[MInstr | MLabel] = []
         self.jump_tables: list[_JumpTableData] = []
-        self.externs: set[str] = set()
         self._ret_counter = 0
         self._jt_counter = 0
 
@@ -465,7 +464,6 @@ class ProcCodegen:
 
     def _gen_addr_global(self, instr: ir.AddrGlobal, index: int) -> None:
         dst = self._alloc_treg(instr.dst)
-        self.externs.add(instr.symbol)
         if self.unit.is_small_data(instr.symbol):
             # Optimistic small-data mode: compute the address directly
             # off GP, assuming the final layout keeps the symbol within
@@ -680,7 +678,6 @@ class ProcCodegen:
             )
             self.emit(Instruction.branch("bsr", Reg.RA, 0), branch=(target, 0))
         else:
-            self.externs.add(callee)
             load = self.emit(
                 Instruction.mem("ldq", Reg.PV, Reg.GP, 0), literal=(callee, 0)
             )

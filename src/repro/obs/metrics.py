@@ -7,24 +7,27 @@ exports the whole set two ways:
 * :meth:`MetricsRegistry.to_prometheus` — the Prometheus text
   exposition format (``# HELP`` / ``# TYPE`` headers, cumulative
   ``_bucket{le=...}`` series for histograms), scrapable as-is;
-* :meth:`MetricsRegistry.to_dict` — a schema-versioned JSON object for
-  the daemon's ``metrics`` op, ``BENCH_*.json`` reports, and tests.
+* :meth:`MetricsRegistry.to_dict` — a schema-versioned JSON snapshot
+  for the daemon's ``metrics`` op, ``BENCH_*.json`` reports, and tests.
+
+A snapshot is also what a serving ``status`` shows:
+:func:`render_status` maps one (or :func:`sum_snapshots` of several)
+to the status sections, so ``status`` keeps no counter of its own.
 
 All mutating operations take a per-registry lock, so many client
 threads (the daemon's connection handlers, the load generator's
 workers) may increment concurrently without losing updates; reads are
 plain attribute loads of already-published values.
 
-:class:`Histogram` generalizes the log-bucketed latency histogram that
-previously lived in ``repro.serve.metrics``: a fixed geometric bucket
-ladder (25% per step, ~0.1 ms up to ~21 s, plus overflow) keeps
-``observe`` O(1) and quantile estimates within bounded relative error.
-``repro.serve.metrics.LatencyHistogram`` is now a thin alias kept for
-its ``status``-payload ``to_dict`` shape.
+:class:`Histogram` is log-bucketed: a fixed geometric bucket ladder
+(25% per step, ~0.1 ms up to ~21 s, plus overflow) keeps ``observe``
+a binary search and quantile estimates within bounded relative error.
 """
 
 from __future__ import annotations
 
+import bisect
+import math
 import threading
 
 #: Exposition schema version: bump when the JSON shape changes.
@@ -48,7 +51,9 @@ def percentile(sorted_samples: list[float], q: float) -> float:
     """
     if not sorted_samples:
         return 0.0
-    rank = max(1, round(q * len(sorted_samples)))
+    # The rank is the ceiling of q*n; rounding first keeps float error
+    # (0.07 * 100 == 7.000000000000001) from adding a whole rank.
+    rank = max(1, math.ceil(round(q * len(sorted_samples), 9)))
     return sorted_samples[min(rank, len(sorted_samples)) - 1]
 
 
@@ -136,11 +141,10 @@ class Gauge(_Metric):
 class Histogram(_Metric):
     """Log-bucketed distribution with quantile estimation.
 
-    Buckets are fixed at registration (``bounds``); ``observe`` is O(1)
-    amortized (a linear scan of 57 bounds), and :meth:`quantile`
-    returns the upper bound of the bucket holding the q-th sample,
-    clamped to the observed max so the estimate never exceeds a real
-    observation.
+    Buckets are fixed at registration (``bounds``); ``observe`` finds
+    its bucket by binary search, and :meth:`quantile` returns the upper
+    bound of the bucket holding the q-th sample, clamped to the
+    observed max so the estimate never exceeds a real observation.
     """
 
     kind = "histogram"
@@ -155,11 +159,8 @@ class Histogram(_Metric):
         self.max = 0.0
 
     def observe(self, value: float) -> None:
-        index = len(self.bounds)  # overflow unless a bound catches it
-        for i, bound in enumerate(self.bounds):
-            if value <= bound:
-                index = i
-                break
+        # The first bound >= value (le is <=); past the last, overflow.
+        index = bisect.bisect_left(self.bounds, value)
         with self._lock:
             self.counts[index] += 1
             self.count += 1
@@ -171,30 +172,11 @@ class Histogram(_Metric):
 
     def quantile(self, q: float) -> float:
         """The q-quantile, estimated from the buckets; 0.0 when empty."""
-        if not self.count:
-            return 0.0
-        rank = q * self.count
-        seen = 0
-        for i, n in enumerate(self.counts):
-            seen += n
-            if seen >= rank and n:
-                bound = self.bounds[i] if i < len(self.bounds) else self.max
-                return min(bound, self.max)
-        return self.max
+        return _quantile(self.to_dict(), q)
 
     def summary(self) -> dict:
         """The compact latency shape embedded in a ``status`` response."""
-        if not self.count:
-            return {"count": 0}
-        return {
-            "count": self.count,
-            "mean_ms": 1e3 * self.total / self.count,
-            "min_ms": 1e3 * self.min,
-            "max_ms": 1e3 * self.max,
-            "p50_ms": 1e3 * self.quantile(0.50),
-            "p95_ms": 1e3 * self.quantile(0.95),
-            "p99_ms": 1e3 * self.quantile(0.99),
-        }
+        return _summary(self.to_dict())
 
     def to_dict(self) -> dict:
         out = {
@@ -228,6 +210,35 @@ class Histogram(_Metric):
         )
         yield self.name + "_sum", self.labels, self.total
         yield self.name + "_count", self.labels, self.count
+
+
+def _quantile(series: dict, q: float) -> float:
+    """The q-quantile of a histogram's JSON form; 0.0 when empty."""
+    if not series["count"]:
+        return 0.0
+    rank = q * series["count"]
+    seen = 0
+    for bucket in series["buckets"]:  # only non-empty buckets, ascending
+        seen += bucket["count"]
+        if seen >= rank:
+            return min(bucket["le"], series["max"])
+    return series["max"]  # the rank falls in the overflow bucket
+
+
+def _summary(series: dict) -> dict:
+    """A histogram's JSON form in the compact ``status`` latency shape."""
+    count = series["count"]
+    if not count:
+        return {"count": 0}
+    return {
+        "count": count,
+        "mean_ms": 1e3 * series["sum"] / count,
+        "min_ms": 1e3 * series["min"],
+        "max_ms": 1e3 * series["max"],
+        "p50_ms": 1e3 * _quantile(series, 0.50),
+        "p95_ms": 1e3 * _quantile(series, 0.95),
+        "p99_ms": 1e3 * _quantile(series, 0.99),
+    }
 
 
 def _format_bound(bound: float) -> str:
@@ -329,3 +340,69 @@ def _format_value(value) -> str:
     if isinstance(value, int):
         return str(value)
     return repr(float(value))
+
+
+# -- snapshots -------------------------------------------------------------
+
+
+def sum_snapshots(snapshots) -> dict:
+    """One snapshot whose every series sums that series (same name and
+    labels) across ``snapshots``: values add, and histograms add
+    bucket by bucket, keeping the smallest min and the largest max."""
+    merged: dict[tuple, dict] = {}
+    for snapshot in snapshots:
+        for series in snapshot["metrics"]:
+            key = (series["name"], tuple(sorted(series["labels"].items())))
+            if series["kind"] != "histogram":
+                total = merged.setdefault(key, {**series, "value": 0})
+                total["value"] += series["value"]
+                continue
+            total = merged.setdefault(
+                key, {**series, "count": 0, "sum": 0.0, "buckets": [],
+                      "overflow": 0},
+            )
+            counts = {b["le"]: b["count"] for b in total["buckets"]}
+            for bucket in series["buckets"]:
+                counts[bucket["le"]] = counts.get(bucket["le"], 0) + bucket["count"]
+            total["buckets"] = [
+                {"le": le, "count": n} for le, n in sorted(counts.items())
+            ]
+            total["count"] += series["count"]
+            total["sum"] += series["sum"]
+            total["overflow"] += series["overflow"]
+            for field, pick in (("min", min), ("max", max)):
+                if field in series:
+                    total[field] = pick(total.get(field, series[field]),
+                                        series[field])
+    return {"schema": SCHEMA, "metrics": list(merged.values())}
+
+
+def render_status(snapshot: dict, prefix: str) -> dict:
+    """The ``status`` sections of a snapshot's ``<prefix>_*`` series.
+
+    * ``counters`` — each unlabeled ``<prefix>_<name>_total``, by name;
+    * ``tenants`` — each ``<prefix>_tenant_<kind>_total{tenant=...}``,
+      by tenant, then kind;
+    * ``latency`` — each ``<prefix>_request_seconds{op=...}``, by op, in
+      the :meth:`Histogram.summary` shape;
+    * ``gauges`` — each ``<prefix>_<name>`` gauge, by name.
+    """
+    counters, tenants, latency, gauges = {}, {}, {}, {}
+    head = prefix + "_"
+    for series in snapshot["metrics"]:
+        if not series["name"].startswith(head):
+            continue
+        name = series["name"][len(head):]
+        labels = series["labels"]
+        if series["kind"] == "gauge":
+            gauges[name] = series["value"]
+        elif series["kind"] == "histogram":
+            if name == "request_seconds":
+                latency[labels["op"]] = _summary(series)
+        elif "tenant" in labels:
+            kind = name.removeprefix("tenant_").removesuffix("_total")
+            tenants.setdefault(labels["tenant"], {})[kind] = series["value"]
+        elif not labels:
+            counters[name.removesuffix("_total")] = series["value"]
+    return {"counters": counters, "tenants": tenants, "latency": latency,
+            "gauges": gauges}

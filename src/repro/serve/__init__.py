@@ -16,17 +16,19 @@ compile → link → OM → run loop warm behind a TCP protocol:
   per-request timeouts and full-jitter capped exponential backoff;
 * :mod:`repro.serve.loadgen` — the ``serve-bench`` workload replayer
   reporting cold/warm throughput and latency percentiles, plus the
-  multi-tenant ``--soak`` mode with p99/error-budget gates;
-* :mod:`repro.serve.metrics` — the latency histogram behind the
-  ``status`` response.
+  multi-tenant ``--soak`` mode with p99/error-budget gates.
+
+Counters, gauges and latency histograms live in one
+:class:`~repro.obs.metrics.MetricsRegistry` per daemon and router;
+``status`` renders its snapshot.
 
 One daemon scales out into a **fleet**:
 
 * :mod:`repro.serve.router` — the consistent-hash front door: routes
   each request by its canonical content key so identical in-flight
   requests land on the same daemon (coalescing survives the
-  scale-out), relays frames verbatim, and aggregates fleet-wide
-  ``status``/``metrics``;
+  scale-out), relays frames verbatim, and sums the daemons' registry
+  snapshots for fleet-wide ``status``/``metrics``;
 * :mod:`repro.serve.quota` — per-tenant token-bucket quotas and the
   start-time-fair weighted scheduler the router admits through;
 * :mod:`repro.serve.fleet` — the supervisor: N daemon subprocesses

@@ -40,6 +40,7 @@ import threading
 from dataclasses import dataclass, field
 from pathlib import Path
 
+from repro.obs.metrics import render_status
 from repro.obs.trace import TraceLog
 from repro.serve.quota import QuotaManager, TenantPolicy, parse_policy
 from repro.serve.router import FleetRouter, RouterConfig
@@ -209,10 +210,6 @@ class FleetSupervisor:
         self._restart_tasks: set[asyncio.Task] = set()
         self.stop_event = asyncio.Event()
 
-    @property
-    def stamp(self) -> str | None:
-        return None  # daemons report theirs via the fanned-out status
-
     async def start(self) -> tuple[str, int]:
         """Spawn every daemon, then bind the router: (host, port)."""
         config = self.config
@@ -333,7 +330,9 @@ async def fleet_main(
     await stop.wait()
     announce("draining fleet...")
     await supervisor.drain()
-    counters = supervisor.router.counters()
+    counters = render_status(
+        supervisor.router.metrics.to_dict(), "router"
+    )["counters"]
     announce(
         f"fleet drained: {counters['completed']} completed, "
         f"{counters['rejected']} rejected "

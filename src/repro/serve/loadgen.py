@@ -17,12 +17,12 @@ identical expensive request, released through a barrier, so the
 coalescing path is exercised deterministically.
 
 After the warm phase the generator *reconciles* its observations
-against the server's ``status`` counters: completed == client
-successes, rejected == busy replies the client absorbed, and the
-serving identity ``completed == coalesced + cache_hits + computed``.
-A report that fails reconciliation (or any request) exits non-zero —
-the numbers in ``BENCH_serve.json`` are only worth keeping if both
-sides of the wire agree on what happened.
+against the server's ``status`` counters (:func:`reconcile`):
+completed == client successes, rejected == busy replies the client
+absorbed, and the serving identity ``completed == coalesced +
+cache_hits + computed``.  A report that fails reconciliation (or any
+request) exits non-zero — the numbers in ``BENCH_serve.json`` are only
+worth keeping if both sides of the wire agree on what happened.
 
 Run as ``python -m repro.experiments serve-bench``.  By default an
 embedded daemon (fresh temporary cache) is benchmarked; ``--connect
@@ -34,12 +34,11 @@ multi-tenant soak: ``--tenants`` client populations (``t0``, ``t1``,
 …) drive a mixed cold/warm stream — warm draws from a fixed workload
 pool, cold requests carry a nonce comment that changes the content
 key but not the semantics — for ``--duration`` seconds, opening with
-a barrier-released coalesce burst.  The soak report reconciles
-fleet-wide (client observations vs. router counters vs. summed daemon
-counters; quota rejections accounted separately, never as failures)
-and gates on a warm-path p99 (``--p99-ms``), an error budget
-(``--error-budget``), and — against a fleet — warm throughput through
-the router vs. a single daemon (``--speedup-floor``).
+a barrier-released coalesce burst.  The soak report reconciles with
+the same function — against a fleet, client observations vs. router
+counters vs. summed daemon counters, with quota rejections accounted
+separately and never as failures, and client failures within
+``--error-budget`` — and gates on a warm-path p99 (``--p99-ms``).
 """
 
 from __future__ import annotations
@@ -54,9 +53,9 @@ import time
 from pathlib import Path
 
 from repro.obs import merge as obs_merge
+from repro.obs.metrics import percentile
 from repro.obs.trace import TraceLog
 from repro.serve.client import ServeClient, ServeError, ServerBusy
-from repro.serve.metrics import percentile
 
 #: Default program set: five small benchmarks (the acceptance floor).
 DEFAULT_PROGRAMS = "compress,ear,eqntott,li,ora"
@@ -133,6 +132,7 @@ def run_phase(
     samples: list[tuple[str, float]] = []
     failures: list[dict] = []
     coalesced = cached = busy_replies = 0
+    busy_reasons: dict[str, int] = {}
     lock = threading.Lock()
 
     def worker() -> None:
@@ -165,6 +165,8 @@ def run_phase(
         finally:
             with lock:
                 busy_replies += client.busy_retries
+                for reason, count in client.busy_reasons.items():
+                    busy_reasons[reason] = busy_reasons.get(reason, 0) + count
             client.close()
 
     threads = [
@@ -190,6 +192,7 @@ def run_phase(
         "failed": len(failures),
         "failures": failures[:10],
         "busy_replies": busy_replies,
+        "busy_reasons": busy_reasons,
         "coalesced": coalesced,
         "cached": cached,
         "by_op": by_op,
@@ -466,64 +469,44 @@ def measure_warm_speedup(
     }
 
 
-def _counter_delta(before: dict, after: dict) -> dict:
-    b, a = before["counters"], after["counters"]
-    return {key: a[key] - b.get(key, 0) for key in a}
+def _delta(before: dict, after: dict) -> dict:
+    return {key: value - before.get(key, 0) for key, value in after.items()}
 
 
-def metrics_agree(final: dict, metrics_json: dict) -> dict:
-    """The exposition (``metrics`` op) vs. the ``status`` counters.
+def reconcile(
+    before: dict, final: dict, client: dict, *, error_budget: float = 0.0
+) -> dict:
+    """Client-side observations vs. the server's own counters.
 
-    Both read the same registry objects, but this check is what makes
-    "the export reconciles" an observed fact rather than an assumption:
-    every ``serve_<name>_total`` series must equal the counter of the
-    same name in the status payload sampled at the same point.
+    ``before``/``final`` are ``status`` snapshots — either a single
+    daemon's, or a fleet's, whose ``counters`` are the sum across the
+    daemons and which carries the router's own in ``router``.
+    ``client`` maps each traffic phase (the replay's ``cold`` and
+    ``warm``, or ``soak``) to what its clients observed.  Through a
+    router the checks tie three ledgers together: the clients'
+    rejections are the router's, the daemons' rejections are what the
+    router relayed, and quota rejections are accounted in their own
+    series and never as failures.
     """
-    exported = {
-        series["name"]: series["value"]
-        for series in metrics_json.get("metrics", [])
-        if series["kind"] == "counter"
+    delta = _delta(before["counters"], final["counters"])
+    seen = {
+        key: sum(phase[key] for phase in client.values())
+        for key in ("requests", "ok", "failed", "busy_replies",
+                    "coalesced", "cached")
     }
-    mismatches = {}
-    checked = 0
-    for name, value in final["counters"].items():
-        if name == "requests":
-            # Counts admin ops too, so the status and metrics probes
-            # themselves move it between the two samples.
-            continue
-        checked += 1
-        series = f"serve_{name}_total"
-        if exported.get(series) != value:
-            mismatches[series] = {
-                "status": value, "exported": exported.get(series),
-            }
-    return {"ok": not mismatches, "mismatches": mismatches,
-            "series_checked": checked}
-
-
-def reconcile(before: dict, final: dict, phases: dict) -> dict:
-    """Client-side observations vs. the server's own counters."""
-    delta = _counter_delta(before, final)
-    client_ok = sum(phase["ok"] for phase in phases.values())
-    client_busy = sum(phase["busy_replies"] for phase in phases.values())
-    client_coalesced = sum(phase["coalesced"] for phase in phases.values())
-    client_cached = sum(phase["cached"] for phase in phases.values())
+    allowed_failures = int(error_budget * seen["requests"])
     checks = {
         "completed_matches_client": {
-            "ok": delta["completed"] == client_ok,
-            "server": delta["completed"], "client": client_ok,
-        },
-        "rejected_matches_client_busy": {
-            "ok": delta["rejected"] == client_busy,
-            "server": delta["rejected"], "client": client_busy,
+            "ok": delta["completed"] == seen["ok"],
+            "server": delta["completed"], "client": seen["ok"],
         },
         "coalesced_matches_client": {
-            "ok": delta["coalesced"] == client_coalesced,
-            "server": delta["coalesced"], "client": client_coalesced,
+            "ok": delta["coalesced"] == seen["coalesced"],
+            "server": delta["coalesced"], "client": seen["coalesced"],
         },
         "cache_hits_match_client": {
-            "ok": delta["cache_hits"] == client_cached,
-            "server": delta["cache_hits"], "client": client_cached,
+            "ok": delta["cache_hits"] == seen["cached"],
+            "server": delta["cache_hits"], "client": seen["cached"],
         },
         "serving_identity": {
             "ok": delta["completed"]
@@ -536,78 +519,35 @@ def reconcile(before: dict, final: dict, phases: dict) -> dict:
         "zero_server_failures": {
             "ok": delta["failed"] == 0, "failed": delta["failed"],
         },
-        "coalescing_observed": {
-            "ok": delta["coalesced"] >= 1, "coalesced": delta["coalesced"],
-        },
-        "warm_throughput_higher": {
-            "ok": phases["warm"]["throughput_rps"]
-            > phases["cold"]["throughput_rps"],
-            "cold_rps": phases["cold"]["throughput_rps"],
-            "warm_rps": phases["warm"]["throughput_rps"],
-        },
-    }
-    return {"ok": all(check["ok"] for check in checks.values()),
-            "counters_delta": delta, "checks": checks}
-
-
-def reconcile_soak(
-    before: dict, final: dict, soak: dict, *, error_budget: float = 0.0
-) -> dict:
-    """Fleet-wide reconciliation of a soak run.
-
-    ``before``/``final`` are ``status`` snapshots — either a single
-    daemon's, or the router's fleet payload, whose ``counters`` are
-    the *sum* across daemon status payloads and which carries its own
-    ``router.counters`` section.  The checks tie three ledgers
-    together: what the clients observed, what the router relayed, and
-    what the daemons did — with quota rejections accounted in their
-    own series and never as failures.
-    """
-    delta = _counter_delta(before, final)
-    allowed_failures = int(error_budget * soak["requests"])
-    checks = {
-        "serving_identity": {
-            "ok": delta["completed"]
-            == delta["coalesced"] + delta["cache_hits"] + delta["computed"],
-            "completed": delta["completed"],
-            "coalesced": delta["coalesced"],
-            "cache_hits": delta["cache_hits"],
-            "computed": delta["computed"],
-        },
-        "completed_matches_client": {
-            "ok": delta["completed"] == soak["ok"],
-            "server": delta["completed"], "client": soak["ok"],
-        },
-        "coalescing_observed": {
-            "ok": delta["coalesced"] >= 1, "coalesced": delta["coalesced"],
-        },
         "failures_within_budget": {
-            "ok": delta["failed"] == 0 and soak["failed"] <= allowed_failures,
-            "server_failed": delta["failed"],
-            "client_failed": soak["failed"],
-            "allowed": allowed_failures,
+            "ok": seen["failed"] <= allowed_failures,
+            "client_failed": seen["failed"], "allowed": allowed_failures,
+        },
+        "coalescing_observed": {
+            "ok": delta["coalesced"] >= 1, "coalesced": delta["coalesced"],
         },
     }
     router = final.get("router")
-    if router is not None:
-        rbefore = before.get("router", {}).get("counters", {})
-        rdelta = {
-            key: value - rbefore.get(key, 0)
-            for key, value in router["counters"].items()
+    if router is None:
+        checks["rejected_matches_client_busy"] = {
+            "ok": delta["rejected"] == seen["busy_replies"],
+            "server": delta["rejected"], "client": seen["busy_replies"],
         }
-        quota_busy = soak["busy_reasons"].get("quota", 0)
+    else:
+        rdelta = _delta(before["router"]["counters"], router["counters"])
+        quota_busy = sum(
+            phase["busy_reasons"].get("quota", 0) for phase in client.values()
+        )
         checks.update({
             "router_completed_matches_client": {
-                "ok": rdelta["completed"] == soak["ok"],
-                "router": rdelta["completed"], "client": soak["ok"],
+                "ok": rdelta["completed"] == seen["ok"],
+                "router": rdelta["completed"], "client": seen["ok"],
             },
             "router_rejected_matches_client_busy": {
-                "ok": rdelta["rejected"] == soak["busy_replies"],
-                "router": rdelta["rejected"], "client": soak["busy_replies"],
+                "ok": rdelta["rejected"] == seen["busy_replies"],
+                "router": rdelta["rejected"], "client": seen["busy_replies"],
             },
             "quota_rejections_accounted": {
-                # Separate series on both sides of the wire, and they
-                # agree — a quota rejection is never a failure.
                 "ok": rdelta["quota_rejected"] == quota_busy,
                 "router": rdelta["quota_rejected"], "client": quota_busy,
             },
@@ -618,53 +558,17 @@ def reconcile_soak(
             "router_zero_failures": {
                 "ok": rdelta["failed"] == 0, "failed": rdelta["failed"],
             },
+            "router_delta": {"ok": True, **rdelta},
         })
-        checks["router_delta"] = {"ok": True, **rdelta}
-    else:
-        checks["rejected_matches_client_busy"] = {
-            "ok": delta["rejected"] == soak["busy_replies"],
-            "server": delta["rejected"], "client": soak["busy_replies"],
+    if "cold" in client and "warm" in client:
+        checks["warm_throughput_higher"] = {
+            "ok": client["warm"]["throughput_rps"]
+            > client["cold"]["throughput_rps"],
+            "cold_rps": client["cold"]["throughput_rps"],
+            "warm_rps": client["warm"]["throughput_rps"],
         }
     return {"ok": all(check["ok"] for check in checks.values()),
             "counters_delta": delta, "checks": checks}
-
-
-def metrics_agree_fleet(final: dict, metrics_payload: dict) -> dict:
-    """Fleet exposition vs. the fleet status: the aggregated
-    ``serve_<name>_total`` series (summed by the router across daemon
-    registries) must equal the summed counters in the fleet status
-    payload, and the aggregated per-tenant series must equal the
-    summed ``tenants`` section."""
-    aggregated = metrics_payload.get("fleet", {}).get("counters", [])
-    unlabeled = {
-        series["name"]: series["value"]
-        for series in aggregated if not series["labels"]
-    }
-    mismatches = {}
-    checked = 0
-    for name, value in final["counters"].items():
-        if name == "requests":
-            continue  # admin probes move it between the two samples
-        checked += 1
-        series = f"serve_{name}_total"
-        if unlabeled.get(series) != value:
-            mismatches[series] = {
-                "status": value, "exported": unlabeled.get(series),
-            }
-    by_tenant = {
-        (series["name"], series["labels"].get("tenant")): series["value"]
-        for series in aggregated if "tenant" in series["labels"]
-    }
-    for tenant, kinds in final.get("tenants", {}).items():
-        for kind, value in kinds.items():
-            checked += 1
-            key = (f"serve_tenant_{kind}_total", tenant)
-            if by_tenant.get(key) != value:
-                mismatches[f"{key[0]}{{tenant={tenant}}}"] = {
-                    "status": value, "exported": by_tenant.get(key),
-                }
-    return {"ok": not mismatches, "mismatches": mismatches,
-            "series_checked": checked}
 
 
 def _soak_line(soak: dict) -> str:
@@ -733,12 +637,8 @@ def main(argv=None) -> int:
                         help="soak gate: warm-path (cached/coalesced) "
                              "client p99 ceiling")
     parser.add_argument("--error-budget", type=float, default=0.0,
-                        help="soak gate: allowed client failure fraction "
+                        help="soak: allowed client failure fraction "
                              "(quota rejections never count)")
-    parser.add_argument("--speedup-floor", type=float, default=0.0,
-                        help="soak gate against a fleet: warm throughput "
-                             "via the router must be at least this multiple "
-                             "of one daemon's (0 = don't gate)")
     parser.add_argument("--workers", type=int, default=4,
                         help="embedded daemon worker processes")
     parser.add_argument("--queue-limit", type=int, default=32,
@@ -837,7 +737,6 @@ def main(argv=None) -> int:
         before = probe.status()
         phases = {}
         soak = None
-        warm = None
         if args.soak:
             soak_trace = None
             if trace_dir is not None:
@@ -854,23 +753,6 @@ def main(argv=None) -> int:
                 print(f"  {tenant}: {row['ok']} ok, {row['failed']} failed, "
                       f"cached {row['cached']}, coalesced {row['coalesced']}, "
                       f"p99 {row['p99_ms']:.1f} ms")
-            # Snapshot BEFORE the warm-speedup probe: its direct-daemon
-            # leg bypasses the router and would break reconciliation.
-            final = probe.status()
-            metrics = probe.metrics()
-            if final.get("role") == "fleet":
-                healthy = final["router"]["ring"]["healthy"]
-                if healthy:
-                    single = final["daemons"][healthy[0]]["address"]
-                    warm = measure_warm_speedup(
-                        address, (single[0], single[1]), programs,
-                        scale=args.scale, seed=args.seed,
-                        concurrency=args.concurrency,
-                        timeout=args.timeout, retries=args.retries,
-                    )
-                    print(f" warm: fleet {warm['fleet_warm_rps']:.1f} req/s "
-                          f"vs single daemon {warm['single_warm_rps']:.1f} "
-                          f"req/s ({warm['speedup']:.2f}x)")
         else:
             for name in ("cold", "warm"):
                 phase_trace = None
@@ -884,8 +766,7 @@ def main(argv=None) -> int:
                     trace=phase_trace,
                 )
                 print(_phase_line(name, phases[name]))
-            final = probe.status()
-            metrics = probe.metrics()
+        final = probe.status()
         if args.connect and args.shutdown:
             probe.shutdown()
         probe.close()
@@ -910,14 +791,9 @@ def main(argv=None) -> int:
               f"({len(merged.events)} events, "
               f"{correlation['request_ids']} request ids)")
 
-    fleet_mode = final.get("role") == "fleet"
     if args.soak:
-        outcome = reconcile_soak(
-            before, final, soak, error_budget=args.error_budget
-        )
-        exposition = (
-            metrics_agree_fleet(final, metrics)
-            if fleet_mode else metrics_agree(final, metrics["json"])
+        outcome = reconcile(
+            before, final, {"soak": soak}, error_budget=args.error_budget
         )
         gates = {
             "warm_p99": {
@@ -925,20 +801,7 @@ def main(argv=None) -> int:
                 "observed_ms": soak["warm_latency_ms"]["p99"],
                 "ceiling_ms": args.p99_ms,
             },
-            "error_budget": {
-                "ok": soak["failed"]
-                <= int(args.error_budget * soak["requests"]),
-                "failed": soak["failed"],
-                "allowed": int(args.error_budget * soak["requests"]),
-            },
         }
-        if args.speedup_floor > 0:
-            gates["warm_speedup"] = {
-                "ok": warm is not None
-                and warm["speedup"] >= args.speedup_floor,
-                "observed": warm["speedup"] if warm else None,
-                "floor": args.speedup_floor,
-            }
         report = {
             "bench": "serve-soak",
             "concurrency": args.concurrency,
@@ -948,16 +811,13 @@ def main(argv=None) -> int:
             "scale": args.scale,
             "seed": args.seed,
             "soak": soak,
-            "warm_speedup": warm,
             "server": {"before": before, "final": final},
             "reconcile": outcome,
             "gates": gates,
             "correlation": correlation,
-            "exposition_check": exposition,
         }
     else:
         outcome = reconcile(before, final, phases)
-        exposition = metrics_agree(final, metrics["json"])
         gates = {}
         report = {
             "bench": "serve",
@@ -968,10 +828,8 @@ def main(argv=None) -> int:
             "seed": args.seed,
             "phases": phases,
             "server": {"before": before, "final": final},
-            "metrics": metrics["json"],
             "reconcile": outcome,
             "correlation": correlation,
-            "exposition_check": exposition,
         }
     Path(args.out).write_text(json.dumps(report, indent=2) + "\n")
     print(f"report: {args.out}")
@@ -984,14 +842,7 @@ def main(argv=None) -> int:
         flag = "OK" if gate["ok"] else "FAIL"
         detail = {k: v for k, v in gate.items() if k != "ok"}
         print(f"  {flag:>4}  gate:{name}  {detail}")
-    if args.soak:
-        ok = outcome["ok"] and all(gate["ok"] for gate in gates.values())
-    else:
-        failed_requests = sum(phase["failed"] for phase in phases.values())
-        ok = outcome["ok"] and failed_requests == 0
-    if not exposition["ok"]:
-        print(f"  FAIL  metrics_exposition  {exposition['mismatches']}")
-        ok = False
+    ok = outcome["ok"] and all(gate["ok"] for gate in gates.values())
     if correlation is not None and not correlation["ok"]:
         print(f"  FAIL  trace_correlation  {correlation}")
         ok = False

@@ -25,11 +25,14 @@ request is retried once on the re-mapped ring, and only if no healthy
 daemon remains does the client see a retryable ``reason="upstream"``
 busy reply — never a hang, never a silent drop.
 
-Admin ops fan out: ``status`` and ``metrics`` aggregate every
-daemon's counters (and per-tenant series) into fleet-wide sums next
-to the router's own accounting; ``route`` answers which daemon owns a
-key (tests and operators use it to aim requests); ``shutdown``
-initiates the fleet drain.
+Admin ops fan out: ``status`` and ``metrics`` both fetch every healthy
+daemon's registry snapshot and add them up with
+:func:`~repro.obs.metrics.sum_snapshots`.  ``status`` renders the sum,
+each daemon's own snapshot and the router's registry with
+:func:`~repro.obs.metrics.render_status`; ``metrics`` answers the
+snapshots and the router's own exposition.  ``route`` answers which
+daemon owns a key (tests and operators use it to aim requests);
+``shutdown`` initiates the fleet drain.
 """
 
 from __future__ import annotations
@@ -43,10 +46,11 @@ import threading
 import time
 from dataclasses import dataclass
 
-from repro.obs.metrics import MetricsRegistry
+from repro.obs.metrics import MetricsRegistry, render_status, sum_snapshots
 from repro.obs.trace import TraceLog, now_us
 from repro.serve import protocol
 from repro.serve.quota import FairScheduler, QuotaManager
+from repro.serve.server import daemon_status
 
 #: Payload fields that participate in the routing key.  A superset of
 #: the daemon's ``_CONTENT_FIELDS`` plus the name-based request form:
@@ -283,6 +287,14 @@ class FleetRouter:
             fn=self.scheduler.backlog,
         )
         self.metrics.gauge(
+            "router_granted", "forward slots granted",
+            fn=lambda: self.scheduler.granted,
+        )
+        self.metrics.gauge(
+            "router_queued", "admitted jobs that waited for a forward slot",
+            fn=lambda: self.scheduler.queued,
+        )
+        self.metrics.gauge(
             "router_healthy_backends", "daemons currently on the ring",
             fn=lambda: len(self.ring.nodes()),
         )
@@ -300,27 +312,12 @@ class FleetRouter:
     def _count(self, name: str) -> None:
         self._counters[name].inc()
 
-    def counters(self) -> dict:
-        return {name: c.value for name, c in self._counters.items()}
-
     def _tenant_count(self, kind: str, tenant: str) -> None:
         self.metrics.counter(
             f"router_tenant_{kind}_total",
             f"per-tenant {kind} at the router",
             tenant=tenant,
         ).inc()
-
-    def _tenant_counters(self) -> dict:
-        out: dict[str, dict[str, float]] = {}
-        for metric in self.metrics:
-            name = metric.name
-            if not (name.startswith("router_tenant_")
-                    and name.endswith("_total")):
-                continue
-            kind = name[len("router_tenant_"):-len("_total")]
-            tenant = metric.labels.get("tenant", "?")
-            out.setdefault(tenant, {})[kind] = metric.value
-        return out
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -354,7 +351,8 @@ class FleetRouter:
             writer.close()
         if self.trace is not None:
             self.trace.event(
-                "router.drained", cat="router", **self.counters()
+                "router.drained", cat="router",
+                **render_status(self.metrics.to_dict(), "router")["counters"],
             )
             self.trace.close()
 
@@ -605,30 +603,31 @@ class FleetRouter:
                 out[slot] = result
         return out
 
+    async def _snapshots(self) -> tuple[dict[str, dict], dict]:
+        """Every healthy daemon's ``metrics`` payload by slot, and the
+        sum of the snapshots of those that answered."""
+        fanned = await self._fan_out("metrics")
+        total = sum_snapshots(
+            payload["json"] for payload in fanned.values()
+            if "error" not in payload
+        )
+        return fanned, total
+
     async def status(self) -> dict:
-        statuses = await self._fan_out("status")
-        counters: dict[str, float] = {}
-        tenants: dict[str, dict[str, float]] = {}
-        flights = {"started": 0, "coalesced": 0}
-        stamp = None
-        for state in statuses.values():
-            if "error" in state:
-                continue
-            stamp = stamp or state.get("stamp")
-            for name, value in state.get("counters", {}).items():
-                counters[name] = counters.get(name, 0) + value
-            for name, value in state.get("flights", {}).items():
-                flights[name] = flights.get(name, 0) + value
-            for tenant, kinds in state.get("tenants", {}).items():
-                bucket = tenants.setdefault(tenant, {})
-                for kind, value in kinds.items():
-                    bucket[kind] = bucket.get(kind, 0) + value
+        fanned, total = await self._snapshots()
+        stamp = next(
+            (p["identity"]["stamp"] for p in fanned.values() if "error" not in p),
+            None,
+        )
         daemons = {}
         for slot, backend in sorted(self.backends.items()):
+            payload = fanned.get(slot)
+            if payload is not None and "error" not in payload:
+                payload = daemon_status(payload["identity"], payload["json"])
             daemons[slot] = {
                 "healthy": backend.healthy,
                 "address": list(backend.address),
-                "status": statuses.get(slot),
+                "status": payload,
             }
         return {
             "role": "fleet",
@@ -636,62 +635,33 @@ class FleetRouter:
             "uptime_s": time.monotonic() - self._started,
             "draining": self.draining,
             "stamp": stamp,
-            "counters": counters,
-            "tenants": tenants,
-            "flights": flights,
+            **render_status(total, "serve"),
             "daemons": daemons,
             "router": {
-                "counters": self.counters(),
-                "tenants": self._tenant_counters(),
+                **render_status(self.metrics.to_dict(), "router"),
                 "quotas": self.quotas.snapshot(),
-                "scheduler": {
-                    "inflight": self.scheduler.inflight,
-                    "backlog": self.scheduler.backlog(),
-                    "granted": self.scheduler.granted,
-                    "queued": self.scheduler.queued,
-                },
                 "ring": {
                     "replicas": self.ring.replicas,
                     "healthy": sorted(self.ring.nodes()),
                     "slots": sorted(self.backends),
                 },
-                "latency": {
-                    op: hist.summary() for op, hist in self.latency.items()
-                },
             },
         }
 
     async def metrics_payload(self) -> dict:
-        """Router exposition plus fleet-wide aggregated daemon series."""
-        fanned = await self._fan_out("metrics")
-        merged: dict[tuple, dict] = {}
-        for payload in fanned.values():
-            for series in payload.get("json", {}).get("metrics", []):
-                if series.get("kind") != "counter":
-                    continue
-                key = (
-                    series["name"],
-                    tuple(sorted(series.get("labels", {}).items())),
-                )
-                entry = merged.setdefault(key, {
-                    "name": series["name"],
-                    "kind": "counter",
-                    "labels": dict(series.get("labels", {})),
-                    "value": 0,
-                })
-                entry["value"] += series.get("value", 0)
+        """Router exposition plus each daemon's snapshot and their sum."""
+        fanned, total = await self._snapshots()
         return {
             "json": self.metrics.to_dict(),
             "text": self.metrics.to_prometheus(),
             "daemons": {
-                slot: payload.get("json")
-                for slot, payload in fanned.items()
+                slot: payload.get("json") for slot, payload in fanned.items()
             },
             "fleet": {
-                "counters": sorted(
-                    merged.values(),
-                    key=lambda s: (s["name"], sorted(s["labels"].items())),
-                ),
+                "counters": [
+                    series for series in total["metrics"]
+                    if series["kind"] == "counter"
+                ],
             },
         }
 

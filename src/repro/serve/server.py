@@ -20,12 +20,16 @@ request travels:
 5. **execute + publish** — the job runs in a worker, the result is
    written back to the cache, and all coalesced waiters complete.
 
-``status`` is answered inline with queue depth, counter totals that
-satisfy ``completed == coalesced + cache_hits + computed``, and per-op
-latency histograms.  Draining (SIGTERM or a ``shutdown`` request)
-closes the listener, lets in-flight dispatches finish, shuts the pool
-down, and flushes the trace sink — no accepted request is dropped and
-no trailing span is lost.
+Every counter, gauge and latency histogram lives in the daemon's
+:class:`~repro.obs.metrics.MetricsRegistry`.  ``metrics`` answers the
+daemon's identity with its registry snapshot (JSON and Prometheus
+text); ``status`` is the identity plus
+:func:`~repro.obs.metrics.render_status` of a snapshot, and its
+counters satisfy ``completed == coalesced + cache_hits + computed``.
+Draining (SIGTERM or a ``shutdown`` request) closes the listener, lets
+in-flight dispatches finish, shuts the pool down, and flushes the
+trace sink — no accepted request is dropped and no trailing span is
+lost.
 """
 
 from __future__ import annotations
@@ -41,7 +45,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 from repro.cache import ArtifactCache, SingleFlight, compute_toolchain_stamp
-from repro.obs.metrics import MetricsRegistry
+from repro.obs.metrics import MetricsRegistry, render_status
 from repro.obs.trace import TraceLog, now_us
 from repro.serve import protocol, workers
 
@@ -86,9 +90,9 @@ class JobFailed(Exception):
         self.kind = kind
 
 
-#: Serving-path counter names and help text; the identity the load
-#: generator reconciles is ``completed == coalesced + cache_hits +
-#: computed``.
+#: Serving-path counter names and help text, registered as
+#: ``serve_<name>_total``; the identity the load generator reconciles
+#: is ``completed == coalesced + cache_hits + computed``.
 _COUNTER_HELP = {
     "requests": "every decoded request, admin included",
     "completed": "job requests answered ok",
@@ -101,36 +105,6 @@ _COUNTER_HELP = {
     "admitted": "jobs submitted to the worker pool",
     "bad_requests": "undecodable ops / malformed payloads",
 }
-
-
-class _Counters:
-    """Serving-path totals, registered in the shared metrics registry.
-
-    The registry counters *are* the source of truth: the ``status``
-    payload, the Prometheus/JSON exposition, and the load generator's
-    reconciliation all read the same objects, so the counter identity
-    cannot drift between export paths.  Reads keep the historical
-    attribute style (``counters.completed``); writes go through
-    :meth:`inc`.
-    """
-
-    def __init__(self, registry: MetricsRegistry):
-        self._counters = {
-            name: registry.counter(f"serve_{name}_total", help)
-            for name, help in _COUNTER_HELP.items()
-        }
-
-    def inc(self, name: str, amount: int = 1) -> None:
-        self._counters[name].inc(amount)
-
-    def __getattr__(self, name: str) -> int:
-        try:
-            return self._counters[name].value
-        except KeyError:
-            raise AttributeError(name) from None
-
-    def to_dict(self) -> dict:
-        return {name: c.value for name, c in self._counters.items()}
 
 
 class ToolchainServer:
@@ -159,7 +133,10 @@ class ToolchainServer:
         )
         self.flights = SingleFlight()
         self.metrics = MetricsRegistry()
-        self.counters = _Counters(self.metrics)
+        self._counters = {
+            name: self.metrics.counter(f"serve_{name}_total", help)
+            for name, help in _COUNTER_HELP.items()
+        }
         self.latency = {
             op: self.metrics.histogram(
                 "serve_request_seconds",
@@ -210,6 +187,9 @@ class ToolchainServer:
             gauge("serve_cache_disk_quarantines",
                   "torn/corrupt entries quarantined on read",
                   fn=lambda: stats.total_quarantines)
+
+    def _count(self, name: str) -> None:
+        self._counters[name].inc()
 
     # -- lifecycle --------------------------------------------------------
 
@@ -262,7 +242,7 @@ class ToolchainServer:
             writer.close()
         if self.trace is not None:
             self.trace.event(
-                "serve.drained", cat="serve", **self.counters.to_dict()
+                "serve.drained", cat="serve", **self.status()["counters"]
             )
             self.trace.close()
 
@@ -279,14 +259,14 @@ class ToolchainServer:
                 except protocol.FrameTooLarge as exc:
                     # The refused body was never buffered, but the stream
                     # position is now meaningless: answer and hang up.
-                    self.counters.inc("bad_requests")
+                    self._count("bad_requests")
                     await protocol.write_frame(
                         writer,
                         protocol.error_response(None, "frame-too-large", str(exc)),
                     )
                     break
                 except protocol.ProtocolError:
-                    self.counters.inc("bad_requests")
+                    self._count("bad_requests")
                     break  # undecodable stream; nothing sane to answer
                 if message is None:
                     break
@@ -301,7 +281,7 @@ class ToolchainServer:
     # -- dispatch ----------------------------------------------------------
 
     async def _dispatch(self, message: dict) -> dict:
-        self.counters.inc("requests")
+        self._count("requests")
         rid = message.get("id")
         op = message.get("op")
         if op == "status":
@@ -312,7 +292,7 @@ class ToolchainServer:
             self.stop_event.set()
             return protocol.ok_response(rid, {"draining": True})
         if op not in protocol.JOB_OPS:
-            self.counters.inc("bad_requests")
+            self._count("bad_requests")
             return protocol.error_response(rid, "bad-request", f"unknown op {op!r}")
         if self.draining:
             return protocol.error_response(rid, "draining", "server is draining")
@@ -332,7 +312,7 @@ class ToolchainServer:
         try:
             payload = self._canonical_payload(op, message)
         except ValueError as exc:
-            self.counters.inc("bad_requests")
+            self._count("bad_requests")
             return protocol.error_response(rid, "bad-request", str(exc))
         finally:
             self._stage_span("canonicalize", canon_start, request_id, op=op)
@@ -344,11 +324,11 @@ class ToolchainServer:
         try:
             result, cached, coalesced = await self._job(op, payload, request_id)
         except BusyError as exc:
-            self.counters.inc("rejected")
+            self._count("rejected")
             self._tenant_inc("rejected", tenant)
             return protocol.busy_response(rid, exc.retry_after)
         except JobFailed as exc:
-            self.counters.inc("failed")
+            self._count("failed")
             self._tenant_inc("failed", tenant)
             return protocol.error_response(rid, exc.kind, str(exc))
         finally:
@@ -358,14 +338,14 @@ class ToolchainServer:
             if not self._pending:
                 self._idle.set()
         self.latency[op].observe(duration)
-        self.counters.inc("completed")
+        self._count("completed")
         self._tenant_inc("completed", tenant)
         if coalesced:
-            self.counters.inc("coalesced")
+            self._count("coalesced")
         elif cached:
-            self.counters.inc("cache_hits")
+            self._count("cache_hits")
         else:
-            self.counters.inc("computed")
+            self._count("computed")
         return protocol.ok_response(rid, result, cached=cached, coalesced=coalesced)
 
     def _stage_span(self, stage: str, start_us: float, request_id: str, **args):
@@ -495,13 +475,13 @@ class ToolchainServer:
             )
             if data is not None:
                 return json.loads(data), True
-        self.counters.inc("cache_misses")
+        self._count("cache_misses")
 
         if self._active_jobs >= self.config.queue_limit:
             raise BusyError(self.config.retry_after)
         admit_start = now_us()
         self._active_jobs += 1
-        self.counters.inc("admitted")
+        self._count("admitted")
         self._stage_span(
             "admit", admit_start, request_id,
             op=op, active_jobs=self._active_jobs,
@@ -544,57 +524,38 @@ class ToolchainServer:
             tenant=tenant,
         ).inc()
 
-    def tenants(self) -> dict:
-        """``{tenant: {kind: value}}`` — what the fleet router sums."""
-        out: dict[str, dict[str, int]] = {}
-        prefix, suffix = "serve_tenant_", "_total"
-        for metric in self.metrics:
-            name = metric.name
-            if not (name.startswith(prefix) and name.endswith(suffix)):
-                continue
-            kind = name[len(prefix):-len(suffix)]
-            tenant = metric.labels.get("tenant", "?")
-            out.setdefault(tenant, {})[kind] = metric.value
-        return out
-
     # -- introspection -----------------------------------------------------
 
     def queue_depth(self) -> int:
         """Jobs admitted but waiting for a free worker."""
         return max(0, self._active_jobs - self.config.workers)
 
-    def status(self) -> dict:
+    def identity(self) -> dict:
+        """Which daemon answers: what travels beside its snapshot."""
         return {
             "pid": os.getpid(),
-            "uptime_s": time.monotonic() - self._started,
             "stamp": self.stamp,
-            "draining": self.draining,
             "workers": self.config.workers,
             "queue_limit": self.config.queue_limit,
-            "active_jobs": self._active_jobs,
-            "queue_depth": self.queue_depth(),
-            "counters": self.counters.to_dict(),
-            "tenants": self.tenants(),
-            "flights": {
-                "started": self.flights.started,
-                "coalesced": self.flights.coalesced,
-            },
-            "latency": {
-                op: hist.summary() for op, hist in self.latency.items()
-            },
-            "cache": (
-                {"stamp": self.stamp, **self.cache.stats.to_dict()}
-                if self.cache is not None
-                else None
-            ),
         }
 
+    def status(self) -> dict:
+        return daemon_status(self.identity(), self.metrics.to_dict())
+
     def metrics_payload(self) -> dict:
-        """The ``metrics`` op: both exposition formats of one snapshot."""
+        """The ``metrics`` op: the identity and both exposition formats."""
         return {
+            "identity": self.identity(),
             "json": self.metrics.to_dict(),
             "text": self.metrics.to_prometheus(),
         }
+
+
+def daemon_status(identity: dict, snapshot: dict) -> dict:
+    """A daemon's ``status``: its identity and the rendering of its
+    registry snapshot (the fleet router builds each daemon's entry from
+    a fanned-out ``metrics`` payload the same way)."""
+    return {**identity, **render_status(snapshot, "serve")}
 
 
 def _program_sources(name: str, scale) -> list[list[str]]:
@@ -640,11 +601,12 @@ async def serve_main(
     await server.stop_event.wait()
     announce("draining...")
     await server.drain()
-    counters = server.counters
+    counters = server.status()["counters"]
     announce(
-        f"drained: {counters.completed} completed, "
-        f"{counters.coalesced} coalesced, {counters.cache_hits} cache hits, "
-        f"{counters.rejected} rejected, {counters.failed} failed"
+        f"drained: {counters['completed']} completed, "
+        f"{counters['coalesced']} coalesced, "
+        f"{counters['cache_hits']} cache hits, "
+        f"{counters['rejected']} rejected, {counters['failed']} failed"
     )
     return 0
 

@@ -10,8 +10,13 @@ from repro.obs.metrics import (
     SCHEMA,
     MetricsRegistry,
     percentile,
+    render_status,
+    sum_snapshots,
 )
-from repro.serve.metrics import LatencyHistogram
+
+
+def _histogram():
+    return MetricsRegistry().histogram("latency_seconds")
 
 
 # -- percentile edge cases -----------------------------------------------------
@@ -39,6 +44,12 @@ def test_percentile_nearest_rank():
     assert percentile(samples, 0.5) == 20.0
     assert percentile(samples, 0.75) == 30.0
     assert percentile(samples, 0.9) == 40.0
+    # The rank is the ceiling of q*n: halves and smaller fractions
+    # both take the next sample.
+    assert percentile([1.0, 2.0, 3.0, 4.0, 5.0], 0.5) == 3.0
+    assert percentile([float(i) for i in range(1, 151)], 0.99) == 149.0
+    # 0.07 * 100 == 7.000000000000001 must not add a rank.
+    assert percentile([float(i) for i in range(1, 101)], 0.07) == 7.0
 
 
 # -- counters and gauges -------------------------------------------------------
@@ -111,12 +122,12 @@ def test_concurrent_increments_do_not_lose_updates():
     assert c.value == 8000
 
 
-# -- histogram bucket boundaries (satellite: LatencyHistogram tests) -----------
+# -- histogram bucket boundaries ----------------------------------------------
 
 
 def test_histogram_bucket_boundary_values_land_in_their_bucket():
     """A value exactly on a bound belongs to that bucket (le = <=)."""
-    hist = LatencyHistogram()
+    hist = _histogram()
     hist.observe(BOUNDS[0])  # exactly the first bound
     assert hist.counts[0] == 1
     hist.observe(BOUNDS[3])
@@ -127,7 +138,7 @@ def test_histogram_bucket_boundary_values_land_in_their_bucket():
 
 
 def test_histogram_overflow_bucket():
-    hist = LatencyHistogram()
+    hist = _histogram()
     hist.observe(BOUNDS[-1] * 10)  # beyond the last finite bound
     assert hist.counts[-1] == 1
     assert hist.count == 1
@@ -136,15 +147,15 @@ def test_histogram_overflow_bucket():
 
 
 def test_histogram_empty_quantiles_and_dict():
-    hist = LatencyHistogram()
+    hist = _histogram()
     assert hist.quantile(0.5) == 0.0
-    assert hist.to_dict() == {"count": 0}
+    assert hist.summary() == {"count": 0}
 
 
 def test_histogram_single_sample_summary():
-    hist = LatencyHistogram()
+    hist = _histogram()
     hist.observe(0.010)
-    d = hist.to_dict()
+    d = hist.summary()
     assert d["count"] == 1
     assert d["min_ms"] == d["max_ms"] == 10.0
     # Bucket estimates clamp to the observed max: never above a real
@@ -153,10 +164,10 @@ def test_histogram_single_sample_summary():
 
 
 def test_histogram_quantiles_are_bounded_estimates():
-    hist = LatencyHistogram()
+    hist = _histogram()
     for ms in (1, 2, 3, 50, 100):
         hist.observe(ms / 1e3)
-    d = hist.to_dict()
+    d = hist.summary()
     assert d["count"] == 5
     assert 2.0 <= d["p50_ms"] <= 3.8  # within one 25% bucket of exact
     assert d["p99_ms"] <= d["max_ms"] == 100.0
@@ -216,8 +227,61 @@ def test_prometheus_buckets_are_cumulative():
 
 
 def test_latency_histogram_status_shape_is_summary():
-    hist = LatencyHistogram()
+    hist = _histogram()
     hist.observe(0.002)
-    assert set(hist.to_dict()) == {
+    assert set(hist.summary()) == {
         "count", "mean_ms", "min_ms", "max_ms", "p50_ms", "p95_ms", "p99_ms",
     }
+
+
+# -- status rendering from a snapshot ------------------------------------------
+
+
+def _serving_registry(requests, run_seconds):
+    registry = MetricsRegistry()
+    registry.counter("serve_requests_total").inc(requests)
+    registry.counter("serve_completed_total").inc(len(run_seconds))
+    registry.counter("serve_tenant_completed_total", tenant="t1").inc(2)
+    registry.counter("serve_tenant_rejected_total", tenant="t2").inc()
+    registry.gauge("serve_queue_depth").set(requests)
+    registry.gauge("serve_flights_started", fn=lambda: 4)
+    run = registry.histogram("serve_request_seconds", op="run")
+    for seconds in run_seconds:
+        run.observe(seconds)
+    registry.histogram("serve_request_seconds", op="link")
+    registry.counter("router_completed_total").inc(99)  # another prefix
+    return registry
+
+
+def test_render_status_maps_each_series_kind_to_its_section():
+    registry = _serving_registry(5, [0.5, 0.25])
+    run = registry.get("serve_request_seconds", op="run")
+    status = render_status(registry.to_dict(), "serve")
+    assert status == {
+        "counters": {"requests": 5, "completed": 2},
+        "tenants": {"t1": {"completed": 2}, "t2": {"rejected": 1}},
+        "latency": {"run": run.summary(), "link": {"count": 0}},
+        "gauges": {"queue_depth": 5, "flights_started": 4},
+    }
+    assert status["latency"]["run"]["max_ms"] == 500.0
+    assert render_status(registry.to_dict(), "router")["counters"] == {
+        "completed": 99,
+    }
+
+
+def test_sum_snapshots_adds_every_series_and_merges_histograms():
+    # Powers of two keep every float sum exact in any order.
+    a = _serving_registry(5, [0.5, 2.0**-10])
+    b = _serving_registry(3, [0.25])
+    both = _serving_registry(8, [0.5, 2.0**-10, 0.25])
+    total = sum_snapshots([a.to_dict(), b.to_dict()])
+    status = render_status(total, "serve")
+    assert status["counters"] == {"requests": 8, "completed": 3}
+    assert status["tenants"] == {"t1": {"completed": 4}, "t2": {"rejected": 2}}
+    assert status["gauges"] == {"queue_depth": 8, "flights_started": 8}
+    # The merged histogram is the one that saw every observation.
+    assert status["latency"] == render_status(both.to_dict(), "serve")["latency"]
+    assert status["latency"]["run"]["min_ms"] == 1e3 * 2.0**-10
+    # Summing leaves its inputs untouched.
+    assert render_status(a.to_dict(), "serve")["counters"]["requests"] == 5
+    assert sum_snapshots([]) == {"schema": SCHEMA, "metrics": []}

@@ -1,10 +1,18 @@
 """Timing-model tests: the micro-architectural terms behind Figure 6."""
 
+import pytest
+
 from repro.isa.instruction import Instruction
 from repro.isa.registers import Reg
-from repro.isa.timing import can_dual_issue, issue_class, result_latency
+from repro.isa.textasm import assemble_text
+from repro.isa.timing import (
+    OP_FACTS,
+    can_dual_issue,
+    issue_class,
+    result_latency,
+)
 from repro.linker import link
-from repro.machine import run
+from repro.machine import BACKENDS, run
 from repro.minicc import Options, compile_module
 
 NOSCHED = Options(schedule=False)
@@ -44,6 +52,37 @@ def test_latencies():
     assert result_latency(Instruction.opr("addq", Reg.T0, Reg.T1, Reg.T2)) == 1
     # LDA is address arithmetic, not a memory access.
     assert result_latency(Instruction.mem("lda", Reg.T0, Reg.SP, 0)) == 1
+
+
+#: One operate result consumed by the next instruction ({src} = $t2)
+#: or not ({src} = $t1); both consumers issue in the integer pipe.
+_LATENCY_PROBE = """
+        .ent    main
+main:   lda     $t0, 3($zero)
+        lda     $t1, 5($zero)
+        {op}    $t0, $t1, $t2
+        addq    {src}, 1, $t3
+        lda     $a0, 7($zero)
+        call_pal putint
+        lda     $v0, 0($zero)
+        ret     $zero, ($ra)
+        .end    main
+"""
+
+
+@pytest.mark.parametrize("name", ["mulq", "mull", "umulh", "addq"])
+def test_operate_latency_matches_the_scheduler_table(name, libmc, crt0):
+    """The timing model charges each operate the result latency the
+    schedulers read from ``OP_FACTS``, on every backend."""
+
+    def cycles(src, backend):
+        source = _LATENCY_PROBE.format(op=name, src=src)
+        exe = link([crt0, assemble_text(source, "t.o")], [libmc])
+        return run(exe, backend=backend).cycles
+
+    for backend in BACKENDS:
+        stall = cycles("$t2", backend) - cycles("$t1", backend)
+        assert stall == OP_FACTS[name].latency - 1, backend
 
 
 # -- end-to-end timing behaviour --------------------------------------------------

@@ -1,5 +1,6 @@
 """Toolchain CLI integration tests (the real-toolchain workflow)."""
 
+import json
 import pickle
 
 import pytest
@@ -241,3 +242,33 @@ def test_mixed_language_compile_all_is_rejected(workspace):
                 str(workspace / "unit.o"),
             ]
         )
+
+
+def test_metrics_scrapes_a_daemon_in_both_formats(capsys):
+    from concurrent.futures import ThreadPoolExecutor
+
+    from repro.obs.metrics import SCHEMA
+    from repro.serve.client import ServeClient
+    from repro.serve.server import ServeConfig, ServerThread
+    from tests.test_serve_server import stub_runner
+
+    with ServerThread(
+        None, ServeConfig(workers=1),
+        executor=ThreadPoolExecutor(max_workers=1), job_runner=stub_runner,
+    ) as st:
+        with ServeClient(st.address, timeout=30) as client:
+            assert client.compile(sources=[["m.mc", "hello"]])["ok"]
+        address = f"{st.address[0]}:{st.address[1]}"
+        capsys.readouterr()
+        assert main(["metrics", address]) == 0
+        text = capsys.readouterr().out
+        assert main(["metrics", address, "--format", "json"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+    lines = text.splitlines()
+    assert "# TYPE serve_completed_total counter" in lines
+    assert "serve_completed_total 1" in lines
+    assert 'serve_request_seconds_count{op="compile"} 1' in lines
+    assert doc["schema"] == SCHEMA
+    values = {series["name"]: series.get("value") for series in doc["metrics"]}
+    assert values["serve_completed_total"] == 1
+    assert values["serve_requests_total"] == 3  # the compile and both scrapes
