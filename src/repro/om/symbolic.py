@@ -11,16 +11,23 @@ offsets, with branch displacements and jump-table entries recomputed —
 which is precisely why OM can delete and reorder instructions freely.
 A transformation round only needs the layout of the result, which
 ``layout_object`` builds from the same placement without encoding.
+``encode_module`` gives a module a compact value form, nested tuples
+of primitives with no uids, which the WPO shard cache hashes and
+stores; ``decode_module`` rebuilds a module from it.
 """
 
 from __future__ import annotations
 
+import hashlib
+import marshal
 from collections.abc import Collection
 from dataclasses import dataclass, field, replace
+from operator import attrgetter
 
 from repro.isa.encoding import decode_stream, encode_stream
-from repro.isa.opcodes import Format
-from repro.minicc.mcode import MInstr, MItem, MLabel
+from repro.isa.instruction import Instruction
+from repro.isa.opcodes import OPS, Format
+from repro.minicc.mcode import MInstr, MItem, MLabel, next_uid
 from repro.objfile.objfile import ObjectFile
 from repro.objfile.relocations import LituseKind, Relocation, RelocType
 from repro.objfile.sections import Section, SectionKind
@@ -395,7 +402,7 @@ def reassemble_module(module: SymbolicModule) -> ObjectFile:
 
     # Alignment padding stays a nop; every instruction lands at its
     # placed offset, and relocations come out in text order.
-    instrs = [_nop_instruction()] * (placement.text_size // 4)
+    instrs = [Instruction.nop()] * (placement.text_size // 4)
     relocs: list[Relocation] = []
     referenced: set[str] = set()
     gpdisp_lda_of = {  # ldah uid -> lda offset
@@ -557,7 +564,180 @@ def layout_object(module: SymbolicModule) -> ObjectFile:
     return obj
 
 
-def _nop_instruction():
-    from repro.isa.instruction import Instruction
+# -- the value form ------------------------------------------------------------
 
-    return Instruction.nop()
+#: The annotation fields an instruction's value lists after its op
+#: name, registers, ``disp`` and ``lit`` (positions 6 to 14).
+_NOTES = attrgetter(
+    "literal", "lit_escaped", "lituse", "gpdisp_base", "gpdisp_pair",
+    "branch", "hint", "jmptab", "gprel",
+)
+_NO_NOTES = (None, False, None, None, None, None, None, None, None)
+_SECTION_KINDS = {kind.value: kind for kind in SectionKind}
+_SYMBOL_KINDS = {kind.value: kind for kind in SymbolKind}
+_BINDINGS = {binding.value: binding for binding in Binding}
+_LITUSE_KINDS = {kind.value: kind for kind in LituseKind}
+
+
+def encode_module(module: SymbolicModule) -> tuple:
+    """The module as nested tuples of primitives, free of uids.
+
+    A label is ``(name, is_target, align)``.  An instruction is its op
+    name, ``ra``, ``rb``, ``rc``, ``disp`` and ``lit``, followed by its
+    annotation fields when it has any.  Where an annotation names an
+    instruction by uid, the value names it by its index among the
+    module's items: ``lituse``'s load, ``gpdisp_pair``'s ldah, and the
+    group of a ``gprelhigh``/``gprellow`` pair (the index of the
+    group's first item).  A uid that names no item of the module
+    becomes -1.  A procedure adds ``exported``, ``uses_gp``,
+    ``frame_size`` and its sorted export labels; data sections, data
+    references and the other symbols follow as tuples.
+
+    Two modules with equal values transform and reassemble alike, so
+    :func:`module_digest` of the value keys a shard's transform, and
+    :func:`decode_module` rebuilds the module from it.
+    """
+    index: dict[int, int] = {}  # uid -> item index
+    annotated: list[tuple[list, int, int]] = []  # (items, slot, item index)
+    procs = []
+    position = 0
+    for proc in module.procs:
+        items = []
+        for item in proc.items:
+            if item.__class__ is MLabel:
+                items.append((item.name, item.is_target, item.align))
+            else:
+                index[item.uid] = position
+                instr = item.instr
+                # Registers may be ``Reg`` members; the value holds ints.
+                head = (
+                    instr.op.name, int(instr.ra), int(instr.rb), int(instr.rc),
+                    instr.disp, instr.lit,
+                )
+                notes = _NOTES(item)
+                if notes == _NO_NOTES:
+                    items.append(head)
+                else:
+                    annotated.append((items, len(items), position))
+                    items.append(head + notes)
+            position += 1
+        procs.append((proc, items))
+
+    # References resolve once every index is known.  Reassembly pairs
+    # gprel halves by group alone, so groups map by their value.
+    groups: dict[int, int] = {}
+    for items, slot, position in annotated:
+        value = items[slot]
+        lituse, pair, gprel = value[8], value[10], value[14]
+        if lituse is None and pair is None and gprel is None:
+            continue
+        if lituse is not None:
+            lituse = (index.get(lituse[0], -1), int(lituse[1]))
+        if pair is not None:
+            pair = index.get(pair, -1)
+        if gprel is not None and gprel[0] != "gprel16":
+            gprel = gprel[:3] + (groups.setdefault(gprel[3], position),)
+        items[slot] = value[:8] + (lituse, value[9], pair) + value[11:14] + (gprel,)
+
+    return (
+        module.name,
+        tuple(
+            (
+                proc.name, proc.exported, proc.uses_gp, proc.frame_size,
+                tuple(sorted(proc.export_labels)), tuple(items),
+            )
+            for proc, items in procs
+        ),
+        tuple(
+            (key.value, section.kind.value, bytes(section.data),
+             section.bss_size, section.alignment)
+            for key, section in module.data_sections.items()
+        ),
+        tuple(
+            (ref.section.value, ref.offset, ref.symbol, ref.addend, ref.label,
+             ref.proc)
+            for ref in module.data_refs
+        ),
+        tuple(
+            (
+                sym.name, sym.kind.value, sym.binding.value,
+                None if sym.section is None else sym.section.value,
+                sym.offset, sym.size, sym.alignment,
+                None if sym.proc is None
+                else (sym.proc.uses_gp, sym.proc.frame_size, sym.proc.gat_group),
+            )
+            for sym in module.other_symbols
+        ),
+    )
+
+
+def decode_module(value: tuple) -> SymbolicModule:
+    """Rebuild a module from :func:`encode_module`'s value.
+
+    Instructions get fresh uids in item order; an index of -1 becomes
+    a fresh uid that no item has.
+    """
+    name, procs, sections, data_refs, symbols = value
+    module = SymbolicModule(name)
+    at: list[MItem] = []  # by item index
+    annotated: list[tuple[MInstr, tuple]] = []
+    for pname, exported, uses_gp, frame_size, labels, encoded in procs:
+        proc = SymbolicProc(
+            pname, exported=exported, uses_gp=uses_gp, frame_size=frame_size,
+            export_labels=set(labels),
+        )
+        items = proc.items
+        for item_value in encoded:
+            if len(item_value) == 3:
+                item = MLabel(*item_value)
+            else:
+                item = MInstr(Instruction(OPS[item_value[0]], *item_value[1:6]))
+                if len(item_value) > 6:
+                    (
+                        item.literal, item.lit_escaped, __,
+                        item.gpdisp_base, __, item.branch, item.hint,
+                        item.jmptab, item.gprel,
+                    ) = item_value[6:]
+                    annotated.append((item, item_value))
+            items.append(item)
+            at.append(item)
+        module.procs.append(proc)
+
+    def uid_at(position: int) -> int:
+        return next_uid() if position == -1 else at[position].uid
+
+    for item, item_value in annotated:
+        lituse, pair, gprel = item_value[8], item_value[10], item_value[14]
+        if lituse is not None:
+            item.lituse = (uid_at(lituse[0]), _LITUSE_KINDS[lituse[1]])
+        if pair is not None:
+            item.gpdisp_pair = uid_at(pair)
+        if gprel is not None and gprel[0] != "gprel16":
+            item.gprel = gprel[:3] + (uid_at(gprel[3]),)
+
+    for key, kind, data, bss_size, alignment in sections:
+        module.data_sections[_SECTION_KINDS[key]] = Section(
+            _SECTION_KINDS[kind], bytearray(data), bss_size, alignment
+        )
+    module.data_refs = [
+        DataRef(_SECTION_KINDS[section], offset, symbol, addend, label, proc)
+        for section, offset, symbol, addend, label, proc in data_refs
+    ]
+    module.other_symbols = [
+        Symbol(
+            sym_name, _SYMBOL_KINDS[kind], _BINDINGS[binding],
+            None if section is None else _SECTION_KINDS[section],
+            offset, size, alignment,
+            None if proc is None else ProcInfo(*proc),
+        )
+        for sym_name, kind, binding, section, offset, size, alignment, proc
+        in symbols
+    ]
+    return module
+
+
+def module_digest(value: tuple) -> str:
+    """SHA-256 of an :func:`encode_module` value, the same in every
+    process: ``marshal`` format 2 writes neither back-references nor
+    interning flags, so its bytes depend on the value alone."""
+    return hashlib.sha256(marshal.dumps(value, 2)).hexdigest()

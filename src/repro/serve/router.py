@@ -26,8 +26,8 @@ daemon remains does the client see a retryable ``reason="upstream"``
 busy reply — never a hang, never a silent drop.
 
 Admin ops fan out: ``status`` and ``metrics`` both fetch every healthy
-daemon's registry snapshot and add them up with
-:func:`~repro.obs.metrics.sum_snapshots`.  ``status`` renders the sum,
+daemon's registry snapshot (without its Prometheus text) and add them
+up with :func:`~repro.obs.metrics.sum_snapshots`.  ``status`` renders the sum,
 each daemon's own snapshot and the router's registry with
 :func:`~repro.obs.metrics.render_status`; ``metrics`` answers the
 snapshots and the router's own exposition.  ``route`` answers which
@@ -573,10 +573,10 @@ class FleetRouter:
 
     # -- admin fan-out -----------------------------------------------------
 
-    async def _admin(self, slot: str, op: str) -> dict:
+    async def _admin(self, slot: str, op: str, params: dict) -> dict:
         backend = self.backends[slot]
         body = protocol.encode_frame(
-            {"id": 0, "op": op}, max_frame=self.config.max_frame
+            protocol.request(op, 0, **params), max_frame=self.config.max_frame
         )[4:]
         raw = await backend.roundtrip(
             body,
@@ -588,11 +588,11 @@ class FleetRouter:
             raise BackendError(f"{slot} {op} answered {response!r}")
         return response["result"]
 
-    async def _fan_out(self, op: str) -> dict[str, dict]:
+    async def _fan_out(self, op: str, **params) -> dict[str, dict]:
         """One admin op against every healthy daemon, concurrently."""
         slots = [s for s, b in self.backends.items() if b.healthy]
         results = await asyncio.gather(
-            *(self._admin(slot, op) for slot in slots),
+            *(self._admin(slot, op, params) for slot in slots),
             return_exceptions=True,
         )
         out = {}
@@ -604,9 +604,10 @@ class FleetRouter:
         return out
 
     async def _snapshots(self) -> tuple[dict[str, dict], dict]:
-        """Every healthy daemon's ``metrics`` payload by slot, and the
-        sum of the snapshots of those that answered."""
-        fanned = await self._fan_out("metrics")
+        """Every healthy daemon's ``metrics`` snapshot payload by slot
+        (no exposition text, which no fleet op reads), and the sum of
+        the snapshots of those that answered."""
+        fanned = await self._fan_out("metrics", text=False)
         total = sum_snapshots(
             payload["json"] for payload in fanned.values()
             if "error" not in payload

@@ -23,7 +23,7 @@ request travels:
 Every counter, gauge and latency histogram lives in the daemon's
 :class:`~repro.obs.metrics.MetricsRegistry`.  ``metrics`` answers the
 daemon's identity with its registry snapshot (JSON and Prometheus
-text); ``status`` is the identity plus
+text, or JSON alone for ``"text": false``); ``status`` is the identity plus
 :func:`~repro.obs.metrics.render_status` of a snapshot, and its
 counters satisfy ``completed == coalesced + cache_hits + computed``.
 Draining (SIGTERM or a ``shutdown`` request) closes the listener, lets
@@ -287,7 +287,9 @@ class ToolchainServer:
         if op == "status":
             return protocol.ok_response(rid, self.status())
         if op == "metrics":
-            return protocol.ok_response(rid, self.metrics_payload())
+            return protocol.ok_response(
+                rid, self.metrics_payload(text=message.get("text", True))
+            )
         if op == "shutdown":
             self.stop_event.set()
             return protocol.ok_response(rid, {"draining": True})
@@ -542,13 +544,14 @@ class ToolchainServer:
     def status(self) -> dict:
         return daemon_status(self.identity(), self.metrics.to_dict())
 
-    def metrics_payload(self) -> dict:
-        """The ``metrics`` op: the identity and both exposition formats."""
-        return {
-            "identity": self.identity(),
-            "json": self.metrics.to_dict(),
-            "text": self.metrics.to_prometheus(),
-        }
+    def metrics_payload(self, text: bool = True) -> dict:
+        """The ``metrics`` op: the identity and both exposition formats,
+        or only the JSON snapshot when the request says ``"text":
+        false`` (the fleet router reads nothing else)."""
+        payload = {"identity": self.identity(), "json": self.metrics.to_dict()}
+        if text:
+            payload["text"] = self.metrics.to_prometheus()
+        return payload
 
 
 def daemon_status(identity: dict, snapshot: dict) -> dict:

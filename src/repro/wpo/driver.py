@@ -32,21 +32,23 @@ That same argument lets shards run on the driver's live modules:
 every job (GP values, addresses, groups, call decisions, stub
 summaries) is built before the first shard runs, a shard mutates only
 its own members and private stubs, and the effects land after all
-shards have run.  Nothing is pickled unless it goes to the cache; only
-results that arrive as bytes (cache hits) get fresh uids.  A shard
-records provenance into a log of its own when the link is traced or
-cached, so a cached result carries the events a later traced hit
-replays.
+shards have run.  A shard records provenance into a log of its own
+when the link is traced or cached, so a cached result carries the
+events a later traced hit replays.
 
-A round encodes nothing unless a cache is attached: it lays out from
-:func:`~repro.om.symbolic.layout_object`.  The shard keys hash encoded
-objects, so a cached round encodes every module once and lays out
-from those same objects.
+Every round lays out from :func:`~repro.om.symbolic.layout_object`.
+A round without a cache encodes and pickles nothing.  With one, the
+round encodes each module after the serial prologue into the uid-free
+value of :func:`~repro.om.symbolic.encode_module`, exactly the input
+its shard transforms, and a shard key hashes its members' values.  A
+miss pickles one entry of plain values: ``None`` for each member the
+shard left equal, the encoded value of each member it changed.  A hit
+unpickles the entry, decodes only the changed members and keeps the
+live objects of the others, so a converged round decodes nothing.
 """
 
 from __future__ import annotations
 
-import hashlib
 import pickle
 from dataclasses import dataclass, field
 
@@ -56,8 +58,12 @@ from repro.linker.resolve import LinkError, resolve_inputs
 from repro.minicc.mcode import MLabel
 from repro.obs import provenance
 from repro.obs.trace import TraceLog, span_or_null
-from repro.objfile.serialize import dump_object
-from repro.om.symbolic import SymbolicModule, layout_object, reassemble_module
+from repro.om.symbolic import (
+    SymbolicModule,
+    encode_module,
+    layout_object,
+    module_digest,
+)
 from repro.om.transform import (
     PassCounters,
     Program,
@@ -67,15 +73,10 @@ from repro.om.transform import (
     _is_reset_free_leaf,
 )
 from repro.wpo.partition import Shard, partition_modules
-from repro.wpo.shard import (
-    ShardResult,
-    StubInfo,
-    remap_module_uids,
-    run_shard_job,
-)
+from repro.wpo.shard import ShardResult, StubInfo, run_shard_job
 
-#: Bump to invalidate shard artifacts when the job format changes.
-_KEY_VERSION = 1
+#: Bump to invalidate shard artifacts when the key or entry format changes.
+_KEY_VERSION = 2
 
 
 @dataclass
@@ -398,14 +399,7 @@ def _run_round(
     missed: set[int],
 ) -> bool:
     # ---- serial whole-program phase -----------------------------------
-    # Shard cache keys hash encoded objects; an uncached round lays out
-    # from the placement alone.
-    digests = None
-    if cache is not None:
-        objs = [reassemble_module(module) for module in modules]
-        digests = [hashlib.sha256(dump_object(obj)).hexdigest() for obj in objs]
-    else:
-        objs = [layout_object(module) for module in modules]
+    objs = [layout_object(module) for module in modules]
     inputs = resolve_inputs(objs, [])
     layout = compute_layout(inputs, layout_options)
     prog = Program.build(modules, layout, entry=options.entry)
@@ -431,6 +425,13 @@ def _run_round(
     for site in sites:
         sites_by_module.setdefault(site.caller_module, []).append(site)
 
+    # A shard key hashes its members as the prologue left them, which
+    # is exactly what the shard transforms.
+    encoded = digests = None
+    if cache is not None:
+        encoded = [encode_module(module) for module in modules]
+        digests = [module_digest(value) for value in encoded]
+
     jobs = [
         _build_shard_job(
             shard,
@@ -450,7 +451,7 @@ def _run_round(
     # ---- per-shard phase ----------------------------------------------
     # Shards transform the live modules in place (every cross-module
     # fact they read was computed above, before any shard ran).  Only
-    # cache hits arrive as bytes; a result is pickled only to be
+    # cache hits arrive as bytes; an entry is pickled only to be
     # cached.
     results: list[ShardResult | None] = [None] * len(jobs)
     blobs: list[bytes | None] = [None] * len(jobs)
@@ -480,10 +481,13 @@ def _run_round(
         run.stats.misses += 1
         missed.add(jobs[index].shard.index)
         if cache is not None:
+            entry = results[index].entry(
+                [encoded[g] for g in jobs[index].shard.members]
+            )
             cache.put(
                 "wpo",
                 keys[index],
-                pickle.dumps(results[index], protocol=pickle.HIGHEST_PROTOCOL),
+                pickle.dumps(entry, protocol=pickle.HIGHEST_PROTOCOL),
             )
     if trace is not None:
         trace.event(
@@ -500,10 +504,10 @@ def _run_round(
     for index, job in enumerate(jobs):
         result = results[index]
         if result is None:
-            # Cached modules carry another link's uids.
-            result = pickle.loads(blobs[index])
-            result.modules = [remap_module_uids(m) for m in result.modules]
-            results[index] = result
+            result = results[index] = ShardResult.from_entry(
+                pickle.loads(blobs[index]),
+                [modules[g] for g in job.shard.members],
+            )
         for local, g in enumerate(job.shard.members):
             modules[g] = result.modules[local]
         run.counters.merge(result.counters)

@@ -23,23 +23,31 @@ out-of-shard callees, which the serial phase applies idempotently.
 
 A shard runs :func:`run_shard_job` on the driver's live modules and
 transforms them in place.  Because the job depends only on member
-content and the context, a pickled result is cacheable under a content
-key, and a cache hit is byte-equivalent to re-running the shard.
+content and the context, its result is cacheable under a content key,
+and a cache hit is byte-equivalent to re-running the shard.  The cache
+entry (:meth:`ShardResult.entry`) holds plain values: the
+:func:`~repro.om.symbolic.encode_module` value of each member the shard
+changed, ``None`` for each member it left as it was, and the counters,
+effects and events.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field
 
 from repro.isa.instruction import Instruction
 from repro.isa.registers import Reg
 from repro.linker.resolve import LinkError
-from repro.minicc import mcode
 from repro.minicc.mcode import MInstr, MLabel
 from repro.obs import provenance
 from repro.obs.trace import TraceLog
-from repro.om.symbolic import SymbolicModule, SymbolicProc
-from repro.om.transform import Transformer
+from repro.om.symbolic import (
+    SymbolicModule,
+    SymbolicProc,
+    decode_module,
+    encode_module,
+)
+from repro.om.transform import PassCounters, Transformer
 
 
 @dataclass(frozen=True)
@@ -168,15 +176,52 @@ class _Decisions:
 
 @dataclass
 class ShardResult:
-    """What a shard execution produces (cached verbatim as pickle)."""
+    """What a shard execution produces, or what a cache hit replays."""
 
     modules: list[SymbolicModule] = field(default_factory=list)
-    counters: object = None
+    counters: PassCounters = field(default_factory=PassCounters)
     changed: bool = False
     #: Stub ids whose callee needs a skip label applied serially.
     effects: list[int] = field(default_factory=list)
     #: Provenance event payloads, re-emitted by the driver.
     events: list[dict] = field(default_factory=list)
+
+    def entry(self, before: list[tuple]) -> tuple:
+        """The shard cache's entry for this result: plain values only.
+
+        ``before`` holds each member's encoded value as the shard found
+        it.  A member whose value the shard left equal is stored as
+        ``None``; any other is stored as its value now.  The encodings
+        decide member by member; ``changed`` speaks for the whole shard.
+        """
+        members = []
+        for module, value in zip(self.modules, before):
+            after = encode_module(module)
+            members.append(None if after == value else after)
+        return (
+            tuple(members),
+            astuple(self.counters),
+            self.changed,
+            tuple(self.effects),
+            self.events,
+        )
+
+    @classmethod
+    def from_entry(cls, entry: tuple, live: list[SymbolicModule]) -> ShardResult:
+        """The result an :meth:`entry` replays onto the shard's ``live``
+        members: a member stored as ``None`` stays the live object, and
+        any other is decoded afresh."""
+        members, counters, changed, effects, events = entry
+        return cls(
+            modules=[
+                module if value is None else decode_module(value)
+                for module, value in zip(live, members)
+            ],
+            counters=PassCounters(*counters),
+            changed=changed,
+            effects=list(effects),
+            events=events,
+        )
 
 
 def run_shard_job(job: dict, trace: TraceLog | None) -> ShardResult:
@@ -229,29 +274,3 @@ def run_shard_job(job: dict, trace: TraceLog | None) -> ShardResult:
         effects=effects,
         events=provenance.events(trace) if trace is not None else [],
     )
-
-
-def remap_module_uids(module: SymbolicModule) -> SymbolicModule:
-    """Re-key every instruction to a fresh process-local uid.
-
-    Modules returning from the shard cache carry uids from another
-    link's counter; without a remap two modules could share a uid and
-    corrupt the uid-keyed whole-program tables (relaxation decisions,
-    literal-use lookups) in later rounds.  The intra-module
-    links (lituse, gpdisp_pair) are rewritten to match.
-    """
-    mapping: dict[int, int] = {}
-    for proc in module.procs:
-        for item in proc.instructions():
-            mapping[item.uid] = mcode.next_uid()
-    for proc in module.procs:
-        for item in proc.instructions():
-            item.uid = mapping[item.uid]
-            if item.lituse is not None:
-                load_uid, kind = item.lituse
-                item.lituse = (mapping.get(load_uid, load_uid), kind)
-            if item.gpdisp_pair is not None:
-                item.gpdisp_pair = mapping.get(
-                    item.gpdisp_pair, item.gpdisp_pair
-                )
-    return module

@@ -84,6 +84,31 @@ def test_fleet_status_is_the_rendering_of_the_snapshots(tmp_path):
     assert status["stamp"] == identities[0]["stamp"]
 
 
+def test_fleet_admin_ops_render_no_daemon_exposition(tmp_path):
+    """The router reads only the daemons' snapshots, so it asks for no
+    Prometheus text; a daemon still renders it for a plain request."""
+    with stub_fleet(tmp_path, n=2) as (router, servers):
+        rendered = []
+        for thread in servers:
+            registry = thread.server.metrics
+
+            def counted(render=registry.to_prometheus):
+                rendered.append(1)
+                return render()
+
+            registry.to_prometheus = counted
+        with ServeClient(router.address, timeout=30, tenant="t1") as client:
+            assert client.compile(sources=_sources("job"))["ok"]
+            status = client.status()
+            metrics = client.metrics()
+        assert rendered == []
+        assert status["counters"]["completed"] == 1
+        assert set(metrics["daemons"]) == {"d0", "d1"}
+        with ServeClient(servers[0].address, timeout=30) as client:
+            assert client.metrics()["text"]
+        assert rendered == [1]
+
+
 # -- reconcile -------------------------------------------------------------------
 
 

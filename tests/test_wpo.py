@@ -20,10 +20,10 @@ from repro.objfile.archive import Archive
 from repro.objfile.serialize import dump_archive, load_archive
 from repro.obs import provenance
 from repro.obs.trace import TraceLog
-from repro.om import OMLevel, OMOptions, om_link
+from repro.om import OMLevel, OMOptions, om_link, symbolic
 from repro.om.symbolic import translate_module
 from repro.wpo import partition_modules
-from repro.wpo.shard import ShardProgram
+from repro.wpo.shard import ShardProgram, ShardResult
 
 
 def _compile(program):
@@ -221,6 +221,78 @@ def test_one_module_edit_misses_only_its_shard(tmp_path):
     assert len(touched) == 1
     assert inc.wpo.missed_shards == touched
     assert inc.wpo.hits > 0  # the untouched shards replayed from cache
+
+
+def test_converged_shards_keep_their_live_modules(tmp_path, monkeypatch):
+    program = generate_scale_program(11, 10)
+    options = OMOptions(partitions=3)
+    cache = ArtifactCache(tmp_path, stamp="wpo-live")
+    cold = _link(program, options, cache)
+
+    rounds: list[int] = []  # the round each _run_round call runs
+    decodes: list[int] = []  # the round of each decode_module call
+    hits: list[tuple[int, bool]] = []  # (round, every member kept live)
+    run_round = wpo.driver._run_round
+    decode = wpo.shard.decode_module
+    from_entry = ShardResult.from_entry
+
+    def counted_round(*args, **kwargs):
+        rounds.append(kwargs["round_index"])
+        return run_round(*args, **kwargs)
+
+    def counted_decode(value):
+        decodes.append(rounds[-1])
+        return decode(value)
+
+    def checked_from_entry(entry, live):
+        result = from_entry(entry, live)
+        kept = all(out is module for out, module in zip(result.modules, live))
+        hits.append((rounds[-1], kept))
+        return result
+
+    monkeypatch.setattr(wpo.driver, "_run_round", counted_round)
+    monkeypatch.setattr(wpo.shard, "decode_module", counted_decode)
+    monkeypatch.setattr(ShardResult, "from_entry", staticmethod(checked_from_entry))
+
+    warm = _link(program, options, cache)
+    assert _exe(warm) == _exe(cold)
+    assert warm.wpo.misses == 0
+    last = warm.wpo.rounds - 1
+    assert last > 0 and rounds == list(range(warm.wpo.rounds))
+    # The last round changed nothing, so its hits replay no module...
+    assert [kept for r, kept in hits if r == last] == [True] * warm.wpo.shards
+    assert last not in decodes
+    # ...while the first round's hits decode what their shards changed.
+    assert 0 in decodes
+
+    # A one-module edit still misses only the shard that holds it.
+    edit = generate_scale_program(11, 10, salts={4: 3})
+    edited = _link(edit, options, cache)
+    assert _exe(edited) == _exe(_link(edit, OMOptions()))
+    assert edited.wpo.missed_shards == [
+        index for index, members in enumerate(edited.wpo.members)
+        if "s4.o" in members
+    ]
+
+
+def test_cached_rounds_encode_no_object(tmp_path, monkeypatch):
+    """With or without a cache hit, only the finish encodes objects."""
+    encoded: list[int] = []  # words per encoded text section
+    encode_stream = symbolic.encode_stream
+
+    def counted(instrs):
+        encoded.append(len(instrs))
+        return encode_stream(instrs)
+
+    monkeypatch.setattr(symbolic, "encode_stream", counted)
+    program = generate_scale_program(11, 10)
+    linked = resolve_inputs(_compile(program), [build_stdlib()]).modules
+    cache = ArtifactCache(tmp_path, stamp="wpo-encode")
+    for expected_hits in (False, True):
+        encoded.clear()
+        result = _link(program, OMOptions(partitions=3), cache)
+        assert (result.wpo.hits > 0) is expected_hits
+        assert len(encoded) == len(linked)
 
 
 def test_salted_edit_keeps_partition_boundaries(tmp_path):
