@@ -1190,3 +1190,43 @@ def generate_scale_program(
             lines.append("}")
         modules.append((f"s{m}.mc", "\n".join(lines) + "\n"))
     return GeneratedProgram(seed, GenConfig(modules=n_modules), tuple(modules))
+
+
+# -- the GP-window boundary ----------------------------------------------------
+
+
+def generate_gp_window_program(filler: int = 994) -> GeneratedProgram:
+    """One module that needs OM's fresh round: the paper's case.
+
+    ``main`` assigns and reads 120 scalar COMMONs ``g0``..``g119`` and
+    prints ``use(target)``; eight ``filler``-word COMMONs ``f0``..``f7``
+    sit between them and the 4000-word ``target``, which OM's size sort
+    places last.  With 994 to about 1008 words of filler, round 0's
+    layout puts ``target`` just past GP+32767, so its escaped address
+    load stays in the GAT.  Round 0 nullifies the scalars' loads; the
+    smaller GAT brings ``target`` into the window, and only round 1
+    converts its load.
+    """
+    lines = [f"int g{i};" for i in range(120)]
+    lines += [f"int f{i}[{filler}];" for i in range(8)]
+    lines += [
+        "int target[4000];",
+        "",
+        "int use(int *p) { return p[1] + 1; }",
+        "",
+        "int main() {",
+        "    int s;",
+        "    s = 0;",
+    ]
+    lines += [f"    g{i} = {i};" for i in range(120)]
+    lines += [f"    s = s + g{i};" for i in range(120)]
+    lines += [
+        "    __putint(s);",
+        "    __putint(use(target));",
+        "    return 0;",
+        "}",
+    ]
+    return GeneratedProgram(
+        filler, GenConfig(modules=1), (("gpwindow.mc", "\n".join(lines) + "\n"),)
+    )
+

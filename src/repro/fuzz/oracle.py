@@ -23,7 +23,10 @@ pinned byte-identical to OM-full).  The oracle then asserts:
 * **backend identity** — the ``jit`` column reruns the ld executable
   on the translating machine backend
   (:class:`~repro.machine.jit.JitMachine`) and must match the
-  interpreter cell exactly, output and executed-instruction count.
+  interpreter cell exactly, output and executed-instruction count;
+* **convergence** — every OM link runs with ``OMOptions.verify``, so
+  the round its convergence certificate skipped runs anyway; a change
+  in it is an ``unconverged`` divergence, not a quietly weaker link.
 
 Each OM link runs with a :class:`~repro.obs.trace.TraceLog` attached;
 the provenance events it fires are distilled into ``(action, pass)``
@@ -40,13 +43,14 @@ from __future__ import annotations
 import hashlib
 import json
 import traceback
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from repro.fuzz.coverage import CoveragePair
 from repro.fuzz.generate import GeneratedProgram
 from repro.obs import provenance
 from repro.obs.trace import TraceLog
 from repro.om import OMLevel, OMOptions, om_link
+from repro.om.verify import VerificationError
 
 #: Program versions, as in the paper's study.
 MODES = ("each", "all")
@@ -126,7 +130,7 @@ class CellResult:
 class Divergence:
     """One violated oracle invariant."""
 
-    kind: str  # "output" | "instructions" | "gat-loads" | "exe-bytes" | "backend" | "runaway" | "build-error"
+    kind: str  # "output" | "instructions" | "gat-loads" | "exe-bytes" | "backend" | "runaway" | "unconverged" | "build-error"
     detail: str
     cells: tuple[str, ...] = ()
 
@@ -180,6 +184,7 @@ def _run_cell(
         coverage: tuple[CoveragePair, ...] = ()
     else:
         level, options = _OM_SPECS[variant]
+        options = replace(options, verify=True)
         profile_in = None
         if variant in _FEEDBACK:
             # Close the PGO loop inside the cell: base link, profiled
@@ -189,7 +194,10 @@ def _run_cell(
             base_level, base_options = _OM_SPECS[_FEEDBACK[variant]]
             base_objects, base_libmc = _compile_objects(program, mode)
             base = om_link(
-                base_objects, [base_libmc], level=base_level, options=base_options
+                base_objects,
+                [base_libmc],
+                level=base_level,
+                options=replace(base_options, verify=True),
             )
             profile_in = profile(
                 base.executable, max_instructions=max_instructions, timed=False
@@ -307,14 +315,18 @@ def evaluate_program(
             label = f"{mode}/{variant}"
             try:
                 cell = _cached_cell(program, mode, variant, max_instructions, cache)
-            except Exception:
-                report.divergences.append(
-                    Divergence(
+            except Exception as error:
+                if isinstance(error, VerificationError) and str(error).startswith(
+                    "unconverged"
+                ):
+                    divergence = Divergence("unconverged", str(error), (label,))
+                else:
+                    divergence = Divergence(
                         "build-error",
                         traceback.format_exc(limit=3).strip().splitlines()[-1],
                         (label,),
                     )
-                )
+                report.divergences.append(divergence)
                 return report
             report.cells[label] = cell
             report.coverage.update(cell.coverage)

@@ -5,13 +5,23 @@ module through symbolic translation, the requested optimization level,
 optional rescheduling, and reassembly; the finish is a normal layout +
 relocation pass over the transformed modules.  GAT reduction is
 emergent: the final GAT is built from the literal relocations that
-survive, and the transformation rounds iterate because a smaller GAT
-brings data closer to GP, "perhaps enabling a fresh round of the other
-improvements".
+survive, and a smaller GAT brings data closer to GP, "perhaps enabling
+a fresh round of the other improvements".
 
-Each round lays out from :func:`~repro.om.symbolic.layout_object`
-(sizes, symbols and literals at the placed offsets, nothing encoded);
-only the finish encodes, once per module.
+The rounds run in :func:`~repro.om.transform.run_rounds`.  Each lays
+out from :func:`~repro.om.symbolic.layout_object` (sizes, symbols and
+literals at the placed offsets, nothing encoded) and records a layout
+fact for every candidate it declines because of the layout.  After a
+round that changed something the program is laid out once more, and a
+fresh round runs only when that layout flips one of the facts: the
+convergence certificate replaces the round that used to run only to
+find nothing changed.  The finish encodes each module once, at the
+placement of that last layout, unless rescheduling or dead-procedure
+removal changed the modules after the rounds, or the last round
+allowed changed something (OM-simple's one round, for one), which
+leaves no layout to reuse.  With ``OMOptions.verify`` the round the
+certificate skipped runs anyway, and a change in it raises
+``VerificationError("unconverged: ...")``.
 """
 
 from __future__ import annotations
@@ -28,8 +38,8 @@ from repro.objfile.archive import Archive
 from repro.objfile.objfile import ObjectFile
 from repro.om.sched import om_schedule
 from repro.om.stats import OMStats, count_code
-from repro.om.symbolic import layout_object, reassemble_module, translate_module
-from repro.om.transform import PassCounters, Program, Transformer
+from repro.om.symbolic import reassemble_module, translate_module
+from repro.om.transform import PassCounters, Program, Transformer, run_rounds
 from repro.om.verify import VerifyReport
 
 
@@ -47,7 +57,7 @@ class OMOptions:
 
     schedule: bool = False  # link-time rescheduling (OM-full only)
     align_loop_targets: bool = True  # quadword-align backward-branch targets
-    rounds: int = 3  # GAT-reduction iteration bound
+    rounds: int = 3  # bound on the transformation rounds
     sort_commons: bool = True  # place size-sorted COMMONs near the GAT
     convert_escaped: bool = False  # 2-for-1 ldah+lda for far escaped literals
     remove_dead_procs: bool = False  # extension: link-time procedure GC
@@ -160,8 +170,10 @@ def om_link(
         )
     )
     counters = PassCounters()
+    # The relaxation statistics describe the last round's fixpoint.
     relax_iterations = relax_demoted = 0
     wpo_stats = None
+    rounds = None
     if level is not OMLevel.NONE:
         max_rounds = 1 if level is OMLevel.SIMPLE else max(1, options.rounds)
         if options.partitions > 1:
@@ -181,17 +193,17 @@ def om_link(
                     trace=trace,
                 )
             counters.merge(wpo.counters)
-            relax_iterations += wpo.relax_iterations
-            relax_demoted += wpo.relax_demoted
+            relax_iterations = wpo.relax_iterations
+            relax_demoted = wpo.relax_demoted
             wpo_stats = wpo.stats
+            rounds = wpo.rounds
         else:
-            for round_index in range(max_rounds):
+
+            def run_round(round_index: int, layout) -> tuple[bool, list]:
+                nonlocal relax_iterations, relax_demoted
                 with span_or_null(
                     trace, f"om.round{round_index}", cat="om", level=level.value
                 ):
-                    objs = [layout_object(module) for module in modules]
-                    round_inputs = resolve_inputs(objs, [])
-                    layout = compute_layout(round_inputs, layout_options)
                     program = Program.build(modules, layout, entry=options.entry)
                     transformer = Transformer(
                         program,
@@ -203,11 +215,25 @@ def om_link(
                         bsr_range_words=options.bsr_range_words,
                     )
                     counters.merge(transformer.run())
-                    if transformer.relax_result is not None:
-                        relax_iterations += transformer.relax_result.iterations
-                        relax_demoted += transformer.relax_result.demoted
-                if not transformer.changed:
-                    break
+                if transformer.relax_result is not None:
+                    relax_iterations = transformer.relax_result.iterations
+                    relax_demoted = transformer.relax_result.demoted
+                return transformer.changed, transformer.facts
+
+            rounds = run_rounds(
+                modules,
+                run_round,
+                max_rounds=max_rounds,
+                layout_options=layout_options,
+                full=level is OMLevel.FULL,
+                relax=relax_options,
+                bsr_range_words=options.bsr_range_words,
+                trace=trace,
+            )
+        if options.verify and rounds.certified:
+            _run_skipped_round(
+                modules, rounds, level=level, options=options, relax=relax_options
+            )
 
     if level is OMLevel.FULL and options.remove_dead_procs:
         from repro.om.gc import remove_dead_procedures
@@ -225,10 +251,22 @@ def om_link(
                 trace=trace,
             )
 
+    # The rounds' last layout is the finish's, unless a pass changed
+    # the modules since.
+    final_layout, placements = None, [None] * len(modules)
+    changed_since = level is OMLevel.FULL and (
+        options.remove_dead_procs or options.schedule
+    )
+    if rounds is not None and rounds.layout is not None and not changed_since:
+        final_layout, placements = rounds.layout, rounds.placements
     with span_or_null(trace, "om.finalize", cat="om"):
-        final_objs = [reassemble_module(module) for module in modules]
+        final_objs = [
+            reassemble_module(module, placement)
+            for module, placement in zip(modules, placements)
+        ]
         final_inputs = resolve_inputs(final_objs, [])
-        final_layout = compute_layout(final_inputs, layout_options)
+        if final_layout is None:
+            final_layout = compute_layout(final_inputs, layout_options)
         executable = build_executable(final_inputs, final_layout, entry=options.entry)
 
     report: VerifyReport | None = None
@@ -265,3 +303,29 @@ def om_link(
     return OMResult(
         executable, stats, counters, verify=report, trace=trace, wpo=wpo_stats
     )
+
+
+def _run_skipped_round(
+    modules: list, rounds, *, level: OMLevel, options: OMOptions, relax
+) -> None:
+    """Run the round the convergence certificate skipped, untraced and
+    uncounted; raise ``VerificationError`` if it changes anything."""
+    from repro.om.verify import VerificationError
+
+    skipped = Transformer(
+        Program.build(modules, rounds.layout, entry=options.entry),
+        full=level is OMLevel.FULL,
+        convert_escaped=options.convert_escaped,
+        round_index=rounds.rounds,
+        relax=relax,
+        bsr_range_words=options.bsr_range_words,
+    )
+    counters = skipped.run()
+    if skipped.changed:
+        changes = ", ".join(
+            f"{name}={value}" for name, value in vars(counters).items() if value
+        )
+        raise VerificationError(
+            f"unconverged: round {rounds.rounds} changed the program after "
+            f"the certificate found no flipped layout fact ({changes})"
+        )

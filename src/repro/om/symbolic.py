@@ -387,10 +387,13 @@ def _literal_reloc(item: MInstr, offset: int) -> Relocation:
 # -- reassembly ----------------------------------------------------------------
 
 
-def reassemble_module(module: SymbolicModule) -> ObjectFile:
-    """Emit a fresh, validated object module from symbolic form."""
+def reassemble_module(
+    module: SymbolicModule, placement: Placement | None = None
+) -> ObjectFile:
+    """Emit a fresh, validated object module from symbolic form, at
+    ``placement`` when the caller already placed the module as it is."""
     obj = ObjectFile(module.name)
-    placement = place_module(module)
+    placement = placement or place_module(module)
     label_offset = placement.label_offset
     uid_offset = placement.uid_offset
     code = [
@@ -518,7 +521,9 @@ def reassemble_module(module: SymbolicModule) -> ObjectFile:
     return obj
 
 
-def layout_object(module: SymbolicModule) -> ObjectFile:
+def layout_object(
+    module: SymbolicModule, placement: Placement | None = None
+) -> ObjectFile:
     """What ``reassemble_module`` would emit, as far as symbol
     resolution and layout read it.
 
@@ -527,10 +532,11 @@ def layout_object(module: SymbolicModule) -> ObjectFile:
     in text order; no instruction is encoded and no other relocation is
     built.  Transformation rounds lay out from these objects.  They are
     never linked, so they are not validated and share the module's data
-    sections.
+    sections.  ``placement``, when given, is the module's current
+    placement, which the finish can then encode at.
     """
     obj = ObjectFile(module.name)
-    placement = place_module(module)
+    placement = placement or place_module(module)
     label_offset = placement.label_offset
     uid_offset = placement.uid_offset
     relocs: list[Relocation] = []

@@ -17,6 +17,12 @@ Implements the paper's optimization catalogue over the symbolic form:
 OM-simple restricts itself to 1-for-1 replacement (NOPs, no motion);
 OM-full moves GP-setup pairs back to their logical position first and
 deletes instead of nullifying.
+
+A round records a *layout fact* for every candidate it declines
+because of the layout.  :func:`run_rounds`, the round loop both
+drivers share, re-checks only those facts on the layout after a round
+and runs another round only when one of them flips (DESIGN.md,
+"Convergence certificate").
 """
 
 from __future__ import annotations
@@ -27,13 +33,19 @@ from itertools import islice
 from repro.isa.instruction import Instruction
 from repro.isa.opcodes import OPS
 from repro.isa.registers import Reg
-from repro.linker.layout import Layout
-from repro.linker.resolve import LinkError
+from repro.linker.layout import Layout, LayoutOptions, compute_layout
+from repro.linker.resolve import LinkError, resolve_inputs
 from repro.minicc.mcode import MInstr, MLabel
 from repro.obs import provenance
 from repro.obs.trace import TraceLog
 from repro.objfile.relocations import LituseKind
-from repro.om.symbolic import SymbolicModule, SymbolicProc
+from repro.om.symbolic import (
+    Placement,
+    SymbolicModule,
+    SymbolicProc,
+    layout_object,
+    place_module,
+)
 
 
 # -- 16-bit GP-displacement windows --------------------------------------------
@@ -66,6 +78,13 @@ def gprel_direct_in_range(d: int) -> bool:
 def gprel_split_in_range(targets: list[int]) -> bool:
     """May one shared ``ldah`` cover every target displacement?"""
     return max(targets) - min(targets) < 32768
+
+
+def bsr_in_range(caller_addr: int, callee_addr: int, range_words: int) -> bool:
+    """OM's one-shot ``jsr`` -> ``bsr`` range check: the 21-bit word
+    displacement (``range_words`` words each way) less 64KB of slack
+    for the code motion the decision cannot see."""
+    return abs(callee_addr - caller_addr) < 4 * range_words - (1 << 16)
 
 
 @dataclass
@@ -307,6 +326,9 @@ class Transformer:
         self.relax = relax
         self.bsr_range_words = bsr_range_words
         self.relax_result = None
+        #: One tuple per candidate this round declined because of the
+        #: layout, its reason first (see :data:`FACT_REASONS`).
+        self.facts: list[tuple] = []
 
     # ---- provenance --------------------------------------------------------
 
@@ -343,10 +365,8 @@ class Transformer:
         reason: str = "",
         counter=None,
     ) -> None:
-        """Record one decision.  ``before``/``after`` may be
-        instructions: they are formatted only when recording."""
-        if self.trace is None:
-            return
+        """Record one decision on the attached trace.  ``before`` and
+        ``after`` may be instructions.  Callers call only when tracing."""
         provenance.emit(
             self.trace,
             action=action,
@@ -419,24 +439,36 @@ class Transformer:
         optimization, never correctness.
         """
         from repro.layout.callgraph import iter_direct_call_sites
+
+        sites = iter_direct_call_sites(self.prog.modules)
+        self.relax_result = self._relax_sites(sites, self.trace)
+        decisions = self.relax_result.decisions
+        self.facts.extend(
+            _site_fact("relax", site)
+            for site in sites
+            if not decisions[site.jsr.uid]
+        )
+
+    def _relax_sites(self, sites: list, trace: TraceLog | None):
+        """The relaxation fixpoint over ``sites`` on this layout."""
         from repro.layout.relax import RelaxCandidate, relax_call_sites
 
         candidates = []
         indexes: dict[int, _ProcIndex] = {}  # by id() of the caller
-        for site in iter_direct_call_sites(self.prog.modules):
+        for site in sites:
             index = indexes.get(id(site.caller))
             if index is None:
                 index = indexes[id(site.caller)] = _ProcIndex(site.caller)
             deletable, extra = self._relax_site_shape(site, index)
             candidates.append(RelaxCandidate(site, deletable, extra))
-        self.relax_result = relax_call_sites(
+        return relax_call_sites(
             self.prog.modules,
             candidates,
             text_base=self.prog.layout.options.text_base,
             range_words=self.relax.range_words,
             slack=self.relax.slack,
             max_iterations=self.relax.max_iterations,
-            trace=self.trace,
+            trace=trace,
             round_index=self.round_index,
         )
 
@@ -563,19 +595,10 @@ class Transformer:
             # The relaxation fixpoint already decided this site exactly.
             if not self.relax_result.decisions.get(jsr.uid, False):
                 return
-        else:
-            # One-shot conservative range check for the BSR (21-bit
-            # word displacement, with 64KB of slack for code motion).
-            try:
-                caller_addr = prog.addr(module_index, proc.name)
-                callee_addr = prog.addr(callee_module, callee.name)
-            except LinkError:
-                return
-            if (
-                abs(callee_addr - caller_addr)
-                >= 4 * self.bsr_range_words - (1 << 16)
-            ):
-                return
+        elif not self.bsr_site_in_range(
+            module_index, proc.name, callee_module, callee.name
+        ):
+            return
 
         skip_ok = False
         target: tuple[str, int]
@@ -617,17 +640,18 @@ class Transformer:
         jsr.hint = None
         self.counters.jsr_to_bsr += 1
         self.changed = True
-        self._emit(
-            module_index,
-            proc,
-            action="convert",
-            pass_name="calls",
-            pc=jsr_pc,
-            before=before,
-            after=f"bsr ra, {target[0]}",
-            reason=f"direct call to {callee.name!r} within bsr range",
-            counter="jsr_to_bsr",
-        )
+        if self.trace is not None:
+            self._emit(
+                module_index,
+                proc,
+                action="convert",
+                pass_name="calls",
+                pc=jsr_pc,
+                before=before,
+                after=f"bsr ra, {target[0]}",
+                reason=f"direct call to {callee.name!r} within bsr range",
+                counter="jsr_to_bsr",
+            )
 
         if skip_ok:
             index.drop_use(jsr)
@@ -648,26 +672,42 @@ class Transformer:
                 )
                 self.counters.pv_loads_removed += 1
             self.counters.bsr_retargeted += 1
-            self._emit(
-                module_index,
-                proc,
-                action="retarget",
-                pass_name="calls",
-                pc=jsr_pc,
-                before=f"bsr ra, {callee.name}",
-                after=f"bsr ra, {target[0]}",
-                reason=(
-                    "callee GP setup skipped: caller's GP is already "
-                    "correct at the call site"
-                    if callee.uses_gp
-                    else "callee never establishes GP, PV is dead"
-                ),
-                counter="bsr_retargeted",
-            )
+            if self.trace is not None:
+                self._emit(
+                    module_index,
+                    proc,
+                    action="retarget",
+                    pass_name="calls",
+                    pc=jsr_pc,
+                    before=f"bsr ra, {callee.name}",
+                    after=f"bsr ra, {target[0]}",
+                    reason=(
+                        "callee GP setup skipped: caller's GP is already "
+                        "correct at the call site"
+                        if callee.uses_gp
+                        else "callee never establishes GP, PV is dead"
+                    ),
+                    counter="bsr_retargeted",
+                )
 
         self._maybe_drop_reset(
             module_index, proc, jsr, (callee_module, callee), index
         )
+
+    def bsr_site_in_range(
+        self, caller_module: int, caller: str, callee_module: int, callee: str
+    ) -> bool:
+        """The one-shot range check for a direct call on this round's
+        layout.  A site it declines is a layout fact."""
+        try:
+            caller_addr = self.prog.addr(caller_module, caller)
+            callee_addr = self.prog.addr(callee_module, callee)
+        except LinkError:
+            return False
+        if bsr_in_range(caller_addr, callee_addr, self.bsr_range_words):
+            return True
+        self.facts.append(("bsr", caller_module, caller, callee_module, callee))
+        return False
 
     def _maybe_drop_reset(
         self,
@@ -689,12 +729,14 @@ class Transformer:
         else:
             safe = False
         if not safe:
+            if callee is None and self._reset_pair(proc, call_item, index):
+                # Kept only because the layout has more than one GAT
+                # group.  (A converted call is a bsr, which no later
+                # round revisits.)
+                self.facts.append(("reset", module_index, proc.name))
             return
 
-        base_label = self._return_label_after(proc, call_item)
-        if base_label is None:
-            return
-        pair = index.pair_with_base(base_label)
+        pair = self._reset_pair(proc, call_item, index)
         if pair is None:
             return
         callee_name = callee[1].name if callee is not None else "<indirect>"
@@ -712,12 +754,15 @@ class Transformer:
         self.changed = True
 
     @staticmethod
-    def _return_label_after(proc: SymbolicProc, call_item: MInstr) -> str | None:
-        """The label directly after the call (its return point), if any."""
+    def _reset_pair(
+        proc: SymbolicProc, call_item: MInstr, index: _ProcIndex
+    ) -> tuple[MInstr, MInstr] | None:
+        """The GP-reset pair based at the label directly after the call
+        (its return point), if there is one."""
         items = proc.items
-        index = items.index(call_item) + 1
-        if index < len(items) and isinstance(items[index], MLabel):
-            return items[index].name
+        after = items.index(call_item) + 1
+        if after < len(items) and isinstance(items[after], MLabel):
+            return index.pair_with_base(items[after].name)
         return None
 
     # ---- address-load optimization ----------------------------------------------
@@ -761,15 +806,16 @@ class Transformer:
                         use.instr = use.instr.replace(rb=int(Reg.GP), disp=0)
                         use.gprel = ("gprel16", symbol, addend + off, 0)
                         use.lituse = None
-                        self._emit(
-                            module_index, proc,
-                            action="convert", pass_name="address-loads",
-                            pc=use_pc, before=before, after=use.instr,
-                            reason=(
-                                f"use rebased directly onto GP "
-                                f"(d={d + off:+d} within 16-bit window)"
-                            ),
-                        )
+                        if self.trace is not None:
+                            self._emit(
+                                module_index, proc,
+                                action="convert", pass_name="address-loads",
+                                pc=use_pc, before=before, after=use.instr,
+                                reason=(
+                                    f"use rebased directly onto GP "
+                                    f"(d={d + off:+d} within 16-bit window)"
+                                ),
+                            )
                     self._kill(
                         module_index, proc, item, index=index,
                         pass_name="address-loads",
@@ -805,25 +851,33 @@ class Transformer:
                         use.instr = use.instr.replace(disp=0)
                         use.gprel = ("gprellow", symbol, addend + off, group)
                         use.lituse = None
+                        if self.trace is not None:
+                            self._emit(
+                                module_index, proc,
+                                action="convert", pass_name="address-loads",
+                                pc=use_pc, before=use_before, after=use.instr,
+                                reason=f"use takes the low half of {symbol!r}",
+                            )
+                    self.counters.loads_converted += 1
+                    self.changed = True
+                    if self.trace is not None:
                         self._emit(
                             module_index, proc,
                             action="convert", pass_name="address-loads",
-                            pc=use_pc, before=use_before, after=use.instr,
-                            reason=f"use takes the low half of {symbol!r}",
+                            pc=item_pc, before=before, after=item.instr,
+                            reason=(
+                                f"GAT load of {symbol!r} converted to a "
+                                f"shared ldah high half (d={d:+d} beyond "
+                                f"direct window)"
+                            ),
+                            counter="loads_converted",
                         )
-                    self.counters.loads_converted += 1
-                    self.changed = True
-                    self._emit(
-                        module_index, proc,
-                        action="convert", pass_name="address-loads",
-                        pc=item_pc, before=before, after=item.instr,
-                        reason=(
-                            f"GAT load of {symbol!r} converted to a shared "
-                            f"ldah high half (d={d:+d} beyond direct window)"
-                        ),
-                        counter="loads_converted",
-                    )
                     continue
+                # The split depends on the uses alone, so only the GP
+                # window can take this load in a later round.
+                self.facts.append(
+                    ("nullify", module_index, symbol, addend, tuple(offsets))
+                )
                 continue
 
             # Escaped literal: the register must hold the exact address.
@@ -839,16 +893,17 @@ class Transformer:
                     use.lituse = None
                 self.counters.loads_converted += 1
                 self.changed = True
-                self._emit(
-                    module_index, proc,
-                    action="convert", pass_name="address-loads",
-                    pc=item_pc, before=before, after=item.instr,
-                    reason=(
-                        f"escaped GAT load of {symbol!r} materialized with "
-                        f"a single lda (d={d:+d} in 16-bit window)"
-                    ),
-                    counter="loads_converted",
-                )
+                if self.trace is not None:
+                    self._emit(
+                        module_index, proc,
+                        action="convert", pass_name="address-loads",
+                        pc=item_pc, before=before, after=item.instr,
+                        reason=(
+                            f"escaped GAT load of {symbol!r} materialized "
+                            f"with a single lda (d={d:+d} in 16-bit window)"
+                        ),
+                        counter="loads_converted",
+                    )
             elif self.convert_escaped:
                 # Replace the load with an exact ldah+lda pair (2-for-1;
                 # only OM-full may change instruction counts).
@@ -869,17 +924,20 @@ class Transformer:
                     use.lituse = None
                 self.counters.loads_converted += 1
                 self.changed = True
-                self._emit(
-                    module_index, proc,
-                    action="convert", pass_name="address-loads",
-                    pc=item_pc, before=before,
-                    after=f"{item.instr}; {lda.instr}",
-                    reason=(
-                        f"far escaped GAT load of {symbol!r} replaced with "
-                        f"an exact ldah+lda pair (2-for-1 ablation)"
-                    ),
-                    counter="loads_converted",
-                )
+                if self.trace is not None:
+                    self._emit(
+                        module_index, proc,
+                        action="convert", pass_name="address-loads",
+                        pc=item_pc, before=before,
+                        after=f"{item.instr}; {lda.instr}",
+                        reason=(
+                            f"far escaped GAT load of {symbol!r} replaced "
+                            f"with an exact ldah+lda pair (2-for-1 ablation)"
+                        ),
+                        counter="loads_converted",
+                    )
+            else:
+                self.facts.append(("escaped", module_index, symbol, addend))
 
     # ---- entry GP-setup removal (OM-full) -----------------------------------------
 
@@ -890,8 +948,7 @@ class Transformer:
         # address-taken uses, no surviving literals (unconverted call
         # sites), no stored entry pointers, and no branch to the entry
         # label itself (skip-label branches land past the pair).
-        blocked: set[str] = set(prog.address_taken)
-        blocked.add(prog.entry)
+        blocked: set[str] = {prog.entry}
         for module in prog.modules:
             for ref in module.data_refs:
                 if ref.label is None:
@@ -913,6 +970,12 @@ class Transformer:
                     continue
                 pair = _entry_pair_at_top(proc)
                 if pair is None:
+                    continue
+                if proc.name in prog.address_taken:
+                    # Address-taken when the round began, but no
+                    # reference that takes it survives, so the next
+                    # round's address-taken set drops it.
+                    self.facts.append(("address-taken", module_index, proc.name))
                     continue
                 reason = (
                     "every remaining entry arrives with the correct GP "
@@ -957,6 +1020,8 @@ class Transformer:
             self.counters.instructions_nulled += 1
             counter = ["instructions_nulled"]
             action, after = "nullify", item.instr
+        if self.trace is None:
+            return
         if extra_counter is not None:
             counter.append(extra_counter)
         self._emit(
@@ -965,6 +1030,13 @@ class Transformer:
             pc=pc, before=before, after=after, reason=reason,
             counter=counter,
         )
+
+
+def _site_fact(reason: str, site) -> tuple:
+    return (
+        reason, site.caller_module, site.caller.name,
+        site.callee_module, site.callee.name,
+    )
 
 
 def _is_reset_free_leaf(proc: SymbolicProc) -> bool:
@@ -978,3 +1050,166 @@ def _is_reset_free_leaf(proc: SymbolicProc) -> bool:
         if op is _JSR or op is _BSR:
             return False
     return True
+
+
+# -- the round loop and its convergence certificate ---------------------------
+
+#: Why a round declined a candidate because of the layout: the first
+#: field of every layout fact a :class:`Transformer` records.
+#:
+#: * ``escaped`` — an escaped literal outside ``gprel_direct_in_range``;
+#: * ``nullify`` — a load neither nullified nor split (the split
+#:   depends on its uses alone, so only the GP window can take it);
+#: * ``bsr`` — a direct call that failed :func:`bsr_in_range`;
+#: * ``relax`` — a direct call the relaxation fixpoint demoted;
+#: * ``reset`` — a GP reset kept after an indirect ``jsr`` because the
+#:   layout has more than one GAT group;
+#: * ``address-taken`` — an entry GP setup kept only because the
+#:   procedure was address-taken when the round began.
+FACT_REASONS = ("escaped", "nullify", "bsr", "relax", "reset", "address-taken")
+
+
+def lay_out(
+    modules: list[SymbolicModule], options: LayoutOptions
+) -> tuple[Layout, list[Placement]]:
+    """Lay the program out as the finish will, from one placement per
+    module; both stay valid until a module changes."""
+    placements = [place_module(module) for module in modules]
+    objs = [
+        layout_object(module, placement)
+        for module, placement in zip(modules, placements)
+    ]
+    return compute_layout(resolve_inputs(objs, []), options), placements
+
+
+def flipped_facts(
+    prog: Program,
+    facts: list[tuple],
+    *,
+    full: bool,
+    relax=None,
+    bsr_range_words: int = 1 << 20,
+) -> list[tuple]:
+    """The layout facts of a round that ``prog.layout``, the layout after
+    it, flips: the declined candidates the next round would take.
+
+    None flipped means the next round would change nothing.  Each fact
+    is re-checked with the predicate that declined it.  The demoted call
+    sites are re-decided together: they are the direct calls the round
+    left, and the next round's fixpoint runs over exactly those.
+    """
+    checker = Transformer(
+        prog, full=full, relax=relax, bsr_range_words=bsr_range_words
+    )
+    flipped: list[tuple] = []
+    demoted = False
+    for fact in facts:
+        reason = fact[0]
+        if reason == "relax":
+            demoted = True
+        elif reason == "bsr":
+            if checker.bsr_site_in_range(*fact[1:]):
+                flipped.append(fact)
+        elif reason == "reset":
+            if prog.single_group():
+                flipped.append(fact)
+        elif reason == "address-taken":
+            flipped.append(fact)
+        else:
+            module_index, symbol, addend = fact[1:4]
+            try:
+                d = prog.addr(module_index, symbol, addend) - prog.gp(module_index)
+            except LinkError:
+                continue
+            if (
+                gprel_direct_in_range(d)
+                if reason == "escaped"
+                else gprel_nullify_in_range(d, fact[4])
+            ):
+                flipped.append(fact)
+    if demoted:
+        from repro.layout.callgraph import iter_direct_call_sites
+
+        sites = iter_direct_call_sites(prog.modules)
+        decisions = checker._relax_sites(sites, None).decisions
+        flipped.extend(
+            _site_fact("relax", site) for site in sites if decisions[site.jsr.uid]
+        )
+    return flipped
+
+
+def _describe_fact(modules: list[SymbolicModule], fact: tuple) -> str:
+    reason = fact[0]
+    if reason in ("bsr", "relax"):
+        caller_module, caller, __, callee = fact[1:]
+        return f"{reason} {modules[caller_module].name}:{caller} -> {callee}"
+    detail = " ".join(str(part) for part in fact[2:])
+    return f"{reason} {modules[fact[1]].name} {detail}"
+
+
+@dataclass
+class Rounds:
+    """How the transformation rounds ended."""
+
+    #: The layout of the modules as the rounds left them, and the
+    #: placements it was laid out from; ``None`` when the last round
+    #: allowed changed something, which nothing re-checks.
+    layout: Layout | None
+    placements: list[Placement] | None
+    rounds: int
+    #: The certificate, not a round that changed nothing, ended them:
+    #: another round was allowed and skipped.
+    certified: bool = False
+
+
+def run_rounds(
+    modules: list[SymbolicModule],
+    run_round,
+    *,
+    max_rounds: int,
+    layout_options: LayoutOptions,
+    full: bool,
+    relax=None,
+    bsr_range_words: int = 1 << 20,
+    trace: TraceLog | None = None,
+) -> Rounds:
+    """Run ``run_round(round_index, layout)`` until the program converges.
+
+    ``run_round`` transforms ``modules`` in place on the layout it is
+    given and returns whether it changed anything and the layout facts
+    it recorded.  After a round that changed something, and another
+    round is allowed, the program is laid out once more; the next
+    round, or the finish, uses that layout.  Another round runs only
+    when the new layout flips one of the facts.  A traced link records
+    one ``om.converged`` event per check.
+    """
+    layout, placements = lay_out(modules, layout_options)
+    for round_index in range(max_rounds):
+        changed, facts = run_round(round_index, layout)
+        if not changed:
+            return Rounds(layout, placements, round_index + 1)
+        if round_index + 1 == max_rounds:
+            break
+        layout, placements = lay_out(modules, layout_options)
+        flipped = flipped_facts(
+            Program(modules, layout),
+            facts,
+            full=full,
+            relax=relax,
+            bsr_range_words=bsr_range_words,
+        )
+        if trace is not None:
+            checked = {reason: 0 for reason in FACT_REASONS}
+            for fact in facts:
+                checked[fact[0]] += 1
+            trace.event(
+                "om.converged",
+                cat="om",
+                round=round_index,
+                checked=checked,
+                flipped=[_describe_fact(modules, fact) for fact in flipped],
+                converged=not flipped,
+            )
+        if not flipped:
+            return Rounds(layout, placements, round_index + 1, certified=True)
+    return Rounds(None, None, max_rounds)

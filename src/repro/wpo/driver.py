@@ -33,8 +33,20 @@ every job (GP values, addresses, groups, call decisions, stub
 summaries) is built before the first shard runs, a shard mutates only
 its own members and private stubs, and the effects land after all
 shards have run.  A shard records provenance into a log of its own
-when the link is traced or cached, so a cached result carries the
-events a later traced hit replays.
+only when the link is traced.  Whether it records is part of its
+cache key, so a traced link never replays an entry without events,
+and an untraced link records nothing.
+
+The rounds run in :func:`~repro.om.transform.run_rounds`, the loop
+the monolithic driver uses, with the same convergence certificate.
+Each round collects the layout facts of its serial phase (declined
+call sites), of its shards (declined address loads and GP resets, in
+shard-local module indices, cached with the shard) and of its
+epilogue (entry setups); after a round that changed something, the
+program is laid out once more and another round runs only when that
+layout flips one of them.  So a link whose first round converges runs
+one round, and an edit relink keys, encodes and digests each shard
+once.
 
 Every round lays out from :func:`~repro.om.symbolic.layout_object`.
 A round without a cache encodes and pickles nothing.  With one, the
@@ -44,7 +56,8 @@ its shard transforms, and a shard key hashes its members' values.  A
 miss pickles one entry of plain values: ``None`` for each member the
 shard left equal, the encoded value of each member it changed.  A hit
 unpickles the entry, decodes only the changed members and keeps the
-live objects of the others, so a converged round decodes nothing.
+live objects of the others, so a shard that changed nothing decodes
+nothing.
 """
 
 from __future__ import annotations
@@ -53,30 +66,27 @@ import pickle
 from dataclasses import dataclass, field
 
 from repro.layout.callgraph import iter_direct_call_sites
-from repro.linker.layout import LayoutOptions, compute_layout
-from repro.linker.resolve import LinkError, resolve_inputs
+from repro.linker.layout import LayoutOptions
+from repro.linker.resolve import LinkError
 from repro.minicc.mcode import MLabel
 from repro.obs import provenance
 from repro.obs.trace import TraceLog, span_or_null
-from repro.om.symbolic import (
-    SymbolicModule,
-    encode_module,
-    layout_object,
-    module_digest,
-)
+from repro.om.symbolic import SymbolicModule, encode_module, module_digest
 from repro.om.transform import (
     PassCounters,
     Program,
+    Rounds,
     Transformer,
     _entry_pair_at_top,
     _find_skip_label,
     _is_reset_free_leaf,
+    run_rounds,
 )
 from repro.wpo.partition import Shard, partition_modules
 from repro.wpo.shard import ShardResult, StubInfo, run_shard_job
 
 #: Bump to invalidate shard artifacts when the key or entry format changes.
-_KEY_VERSION = 2
+_KEY_VERSION = 3
 
 
 @dataclass
@@ -101,39 +111,34 @@ class WPORun:
     """Everything ``om_link`` folds back out of the partitioned rounds."""
 
     counters: PassCounters = field(default_factory=PassCounters)
+    #: The last round's relaxation fixpoint.
     relax_iterations: int = 0
     relax_demoted: int = 0
     stats: WPOStats = field(default_factory=WPOStats)
+    rounds: Rounds | None = None
 
 
-def _site_decisions(
-    prog: Program, transformer: Transformer, options, sites: list
-) -> dict[int, bool]:
+def _site_decisions(prologue: Transformer, sites: list) -> dict[int, bool]:
     """The jsr->bsr verdict for every direct call site, by jsr uid.
 
     Mirrors ``Transformer._convert_call_site`` exactly: the relaxation
-    fixpoint's decision when one ran, otherwise the one-shot
-    conservative range check against this round's layout.
+    fixpoint's decision when one ran, otherwise the one-shot range
+    check against this round's layout, which records every site it
+    declines as a layout fact of the prologue.
     """
-    decisions: dict[int, bool] = {}
-    relax_result = transformer.relax_result
-    for site in sites:
-        if relax_result is not None:
-            decisions[site.jsr.uid] = relax_result.decisions.get(
-                site.jsr.uid, False
-            )
-            continue
-        try:
-            caller_addr = prog.addr(site.caller_module, site.caller.name)
-            callee_addr = prog.addr(site.callee_module, site.callee.name)
-        except LinkError:
-            decisions[site.jsr.uid] = False
-            continue
-        decisions[site.jsr.uid] = (
-            abs(callee_addr - caller_addr)
-            < 4 * options.bsr_range_words - (1 << 16)
+    relax_result = prologue.relax_result
+    if relax_result is not None:
+        return {
+            site.jsr.uid: relax_result.decisions.get(site.jsr.uid, False)
+            for site in sites
+        }
+    return {
+        site.jsr.uid: prologue.bsr_site_in_range(
+            site.caller_module, site.caller.name,
+            site.callee_module, site.callee.name,
         )
-    return decisions
+        for site in sites
+    }
 
 
 def _apply_skip_effect(module: SymbolicModule, proc_name: str) -> None:
@@ -204,6 +209,7 @@ def _build_shard_job(
     full: bool,
     convert_escaped: bool,
     round_index: int,
+    record: bool,
 ) -> _ShardJob:
     members = shard.members
     local_of = {g: i for i, g in enumerate(members)}
@@ -299,6 +305,7 @@ def _build_shard_job(
     if digests is not None:
         key_payload = {
             "v": _KEY_VERSION,
+            "record": record,
             "full": full,
             "convert_escaped": convert_escaped,
             "members": [digests[g] for g in members],
@@ -352,7 +359,8 @@ def wpo_rounds(
         members=[[modules[g].name for g in shard.members] for shard in shards],
     )
     missed: set[int] = set()
-    for round_index in range(max_rounds):
+
+    def run_round(round_index: int, layout) -> tuple[bool, list]:
         with span_or_null(
             trace,
             f"om.round{round_index}",
@@ -360,13 +368,12 @@ def wpo_rounds(
             level=level.value,
             wpo=len(shards),
         ):
-            changed = _run_round(
+            return _run_round(
                 modules,
                 shards,
-                level=level,
+                layout,
                 options=options,
                 relax_options=relax_options,
-                layout_options=layout_options,
                 round_index=round_index,
                 full=full,
                 convert_escaped=convert_escaped,
@@ -375,9 +382,18 @@ def wpo_rounds(
                 run=run,
                 missed=missed,
             )
-        run.stats.rounds += 1
-        if not changed:
-            break
+
+    run.rounds = run_rounds(
+        modules,
+        run_round,
+        max_rounds=max_rounds,
+        layout_options=layout_options,
+        full=full,
+        relax=relax_options,
+        bsr_range_words=options.bsr_range_words,
+        trace=trace,
+    )
+    run.stats.rounds = run.rounds.rounds
     run.stats.missed_shards = sorted(missed)
     return run
 
@@ -385,11 +401,10 @@ def wpo_rounds(
 def _run_round(
     modules: list[SymbolicModule],
     shards: list[Shard],
+    layout,
     *,
-    level,
     options,
     relax_options,
-    layout_options: LayoutOptions,
     round_index: int,
     full: bool,
     convert_escaped: bool,
@@ -397,11 +412,10 @@ def _run_round(
     trace: TraceLog | None,
     run: WPORun,
     missed: set[int],
-) -> bool:
+) -> tuple[bool, list[tuple]]:
+    """One partitioned round on ``layout``: whether it changed anything,
+    and the layout facts it recorded (in global module indices)."""
     # ---- serial whole-program phase -----------------------------------
-    objs = [layout_object(module) for module in modules]
-    inputs = resolve_inputs(objs, [])
-    layout = compute_layout(inputs, layout_options)
     prog = Program.build(modules, layout, entry=options.entry)
 
     prologue = Transformer(
@@ -416,10 +430,10 @@ def _run_round(
     prologue.run_passes(calls=False, address_loads=False, entry_setups=False)
     run.counters.merge(prologue.counters)
     if prologue.relax_result is not None:
-        run.relax_iterations += prologue.relax_result.iterations
-        run.relax_demoted += prologue.relax_result.demoted
+        run.relax_iterations = prologue.relax_result.iterations
+        run.relax_demoted = prologue.relax_result.demoted
     sites = iter_direct_call_sites(modules)
-    decisions = _site_decisions(prog, prologue, options, sites)
+    decisions = _site_decisions(prologue, sites)
 
     sites_by_module: dict[int, list] = {}
     for site in sites:
@@ -432,6 +446,10 @@ def _run_round(
         encoded = [encode_module(module) for module in modules]
         digests = [module_digest(value) for value in encoded]
 
+    # Shards record provenance only for a traced link to replay.  It is
+    # part of the key: a traced link never reuses an entry without
+    # events, and an untraced one never pays to record them.
+    record = trace is not None
     jobs = [
         _build_shard_job(
             shard,
@@ -444,6 +462,7 @@ def _run_round(
             full=full,
             convert_escaped=convert_escaped,
             round_index=round_index,
+            record=record,
         )
         for shard in shards
     ]
@@ -466,9 +485,6 @@ def _run_round(
                 continue
         pending.append(index)
 
-    # Shards record provenance when this link replays it, or when a
-    # cached result must carry it for a later traced hit to replay.
-    record = trace is not None or cache is not None
     for index in pending:
         with span_or_null(
             trace, "om.wpo.shard", cat="om",
@@ -501,6 +517,7 @@ def _run_round(
 
     # ---- serial merge + epilogue --------------------------------------
     changed = prologue.changed
+    facts = prologue.facts
     for index, job in enumerate(jobs):
         result = results[index]
         if result is None:
@@ -508,10 +525,14 @@ def _run_round(
                 pickle.loads(blobs[index]),
                 [modules[g] for g in job.shard.members],
             )
-        for local, g in enumerate(job.shard.members):
+        members = job.shard.members
+        for local, g in enumerate(members):
             modules[g] = result.modules[local]
         run.counters.merge(result.counters)
         changed = changed or result.changed
+        facts.extend(
+            (fact[0], members[fact[1]], *fact[2:]) for fact in result.facts
+        )
     # Effects after every replacement, so they land on the merged
     # modules; insertion is idempotent and position-deterministic.
     for index, job in enumerate(jobs):
@@ -537,4 +558,5 @@ def _run_round(
         canonicalize=False, relax=False, calls=False, address_loads=False
     )
     run.counters.merge(epilogue.counters)
-    return changed or epilogue.changed
+    facts.extend(epilogue.facts)
+    return changed or epilogue.changed, facts

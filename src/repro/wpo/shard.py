@@ -17,9 +17,11 @@ the program, precomputed by the serial phase:
 
 The worker runs the real :class:`repro.om.transform.Transformer` over
 a duck-typed :class:`ShardProgram` and returns the transformed
-members, pass counters, the provenance events it recorded, and the
-*effects* it could not apply itself — skip labels that belong in
-out-of-shard callees, which the serial phase applies idempotently.
+members, pass counters, the provenance events it recorded, the layout
+facts of the candidates it declined (in shard-local module indices,
+so they are as shift-stable as the key), and the *effects* it could
+not apply itself — skip labels that belong in out-of-shard callees,
+which the serial phase applies idempotently.
 
 A shard runs :func:`run_shard_job` on the driver's live modules and
 transforms them in place.  Because the job depends only on member
@@ -28,7 +30,7 @@ and a cache hit is byte-equivalent to re-running the shard.  The cache
 entry (:meth:`ShardResult.entry`) holds plain values: the
 :func:`~repro.om.symbolic.encode_module` value of each member the shard
 changed, ``None`` for each member it left as it was, and the counters,
-effects and events.
+effects, events and layout facts.
 """
 
 from __future__ import annotations
@@ -185,6 +187,8 @@ class ShardResult:
     effects: list[int] = field(default_factory=list)
     #: Provenance event payloads, re-emitted by the driver.
     events: list[dict] = field(default_factory=list)
+    #: Layout facts, module indices local to the shard.
+    facts: list[tuple] = field(default_factory=list)
 
     def entry(self, before: list[tuple]) -> tuple:
         """The shard cache's entry for this result: plain values only.
@@ -204,6 +208,7 @@ class ShardResult:
             self.changed,
             tuple(self.effects),
             self.events,
+            tuple(self.facts),
         )
 
     @classmethod
@@ -211,7 +216,7 @@ class ShardResult:
         """The result an :meth:`entry` replays onto the shard's ``live``
         members: a member stored as ``None`` stays the live object, and
         any other is decoded afresh."""
-        members, counters, changed, effects, events = entry
+        members, counters, changed, effects, events, facts = entry
         return cls(
             modules=[
                 module if value is None else decode_module(value)
@@ -221,6 +226,7 @@ class ShardResult:
             changed=changed,
             effects=list(effects),
             events=events,
+            facts=list(facts),
         )
 
 
@@ -273,4 +279,5 @@ def run_shard_job(job: dict, trace: TraceLog | None) -> ShardResult:
         changed=transformer.changed,
         effects=effects,
         events=provenance.events(trace) if trace is not None else [],
+        facts=transformer.facts,
     )

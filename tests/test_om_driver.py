@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.isa.encoding import decode_stream
 from repro.linker import link
+from repro.linker.executable import dump_executable
 from repro.machine import run
 from repro.minicc import compile_module
 from repro.om import OMLevel, OMOptions, om_link
@@ -52,11 +53,13 @@ def test_executable_branches_resolve_to_instruction_boundaries(libmc, crt0):
 
 
 def test_om_rounds_bounded(libmc, crt0):
+    """Nothing here sits on a displacement boundary, so round 0 decides
+    everything: one round and eight give the same bytes."""
     objs = simple_objs(crt0, libmc)
     one = om_link(objs, [libmc], level=OMLevel.FULL, options=OMOptions(rounds=1))
     many = om_link(objs, [libmc], level=OMLevel.FULL, options=OMOptions(rounds=8))
+    assert dump_executable(one.executable) == dump_executable(many.executable)
     assert run(one.executable).output == run(many.executable).output
-    assert many.stats.gat_bytes_after <= one.stats.gat_bytes_after
 
 
 def test_gat_never_contains_unreferenced_entries(libmc, crt0):

@@ -122,7 +122,7 @@ COUNTS = {
     ('nasa7', 'all', 'om-full-wpo'): (('full', (2112, 0, 131, 53, 53, 53, 0), (1867, 0, 0, 0, 0, 53, 0), 52, 79, 216, 0, 8492, 7500, 0, 0, 0), (52, 26, 53, 53, 53, 53, 30, 0, 245, 0)),
     ('nasa7', 'all', 'om-simple'): (('simple', (2112, 0, 131, 53, 53, 53, 0), (2112, 135, 50, 50, 0, 53, 0), 52, 29, 216, 152, 8492, 8492, 0, 0, 0), (52, 26, 3, 53, 53, 3, 0, 135, 0, 0)),
     ('nasa7', 'each', 'om-full'): (('full', (2161, 0, 146, 69, 69, 69, 0), (1868, 0, 0, 0, 0, 69, 0), 51, 95, 288, 0, 8748, 7548, 0, 0, 0), (51, 26, 69, 69, 69, 69, 30, 0, 293, 0)),
-    ('nasa7', 'each', 'om-full-relax235'): (('full', (2161, 0, 146, 69, 69, 69, 0), (2032, 0, 44, 44, 44, 69, 0), 51, 51, 288, 152, 8748, 8188, 50, 4, 88), (51, 26, 25, 25, 25, 25, 14, 0, 129, 0)),
+    ('nasa7', 'each', 'om-full-relax235'): (('full', (2161, 0, 146, 69, 69, 69, 0), (2032, 0, 44, 44, 44, 69, 0), 51, 51, 288, 152, 8748, 8188, 50, 2, 44), (51, 26, 25, 25, 25, 25, 14, 0, 129, 0)),
     ('nasa7', 'each', 'om-full-sched'): (('full', (2161, 0, 146, 69, 69, 69, 0), (1868, 0, 0, 0, 0, 69, 0), 51, 95, 288, 0, 8748, 7580, 0, 0, 0), (51, 26, 69, 69, 69, 69, 30, 0, 293, 0)),
     ('nasa7', 'each', 'om-full-wpo'): (('full', (2161, 0, 146, 69, 69, 69, 0), (1868, 0, 0, 0, 0, 69, 0), 51, 95, 288, 0, 8748, 7548, 0, 0, 0), (51, 26, 69, 69, 69, 69, 30, 0, 293, 0)),
     ('nasa7', 'each', 'om-simple'): (('simple', (2161, 0, 146, 69, 69, 69, 0), (2161, 168, 65, 65, 0, 69, 0), 51, 30, 288, 216, 8748, 8748, 0, 0, 0), (51, 26, 4, 69, 69, 4, 0, 168, 0, 0)),

@@ -238,28 +238,38 @@ def test_layout_object_lays_out_like_the_encoded_module(program, libmc):
 
 
 def test_uncached_om_links_encode_each_module_once(monkeypatch, libmc):
+    """A link whose first round converges places each module twice,
+    for round 0's layout and for the certificate's, and lays out three
+    times: the standard linker's baseline, round 0 and the certificate.
+    The finish encodes each module once, at the certificate's placement,
+    in that same layout."""
     import repro.om.driver
-    import repro.wpo.driver
+    import repro.om.symbolic
+    import repro.om.transform
 
     encoded: list[str] = []
-    placed: list[str] = []
+    calls = {"place": 0, "layout": 0}
 
-    def counting(calls, real):
-        def call(module):
-            calls.append(module.name)
-            return real(module)
+    def counting(name, real):
+        def call(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
 
         return call
 
+    def encoding(module, placement=None):
+        assert placement is not None
+        encoded.append(module.name)
+        return reassemble_module(module, placement)
+
     # Only the finish encodes: the partitioned driver does not even
     # import reassemble_module.
-    monkeypatch.setattr(
-        repro.om.driver, "reassemble_module", counting(encoded, reassemble_module)
-    )
-    for driver in (repro.om.driver, repro.wpo.driver):
-        monkeypatch.setattr(
-            driver, "layout_object", counting(placed, layout_object)
-        )
+    monkeypatch.setattr(repro.om.driver, "reassemble_module", encoding)
+    placing = counting("place", repro.om.symbolic.place_module)
+    for owner in (repro.om.symbolic, repro.om.transform):
+        monkeypatch.setattr(owner, "place_module", placing)
+    for owner in (repro.om.driver, repro.om.transform):
+        monkeypatch.setattr(owner, "compute_layout", counting("layout", compute_layout))
 
     blob = dump_archive([make_crt0()] + build_program("li", "each"))
     linked = [
@@ -267,10 +277,12 @@ def test_uncached_om_links_encode_each_module_once(monkeypatch, libmc):
     ]
     for options in (OMOptions(), OMOptions(partitions=4)):
         encoded.clear()
-        placed.clear()
+        calls.update(place=0, layout=0)
         lib = Archive(libmc.name, load_archive(dump_archive(libmc.members)))
-        om_link(load_archive(blob), [lib], level=OMLevel.FULL, options=options)
+        result = om_link(
+            load_archive(blob), [lib], level=OMLevel.FULL, options=options
+        )
         assert sorted(encoded) == sorted(linked)
-        # Every round laid out from the placement, and there were several.
-        assert len(placed) >= 2 * len(linked)
-        assert len(placed) % len(linked) == 0
+        assert calls == {"place": 2 * len(linked), "layout": 3}
+        if options.partitions:
+            assert result.wpo.rounds == 1

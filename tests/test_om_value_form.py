@@ -270,8 +270,8 @@ def _checked_om_link(monkeypatch, objects, libmc) -> int:
     real = repro.om.driver.reassemble_module
     seen = []
 
-    def reassemble(module):
-        obj = real(module)
+    def reassemble(module, placement=None):
+        obj = real(module, placement)
         _check_round_trip(module, dump_object(obj))
         seen.append(module.name)
         return obj
@@ -328,9 +328,9 @@ digests = [
 ]
 real = repro.om.driver.reassemble_module
 
-def reassemble(module):
+def reassemble(module, placement=None):
     digests.append(module_digest(encode_module(module)))
-    return real(module)
+    return real(module, placement)
 
 repro.om.driver.reassemble_module = reassemble
 om_link(objects, [libmc], level=OMLevel.FULL)

@@ -115,7 +115,9 @@ def test_wpo_address_lookup_fault_fails_the_link(monkeypatch, relax):
     """A round layout whose lookups fail with anything but LinkError
     fails the link.  Without relaxation the site decisions look up
     first; with it, the shard jobs' address tables do."""
-    real = wpo.driver.compute_layout
+    from repro.om import transform
+
+    real = transform.compute_layout
 
     def compute_layout(inputs, options):
         layout = real(inputs, options)
@@ -126,7 +128,7 @@ def test_wpo_address_lookup_fault_fails_the_link(monkeypatch, relax):
         layout.symbol_addr = symbol_addr
         return layout
 
-    monkeypatch.setattr(wpo.driver, "compute_layout", compute_layout)
+    monkeypatch.setattr(transform, "compute_layout", compute_layout)
     with pytest.raises(KeyError):
         _link(generate_scale_program(4, 7), OMOptions(partitions=2, relax=relax))
 
@@ -190,13 +192,40 @@ def test_partitioned_link_keeps_the_whole_audit_trail(name, libmc, tmp_path):
     assert sum(mono.values()) > 0
     assert audited(OMOptions(partitions=3)) == mono
 
-    # An untraced cold link fills the cache; the traced warm link that
-    # replays it must still carry every decision the shards made.
+    # An untraced cold link records nothing, so a traced link cannot
+    # replay its entries: it misses, records, and caches the events...
     cache = ArtifactCache(tmp_path, stamp="wpo-audit")
     cold = link(OMOptions(partitions=3), cache)
-    warm_trail = audited(OMOptions(partitions=3), cache)
     assert cold.wpo.misses > 0
-    assert warm_trail == mono
+    trace = TraceLog()
+    traced = link(OMOptions(partitions=3), cache, trace)
+    assert traced.wpo.hits == 0 and traced.wpo.misses == cold.wpo.misses
+    assert _event_multiset(trace) == mono
+    # ...which the next traced link replays, every decision included.
+    trace = TraceLog()
+    warm = link(OMOptions(partitions=3), cache, trace)
+    assert warm.wpo.misses == 0 and warm.wpo.hits == cold.wpo.misses
+    assert provenance.reconcile(trace, warm.counters) == {}
+    assert _event_multiset(trace) == mono
+
+
+def test_untraced_cached_relinks_record_nothing(tmp_path, monkeypatch):
+    from repro.om.transform import Transformer
+
+    emits = []
+    emit = Transformer._emit
+
+    def counted(self, *args, **kwargs):
+        emits.append(self)
+        return emit(self, *args, **kwargs)
+
+    monkeypatch.setattr(Transformer, "_emit", counted)
+    cache = ArtifactCache(tmp_path, stamp="wpo-record")
+    options = OMOptions(partitions=4)
+    cold = _link(generate_scale_program(7, 12), options, cache)
+    edit = _link(generate_scale_program(7, 12, salts={5: 2}), options, cache)
+    assert cold.wpo.misses > 0 and edit.wpo.misses > 0
+    assert emits == []
 
 
 # -- incrementality -------------------------------------------------------------
@@ -224,10 +253,22 @@ def test_one_module_edit_misses_only_its_shard(tmp_path):
 
 
 def test_converged_shards_keep_their_live_modules(tmp_path, monkeypatch):
-    program = generate_scale_program(11, 10)
-    options = OMOptions(partitions=3)
+    """eqntott with a 16,509-word bsr reach runs a real second round
+    that converts one more call.  In a warm link, that round's hits
+    decode only the shard holding the call; the others keep their live
+    modules."""
+    blob = dump_archive([make_crt0()] + build_program("eqntott", "each"))
+    lib = build_stdlib()
+
+    def link(options, cache):
+        libmc = Archive(lib.name, load_archive(dump_archive(lib.members)))
+        return om_link(load_archive(blob), [libmc], level=OMLevel.FULL,
+                       options=options, cache=cache)
+
+    options = OMOptions(partitions=3, bsr_range_words=16509)
     cache = ArtifactCache(tmp_path, stamp="wpo-live")
-    cold = _link(program, options, cache)
+    cold = link(options, cache)
+    assert cold.wpo.rounds == 2
 
     rounds: list[int] = []  # the round each _run_round call runs
     decodes: list[int] = []  # the round of each decode_module call
@@ -254,18 +295,23 @@ def test_converged_shards_keep_their_live_modules(tmp_path, monkeypatch):
     monkeypatch.setattr(wpo.shard, "decode_module", counted_decode)
     monkeypatch.setattr(ShardResult, "from_entry", staticmethod(checked_from_entry))
 
-    warm = _link(program, options, cache)
+    warm = link(options, cache)
     assert _exe(warm) == _exe(cold)
-    assert warm.wpo.misses == 0
-    last = warm.wpo.rounds - 1
-    assert last > 0 and rounds == list(range(warm.wpo.rounds))
-    # The last round changed nothing, so its hits replay no module...
-    assert [kept for r, kept in hits if r == last] == [True] * warm.wpo.shards
-    assert last not in decodes
-    # ...while the first round's hits decode what their shards changed.
-    assert 0 in decodes
+    assert warm.wpo.misses == 0 and rounds == [0, 1]
+    assert warm.wpo.members[2] == ["rand.o", "runtime.o"]
+    # The converted call and its callee's skip label are in shard 2.
+    assert [kept for r, kept in hits if r == 1] == [True, True, False]
+    assert decodes.count(1) == 2
+    # Round 0's hits decode what their shards changed.
+    assert [kept for r, kept in hits if r == 0] == [False] * warm.wpo.shards
 
-    # A one-module edit still misses only the shard that holds it.
+
+def test_one_module_edit_after_a_warm_link_misses_only_its_shard(tmp_path):
+    program = generate_scale_program(11, 10)
+    options = OMOptions(partitions=3)
+    cache = ArtifactCache(tmp_path, stamp="wpo-edit")
+    _link(program, options, cache)
+    assert _link(program, options, cache).wpo.misses == 0
     edit = generate_scale_program(11, 10, salts={4: 3})
     edited = _link(edit, options, cache)
     assert _exe(edited) == _exe(_link(edit, OMOptions()))
