@@ -3,14 +3,23 @@
 One asyncio event loop accepts client connections speaking the
 daemon's frame protocol and forwards each job request to one of N
 :class:`~repro.serve.server.ToolchainServer` daemons.  The routing
-decision is a **consistent hash of the request's content fields** —
-not round-robin — so every identical in-flight request lands on the
-*same* daemon, where the daemon's ``SingleFlight`` coalesces them into
-one build exactly as it would behind a single-daemon deployment: the
-coalescing win survives the scale-out.  Distinct keys spread across
-the ring's virtual nodes, and losing a daemon re-maps only that
-daemon's slice (the consistent-hashing property the fleet's restart
-path leans on).
+decision starts from a **consistent hash of the request's content
+fields** — not round-robin.  Each key has two ring candidates: its
+owner and the next distinct daemon clockwise.  A job goes to the
+candidate with fewer jobs forwarded and not yet answered, the owner on
+a tie (the power of two choices, in its consistent-hashing form), so
+fresh work does not queue behind one daemon's busy worker while the
+other's sits idle.  While any copy of a key is in flight the key is
+**pinned** to the daemon it went to, so every identical in-flight
+request still lands on the *same* daemon, where the daemon's
+``SingleFlight`` coalesces them into one build exactly as it would
+behind a single-daemon deployment: the coalescing win survives the
+scale-out.  The daemons share one disk cache, so a key answered by its
+second candidate is a cache hit at its owner afterwards.  Under light
+load every key goes to its owner; distinct keys spread across the
+ring's virtual nodes, and losing a daemon re-maps only that daemon's
+slice (the consistent-hashing property the fleet's restart path leans
+on).
 
 A request travels: decode (a private copy; the bytes themselves are
 relayed verbatim both ways, the frame ``id`` is preserved end-to-end
@@ -18,9 +27,13 @@ so nothing is re-encoded) → **tenant quota admission**
 (:class:`~repro.serve.quota.QuotaManager`; over-quota answers
 ``retry_after`` with ``reason="quota"``) → **weighted fair queueing**
 onto the router's bounded forwarding concurrency
-(:class:`~repro.serve.quota.FairScheduler`) → **ring lookup** →
-**forward** over a per-daemon connection pool.  A daemon that dies
-mid-request is marked down (ring slice re-mapped immediately), the
+(:class:`~repro.serve.quota.FairScheduler`) → **ring lookup** (pin,
+else the less-loaded candidate) → **forward** over a per-daemon
+connection pool.  Loads and pins live on the event loop: they are
+taken before the forward's first ``await`` and released when the
+attempt ends, whatever its outcome.  A daemon that dies mid-request is
+marked down (ring slice re-mapped immediately, and a daemon off the
+ring is never a candidate, so a key pinned to it picks again), the
 request is retried once on the re-mapped ring, and only if no healthy
 daemon remains does the client see a retryable ``reason="upstream"``
 busy reply — never a hang, never a silent drop.
@@ -31,8 +44,9 @@ up with :func:`~repro.obs.metrics.sum_snapshots`.  ``status`` renders the sum,
 each daemon's own snapshot and the router's registry with
 :func:`~repro.obs.metrics.render_status`; ``metrics`` answers the
 snapshots and the router's own exposition.  ``route`` answers which
-daemon owns a key (tests and operators use it to aim requests);
-``shutdown`` initiates the fleet drain.
+daemon owns a key and its two ``candidates``, owner first (tests and
+operators use it to aim requests); ``shutdown`` initiates the fleet
+drain.
 """
 
 from __future__ import annotations
@@ -115,14 +129,24 @@ class HashRing:
     def nodes(self) -> set[str]:
         return set(self._nodes)
 
+    def nodes_for(self, key: str, count: int) -> list[str]:
+        """Up to ``count`` distinct nodes met clockwise from the key's
+        hash: its owner first, then the next distinct nodes in order."""
+        points = self._points
+        wanted = min(count, len(self._nodes))
+        found: list[str] = []
+        start = bisect.bisect_right(points, self._hash(key))
+        for step in range(len(points)):
+            if len(found) == wanted:
+                break
+            node = self._owners[points[(start + step) % len(points)]]
+            if node not in found:
+                found.append(node)
+        return found
+
     def node_for(self, key: str) -> str | None:
-        if not self._points:
-            return None
-        point = self._hash(key)
-        index = bisect.bisect_right(self._points, point)
-        if index == len(self._points):
-            index = 0
-        return self._owners[self._points[index]]
+        nodes = self.nodes_for(key, 1)
+        return nodes[0] if nodes else None
 
 
 def routing_key(message: dict) -> str:
@@ -163,17 +187,20 @@ _ROUTER_COUNTER_HELP = {
     "quota_rejected": "rejections by tenant quota (subset of rejected)",
     "relayed_busy": "daemon busy replies relayed (subset of rejected)",
     "upstream_errors": "forward attempts lost to a dead/dying daemon",
+    "second_candidate": "forward attempts sent past the key's ring owner",
     "bad_requests": "undecodable frames / unknown ops",
 }
 
 
 class _Backend:
-    """One daemon slot: its address, health, and connection pool."""
+    """One daemon slot: its address, health, connection pool, and the
+    jobs forwarded to it and not yet answered."""
 
     def __init__(self, slot: str, address: tuple[str, int], pool_size: int):
         self.slot = slot
         self.address = (address[0], int(address[1]))
         self.healthy = True
+        self.inflight = 0
         self._pool_size = pool_size
         self._pool: asyncio.LifoQueue | None = None
 
@@ -238,7 +265,8 @@ class _Backend:
 
 
 class FleetRouter:
-    """The consistent-hash router in front of a daemon fleet."""
+    """The two-candidate consistent-hash router in front of a daemon
+    fleet."""
 
     def __init__(
         self,
@@ -264,6 +292,9 @@ class FleetRouter:
                 slot, address, self.config.pool_size
             )
             self.ring.add(slot)
+        # key -> [slot, copies in flight]: identical concurrent requests
+        # meet in one daemon's SingleFlight whatever the loads do.
+        self._pins: dict[str, list] = {}
         self._on_backend_down = on_backend_down
         self.metrics = MetricsRegistry()
         self._counters = {
@@ -441,11 +472,13 @@ class FleetRouter:
             return protocol.ok_response(rid, await self.metrics_payload())
         if op == "route":
             key = routing_key(message)
-            slot = self.ring.node_for(key)
+            candidates = self.ring.nodes_for(key, 2)
+            slot = candidates[0] if candidates else None
             backend = self.backends.get(slot) if slot else None
             return protocol.ok_response(rid, {
                 "key_sha256": hashlib.sha256(key.encode()).hexdigest(),
                 "slot": slot,
+                "candidates": candidates,
                 "address": list(backend.address) if backend else None,
             })
         if op == "shutdown":
@@ -478,7 +511,6 @@ class FleetRouter:
         self._idle.clear()
         started = time.monotonic()
         started_us = now_us()
-        slot = None
         try:
             try:
                 await asyncio.wait_for(
@@ -492,14 +524,16 @@ class FleetRouter:
                     rid, self.config.retry_after, reason="overload"
                 )
             try:
-                slot, raw = await self._forward(routing_key(message), body)
+                owner, slot, raw = await self._forward(
+                    routing_key(message), body
+                )
             finally:
                 self.scheduler.release()
         except BackendError:
             self._count("rejected")
             self._tenant_count("rejected", tenant)
             self._route_span(op, started_us, request_id, tenant,
-                             outcome="upstream-lost", slot=slot)
+                             outcome="upstream-lost")
             return protocol.busy_response(
                 rid, self.config.retry_after, reason="upstream"
             )
@@ -525,7 +559,7 @@ class FleetRouter:
             self._tenant_count("failed", tenant)
             verdict = "failed"
         self._route_span(op, started_us, request_id, tenant,
-                         outcome=verdict, slot=slot)
+                         outcome=verdict, owner=owner, slot=slot)
         if (
             self.trace is not None
             and self.trace.unflushed >= self.config.trace_flush_every
@@ -533,32 +567,54 @@ class FleetRouter:
             self.trace.flush()
         return protocol.frame_bytes(raw)
 
-    async def _forward(self, key: str, body: bytes) -> tuple[str, bytes]:
-        """Forward to the ring owner; on death, re-map and retry once
-        per remaining backend.  Raises :class:`BackendError` when no
-        healthy daemon answers."""
+    async def _forward(
+        self, key: str, body: bytes
+    ) -> tuple[str, str, bytes]:
+        """Forward to the less-loaded of the key's two ring candidates,
+        or to where a copy of the key is in flight; on death, re-map
+        and retry once per remaining backend.  Answers the key's owner,
+        the daemon that answered and its raw reply.  Raises
+        :class:`BackendError` when no healthy daemon answers."""
         attempts = len(self.backends) + 1
         last: BackendError | None = None
         for _ in range(attempts):
-            slot = self.ring.node_for(key)
-            if slot is None:
+            candidates = self.ring.nodes_for(key, 2)
+            if not candidates:
                 raise last or BackendError("no healthy backends")
+            # Loads and pins are taken before the first await, so the
+            # pick and its accounting are one step of the event loop.
+            pin = self._pins.setdefault(key, [None, 0])
+            if pin[0] is None or not self.backends[pin[0]].healthy:
+                pin[0] = min(
+                    candidates, key=lambda s: self.backends[s].inflight
+                )
+            pin[1] += 1
+            slot = pin[0]
+            if slot != candidates[0]:
+                self._count("second_candidate")
             backend = self.backends[slot]
+            backend.inflight += 1
             try:
                 raw = await backend.roundtrip(
                     body,
                     max_frame=self.config.max_frame,
                     timeout=self.config.upstream_timeout,
                 )
-                return slot, raw
+                return candidates[0], slot, raw
             except BackendError as exc:
                 self._count("upstream_errors")
                 self.mark_down(slot)
                 last = exc
+            finally:
+                backend.inflight -= 1
+                pin[1] -= 1
+                if not pin[1]:
+                    del self._pins[key]
         raise last or BackendError("no healthy backends")
 
     def _route_span(
-        self, op, start_us, request_id, tenant, *, outcome, slot=None
+        self, op, start_us, request_id, tenant, *, outcome, owner=None,
+        slot=None,
     ) -> None:
         if self.trace is None:
             return
@@ -566,6 +622,7 @@ class FleetRouter:
         if request_id is not None:
             args["request_id"] = request_id
         if slot is not None:
+            args["owner"] = owner
             args["slot"] = slot
         self.trace.add_span(
             f"serve.route.{op}", start_us, now_us(), cat="router", **args

@@ -1,13 +1,23 @@
-"""The serve fleet: consistent-hash routing, fleet-wide coalescing,
-tenant quotas, counter reconciliation, and daemon-death robustness.
+"""The serve fleet: two-candidate consistent-hash routing, fleet-wide
+coalescing, tenant quotas, counter reconciliation, and daemon-death
+robustness.
+
+The router sends each job to the less-loaded of its key's two ring
+candidates (the owner, then the next daemon clockwise; the owner on a
+tie) and pins a key to its daemon while any copy is in flight, so
+identical concurrent requests still coalesce in one daemon.  The tests
+below aim jobs with the live ring (:func:`_candidates`), hold one
+daemon busy with a ``sleep:`` job, and read each daemon's own
+``computed`` and ``coalesced`` counters to see where work went.
 
 Two gears, mirroring the daemon's own test file:
 
 * **stub-backed** — real :class:`RouterThread` over real TCP, fronting
   :class:`ServerThread` daemons whose job runner is the deterministic
   ``stub_runner`` (the first source text scripts the job), all sharing
-  one on-disk cache root.  Routing, coalescing, quota accounting, and
-  dead-backend re-mapping are asserted without a toolchain in sight.
+  one on-disk cache root.  Routing, load spilling, pinning,
+  coalescing, quota accounting, and dead-backend re-mapping are
+  asserted without a toolchain in sight.
 * **subprocess** — a real :class:`FleetThread` (daemon subprocesses,
   shared cache, health-checked restart) for the kill-a-daemon
   scenario: SIGKILL mid-burst, no hangs, ring re-map, automatic
@@ -26,7 +36,7 @@ import pytest
 from repro.cache import ArtifactCache
 from repro.serve.client import ServeClient, ServerBusy
 from repro.serve.quota import QuotaManager, TenantPolicy
-from repro.serve.router import RouterConfig, RouterThread
+from repro.serve.router import RouterConfig, RouterThread, routing_key
 from repro.serve.server import ServeConfig, ServerThread
 
 from tests.test_serve_server import stub_runner
@@ -71,6 +81,72 @@ def stub_fleet(tmp_path, n=2, *, quotas=None, retry_after=0.01, **server_cfg):
 
 def _route(client, **params):
     return client.request("route", **params)["result"]
+
+
+def _candidates(router, op, **params):
+    """The two ring candidates of an ``op`` job, owner first, read off
+    the live router's ring."""
+    key = routing_key({"op": op, **params})
+    return router.call(lambda r: r.ring.nodes_for(key, 2))
+
+
+def _owned_by(router, slot, op, script, tag):
+    """Job params whose key ``slot`` owns; the first source is
+    ``script`` and its file name carries ``tag``."""
+    for i in range(64):
+        params = {"sources": _sources(script, name=f"{tag}{i}.mc")}
+        if _candidates(router, op, **params)[0] == slot:
+            return params
+    raise AssertionError(f"no {op} key owned by {slot}")
+
+
+def _assert_released(router):
+    """Every load and pin taken by a forward has been given back."""
+    loads, pins = router.call(lambda r: (
+        {slot: b.inflight for slot, b in r.backends.items()}, dict(r._pins)
+    ))
+    assert set(loads.values()) == {0}
+    assert pins == {}
+
+
+def _daemon_delta(before, after, name):
+    """How much each daemon's own counter ``name`` grew between two
+    fleet ``status`` replies."""
+    def counts(status):
+        return {
+            slot: entry["status"]["counters"][name]
+            for slot, entry in status["daemons"].items()
+        }
+
+    first = counts(before)
+    return {slot: n - first[slot] for slot, n in counts(after).items()}
+
+
+@contextmanager
+def _holding(router, op, params):
+    """Keep one ``op`` job in flight (a ``sleep:`` script) while the
+    body runs; the job must answer ok once the body is done."""
+    box = {}
+
+    def hold():
+        with ServeClient(router.address, timeout=30) as client:
+            box["response"] = client.request(op, **params)
+
+    with ServeClient(router.address, timeout=30) as probe:
+        inflight = probe.status()["router"]["gauges"]["inflight"]
+        holder = threading.Thread(target=hold)
+        holder.start()
+        assert _poll(
+            lambda: probe.status()["router"]["gauges"]["inflight"]
+            == inflight + 1,
+            deadline_s=10.0, period=0.01,
+        )
+    try:
+        yield
+    finally:
+        holder.join(timeout=30)
+    assert not holder.is_alive()
+    assert box["response"]["ok"]
 
 
 # -- routing -------------------------------------------------------------------
@@ -134,6 +210,83 @@ def test_identical_requests_coalesce_fleet_wide(tmp_path):
         assert computed == 1  # one flight, on one daemon
         assert coalesced == n - 1
         assert final["router"]["counters"]["completed"] >= n
+
+
+def test_fresh_work_goes_to_the_idle_candidate(tmp_path):
+    """While a slow job holds d0, a job for another key d0 owns is
+    computed on its second candidate d1 instead of queueing behind it."""
+    with stub_fleet(tmp_path, n=2) as (router, _servers):
+        slow = _owned_by(router, "d0", "run", "sleep:2.5", "slow")
+        fresh = _owned_by(router, "d0", "compile", "quick", "fresh")
+        assert _candidates(router, "compile", **fresh) == ["d0", "d1"]
+        with ServeClient(router.address, timeout=30) as client:
+            before = client.status()
+            with _holding(router, "run", slow):
+                assert client.compile(**fresh)["ok"]
+            after = client.status()
+        assert _daemon_delta(before, after, "computed") == {"d0": 1, "d1": 1}
+        spilled = (after["router"]["counters"]["second_candidate"]
+                   - before["router"]["counters"]["second_candidate"])
+        assert spilled == 1
+
+
+def test_pin_beats_load_so_identical_requests_coalesce(tmp_path):
+    """With d0 busy on a different slow job, the first of six identical
+    requests for a key d0 owns goes to d1, and the key stays pinned
+    there while it is in flight: all six meet in d1's SingleFlight,
+    even once d1 carries more load than d0."""
+    with stub_fleet(tmp_path, n=2) as (router, _servers):
+        slow = _owned_by(router, "d0", "run", "sleep:3.0", "slow")
+        hot = _owned_by(router, "d0", "run", "sleep:0.8", "hot")
+        n = 6
+        barrier = threading.Barrier(n)
+        responses = []
+        lock = threading.Lock()
+
+        def fire():
+            with ServeClient(router.address, timeout=30) as client:
+                barrier.wait(timeout=10)
+                response = client.run(**hot)
+                with lock:
+                    responses.append(response)
+
+        with ServeClient(router.address, timeout=30) as probe:
+            before = probe.status()
+            with _holding(router, "run", slow):
+                threads = [threading.Thread(target=fire) for _ in range(n)]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=30)
+                assert not any(thread.is_alive() for thread in threads)
+            after = probe.status()
+        assert len(responses) == n
+        assert all(response["ok"] for response in responses)
+        assert _daemon_delta(before, after, "computed") == {"d0": 1, "d1": 1}
+        assert _daemon_delta(before, after, "coalesced") == {
+            "d0": 0, "d1": n - 1,
+        }
+        _assert_released(router)
+
+
+def test_key_pinned_to_a_downed_daemon_picks_again(tmp_path):
+    """A copy of a key in flight on d0 pins the key there; once d0 is
+    marked down it is no candidate, so the next copy picks again, goes
+    to d1 and completes with no client error."""
+    with stub_fleet(tmp_path, n=2) as (router, servers):
+        hot = _owned_by(router, "d0", "run", "sleep:2.0", "hot")
+        with ServeClient(router.address, timeout=30) as client:
+            before = client.status()
+            with _holding(router, "run", hot):
+                router.call(lambda r: r.mark_down("d0"))
+                assert _candidates(router, "run", **hot) == ["d1"]
+                assert client.run(**hot)["ok"]
+            router.call(lambda r: r.restore("d0", servers[0].address))
+            after = client.status()
+        assert _daemon_delta(before, after, "computed") == {"d0": 1, "d1": 1}
+        assert after["counters"]["coalesced"] == before["counters"]["coalesced"]
+        assert after["counters"]["failed"] == 0
+        _assert_released(router)
 
 
 def test_fleet_status_aggregates_and_identity_holds(tmp_path):

@@ -72,6 +72,48 @@ def test_empty_ring_routes_nowhere():
     assert ring.node_for("anything") is None
 
 
+def test_nodes_for_lists_distinct_nodes_in_clockwise_order():
+    """Owner first, then each node the key re-maps to once the nodes
+    before it have left the ring."""
+    slots = ("d0", "d1", "d2", "d3")
+    ring = HashRing(replicas=16)
+    for slot in slots:
+        ring.add(slot)
+    for i in range(100):
+        key = f"key-{i}"
+        order = ring.nodes_for(key, len(slots))
+        assert sorted(order) == sorted(slots)
+        assert order[0] == ring.node_for(key)
+        assert ring.nodes_for(key, 2) == order[:2]
+        shrinking = HashRing(replicas=16)
+        for slot in slots:
+            shrinking.add(slot)
+        for gone, successor in zip(order, order[1:]):
+            shrinking.remove(gone)
+            assert shrinking.node_for(key) == successor
+
+
+def test_nodes_for_more_than_exist_returns_all_of_them():
+    ring = HashRing(replicas=8)
+    assert ring.nodes_for("anything", 2) == []
+    for slot in ("d0", "d1"):
+        ring.add(slot)
+    for i in range(50):
+        nodes = ring.nodes_for(f"key-{i}", 5)
+        assert sorted(nodes) == ["d0", "d1"]
+
+
+def test_nodes_for_never_names_a_removed_node():
+    ring = HashRing(replicas=64)
+    for slot in ("d0", "d1", "d2"):
+        ring.add(slot)
+    ring.remove("d1")
+    for i in range(300):
+        nodes = ring.nodes_for(f"key-{i}", 3)
+        assert sorted(nodes) == ["d0", "d2"]
+        assert nodes[0] == ring.node_for(f"key-{i}")
+
+
 def test_routing_key_covers_content_not_accounting():
     base = {"op": "run", "program": "compress", "scale": 2, "id": 1}
     same = dict(base, id=9, tenant="t1", request_id="c1:4")
