@@ -297,6 +297,7 @@ def _wpo(argv) -> int:
     from repro.fuzz.generate import generate_scale_program
     from repro.linker import make_crt0
     from repro.linker.executable import dump_executable
+    from repro.linker.resolve import resolve_inputs
     from repro.frontend import compile_sources
     from repro.objfile.archive import Archive
     from repro.objfile.serialize import dump_archive, load_archive
@@ -342,15 +343,18 @@ def _wpo(argv) -> int:
     )
     print(
         f"wpo: cold misses={stats.misses} hits={stats.hits} "
+        f"built={len(stats.built)} "
         f"identical={'OK' if identical else 'FAIL'} "
         f"link={cold_s:.3f}s full={mono_s:.3f}s"
     )
 
+    # A warm relink builds no module body: every shard is a cache read.
     warm, warm_s = timed_link(blob, wpo_options, True)
     identical = dump_executable(warm.executable) == mono_bytes
-    ok = ok and identical and warm.wpo.misses == 0
+    ok = ok and identical and warm.wpo.misses == 0 and not warm.wpo.built
     print(
         f"wpo: warm misses={warm.wpo.misses} hits={warm.wpo.hits} "
+        f"built={len(warm.wpo.built)} "
         f"identical={'OK' if identical else 'FAIL'} link={warm_s:.3f}s"
     )
 
@@ -375,11 +379,23 @@ def _wpo(argv) -> int:
             if any(f"s{m}.o" in members for m in edited)
         )
         contained = set(inc.wpo.missed_shards) <= set(expected)
-        ok = ok and identical and contained and bool(inc.wpo.missed_shards)
+        # Only the missed shards' members have their bodies built.
+        missed_members = {
+            name
+            for index in inc.wpo.missed_shards
+            for name in inc.wpo.members[index]
+        }
+        linked = resolve_inputs(load_archive(vblob), [lib]).modules
+        built_ok = {linked[g].name for g in inc.wpo.built} <= missed_members
+        ok = (
+            ok and identical and contained and built_ok
+            and bool(inc.wpo.missed_shards)
+        )
         print(
             f"wpo: edit touched={len(edited)} edited={edited} "
             f"missed_shards={inc.wpo.missed_shards} expected={expected} "
-            f"misses={inc.wpo.misses} "
+            f"misses={inc.wpo.misses} built={len(inc.wpo.built)} "
+            f"built_in_missed={'OK' if built_ok else 'FAIL'} "
             f"identical={'OK' if identical else 'FAIL'} "
             f"contained={'OK' if contained else 'FAIL'} "
             f"relink={inc_s:.3f}s full={full_s:.3f}s"
@@ -392,6 +408,7 @@ def _wpo(argv) -> int:
                 "shards": inc.wpo.shards,
                 "misses": inc.wpo.misses,
                 "hits": inc.wpo.hits,
+                "built": len(inc.wpo.built),
                 "relink_seconds": round(inc_s, 6),
                 "full_link_seconds": round(full_s, 6),
             }

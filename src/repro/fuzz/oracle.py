@@ -19,7 +19,9 @@ pinned byte-identical to OM-full).  The oracle then asserts:
 * **GAT-load monotonicity** — the layout cell never executes more GAT
   address loads than its OM-full base;
 * **executable byte-identity** — within each mode the OM-full-wpo
-  image's sha256 equals OM-full's;
+  image's sha256 equals OM-full's, both for its cold link against a
+  private shard cache and for the warm relink from that cache, whose
+  shards all hit and build no module body;
 * **backend identity** — the ``jit`` column reruns the ld executable
   on the translating machine backend
   (:class:`~repro.machine.jit.JitMachine`) and must match the
@@ -28,9 +30,12 @@ pinned byte-identical to OM-full).  The oracle then asserts:
   the round its convergence certificate skipped runs anyway; a change
   in it is an ``unconverged`` divergence, not a quietly weaker link.
 
-Each OM link runs with a :class:`~repro.obs.trace.TraceLog` attached;
-the provenance events it fires are distilled into ``(action, pass)``
-coverage pairs — the campaign's guidance signal.
+Each OM link but OM-full-wpo's runs with a :class:`~repro.obs.trace.
+TraceLog` attached; the provenance events it fires are distilled into
+``(action, pass)`` coverage pairs — the campaign's guidance signal.
+The OM-full-wpo links run untraced, since a traced link builds every
+body and would never take the shard cache's hit path; their decisions
+are OM-full's, whose cell reports them.
 
 Cell results can round-trip through the content-addressed
 :class:`~repro.cache.ArtifactCache`: keys cover the exact sources,
@@ -124,6 +129,8 @@ class CellResult:
     gat_loads: int | None = None
     #: sha256 of the executable image (byte-identity-pinned variants).
     exe_digest: str | None = None
+    #: sha256 of the warm relink's image (OM-full-wpo only).
+    relink_digest: str | None = None
 
 
 @dataclass(frozen=True)
@@ -202,29 +209,37 @@ def _run_cell(
             profile_in = profile(
                 base.executable, max_instructions=max_instructions, timed=False
             )
-        trace = TraceLog()
-        result = om_link(
-            objects,
-            [libmc],
-            level=level,
-            options=options,
-            trace=trace,
-            profile=profile_in,
-        )
-        executable = result.executable
-        coverage = tuple(
-            sorted(
-                {
-                    (args["action"], args["pass_name"])
-                    for args in provenance.events(trace)
-                }
+        if variant == "om-full-wpo":
+            executable, relink = _relinked(
+                program, mode, objects, libmc, level, options
             )
-        )
-    exe_digest = None
+            coverage = ()
+        else:
+            trace = TraceLog()
+            result = om_link(
+                objects,
+                [libmc],
+                level=level,
+                options=options,
+                trace=trace,
+                profile=profile_in,
+            )
+            executable = result.executable
+            coverage = tuple(
+                sorted(
+                    {
+                        (args["action"], args["pass_name"])
+                        for args in provenance.events(trace)
+                    }
+                )
+            )
+    exe_digest = relink_digest = None
     if variant in _EXE_PINNED:
         from repro.linker.executable import dump_executable
 
         exe_digest = hashlib.sha256(dump_executable(executable)).hexdigest()
+        if variant == "om-full-wpo":
+            relink_digest = hashlib.sha256(dump_executable(relink)).hexdigest()
     gat_loads = None
     if variant in _GAT_PROFILED:
         from repro.machine.profile import profile
@@ -248,7 +263,30 @@ def _run_cell(
         coverage=coverage,
         gat_loads=gat_loads,
         exe_digest=exe_digest,
+        relink_digest=relink_digest,
     )
+
+
+def _relinked(
+    program: GeneratedProgram, mode: str, objects, libmc, level, options
+):
+    """The partitioned link's cold executable, linked against a private
+    shard cache with ``options``, and the executable of a warm relink
+    from that cache without ``verify`` (whose skipped round reads
+    every body)."""
+    import tempfile
+
+    from repro.cache import ArtifactCache
+
+    with tempfile.TemporaryDirectory(prefix="repro-wpo-cell-") as root:
+        cache = ArtifactCache(root)
+        cold = om_link(objects, [libmc], level=level, options=options, cache=cache)
+        objects, libmc = _compile_objects(program, mode)
+        warm = om_link(
+            objects, [libmc], level=level,
+            options=replace(options, verify=False), cache=cache,
+        )
+    return cold.executable, warm.executable
 
 
 def _cell_payload(
@@ -283,6 +321,7 @@ def _cached_cell(
             coverage=tuple((a, p) for a, p in payload["coverage"]),
             gat_loads=payload.get("gat_loads"),
             exe_digest=payload.get("exe_digest"),
+            relink_digest=payload.get("relink_digest"),
         )
     cell = _run_cell(program, mode, variant, max_instructions)
     cache.put(
@@ -296,6 +335,7 @@ def _cached_cell(
                 "coverage": [list(pair) for pair in cell.coverage],
                 "gat_loads": cell.gat_loads,
                 "exe_digest": cell.exe_digest,
+                "relink_digest": cell.relink_digest,
             }
         ).encode(),
     )
@@ -371,20 +411,28 @@ def evaluate_program(
                     (f"{mode}/jit", f"{mode}/ld"),
                 )
             )
-        # Byte-identity pin: the partitioned link must reproduce the
-        # monolithic om-full image exactly, not merely equivalently.
+        # Byte-identity pin: the partitioned link, cold and relinked
+        # warm, must reproduce the monolithic om-full image exactly, not
+        # merely equivalently.
         pinned = [
-            (variant, report.cells[f"{mode}/{variant}"].exe_digest)
+            (label, digest)
             for variant in _EXE_PINNED
             if f"{mode}/{variant}" in report.cells
-            and report.cells[f"{mode}/{variant}"].exe_digest is not None
+            for label, digest in (
+                (variant, report.cells[f"{mode}/{variant}"].exe_digest),
+                (f"{variant}-relink",
+                 report.cells[f"{mode}/{variant}"].relink_digest),
+            )
+            if digest is not None
         ]
         if len({digest for _, digest in pinned}) > 1:
             report.divergences.append(
                 Divergence(
                     "exe-bytes",
                     "; ".join(f"{v}={d[:16]}" for v, d in pinned),
-                    tuple(f"{mode}/{v}" for v, _ in pinned),
+                    tuple(dict.fromkeys(
+                        f"{mode}/{v.removesuffix('-relink')}" for v, _ in pinned
+                    )),
                 )
             )
         for smaller, reference in _MONOTONE:

@@ -18,9 +18,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from repro.isa.opcodes import OPS
 from repro.minicc.mcode import MInstr
 from repro.objfile.relocations import LituseKind
 from repro.om.symbolic import SymbolicModule, SymbolicProc
+
+_JSR = OPS["jsr"]
 
 
 @dataclass
@@ -71,32 +74,39 @@ def resolve_callee(
     return directory.get(name)
 
 
+def direct_jsrs(proc: SymbolicProc) -> list[tuple[MInstr, MInstr, str]]:
+    """The procedure's direct-call candidates in item order: each
+    ``jsr`` whose PV comes from a literal load in the same procedure
+    with a zero addend, with that load and the callee's name.  The
+    candidate is a call site when the name resolves to a procedure."""
+    literal_items = {
+        item.uid: item
+        for item in proc.items
+        if isinstance(item, MInstr) and item.literal is not None
+    }
+    found = []
+    for item in proc.items:
+        if not isinstance(item, MInstr) or item.instr.op is not _JSR:
+            continue
+        lituse = item.lituse
+        if lituse is None or lituse[1] != LituseKind.JSR:
+            continue
+        load = literal_items.get(lituse[0])
+        if load is None:
+            continue
+        callee_name, addend = load.literal
+        if not addend:
+            found.append((item, load, callee_name))
+    return found
+
+
 def iter_direct_call_sites(modules: list[SymbolicModule]) -> list[CallSite]:
     """Every direct jsr site the calls pass would consider converting."""
     directory = proc_directory(modules)
     sites: list[CallSite] = []
     for module_index, module in enumerate(modules):
         for proc in module.procs:
-            literal_items = {
-                item.uid: item
-                for item in proc.instructions()
-                if item.literal is not None
-            }
-            for item in proc.instructions():
-                instr = item.instr
-                if not (
-                    instr.is_jump
-                    and instr.op.name == "jsr"
-                    and item.lituse is not None
-                    and item.lituse[1] == LituseKind.JSR
-                ):
-                    continue
-                load = literal_items.get(item.lituse[0])
-                if load is None or load.literal is None:
-                    continue
-                callee_name, addend = load.literal
-                if addend:
-                    continue
+            for jsr, load, callee_name in direct_jsrs(proc):
                 resolved = resolve_callee(
                     modules, directory, module_index, callee_name
                 )
@@ -104,9 +114,7 @@ def iter_direct_call_sites(modules: list[SymbolicModule]) -> list[CallSite]:
                     continue
                 callee_module, callee = resolved
                 sites.append(
-                    CallSite(
-                        module_index, proc, item, load, callee_module, callee
-                    )
+                    CallSite(module_index, proc, jsr, load, callee_module, callee)
                 )
     return sites
 

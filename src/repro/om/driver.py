@@ -39,7 +39,13 @@ from repro.objfile.objfile import ObjectFile
 from repro.om.sched import om_schedule
 from repro.om.stats import OMStats, count_code
 from repro.om.symbolic import reassemble_module, translate_module
-from repro.om.transform import PassCounters, Program, Transformer, run_rounds
+from repro.om.transform import (
+    PassCounters,
+    Program,
+    Transformer,
+    lay_out,
+    run_rounds,
+)
 from repro.om.verify import VerifyReport
 
 
@@ -115,7 +121,7 @@ def om_link(
     whole-program phase, producing a byte-identical executable.
     ``cache`` (an :class:`repro.cache.ArtifactCache`) then
     content-addresses each shard's transform, so relinking after a
-    one-module edit only recomputes the changed shard.
+    one-module edit only translates and recomputes the changed shard.
     """
     options = options or OMOptions()
     inputs = resolve_inputs(objects, list(libraries))
@@ -125,15 +131,22 @@ def om_link(
     gat_before = sum(group.size for group in baseline_layout.groups)
     text_before = baseline_layout.text_end - baseline_layout.options.text_base
 
-    with span_or_null(trace, "om.translate", cat="om", modules=len(inputs.modules)):
-        modules = [translate_module(module) for module in inputs.modules]
-    before = count_code(modules)
+    # A partitioned link translates only what its shard cache misses.
+    partitioned = options.partitions > 1 and level is not OMLevel.NONE
+    pgo = level is OMLevel.FULL and options.layout
+    modules = before = None
+    if pgo or not partitioned:
+        with span_or_null(
+            trace, "om.translate", cat="om", modules=len(inputs.modules)
+        ):
+            modules = [translate_module(module) for module in inputs.modules]
+        before = count_code(modules)
 
     # Profile-guided layout: reorder procedures and weigh symbols
     # before the transformation rounds, so every round's tentative
     # layout (and the relaxation fixpoint) sees the final placement.
     plan = None
-    if level is OMLevel.FULL and options.layout:
+    if pgo:
         from repro.layout.plan import apply_plan, plan_layout
 
         with span_or_null(
@@ -172,17 +185,18 @@ def om_link(
     counters = PassCounters()
     # The relaxation statistics describe the last round's fixpoint.
     relax_iterations = relax_demoted = 0
-    wpo_stats = None
+    wpo = None
     rounds = None
     if level is not OMLevel.NONE:
         max_rounds = 1 if level is OMLevel.SIMPLE else max(1, options.rounds)
-        if options.partitions > 1:
+        if partitioned:
             from repro.wpo import wpo_rounds
 
             with span_or_null(
                 trace, "om.wpo", cat="om", partitions=options.partitions
             ):
                 wpo = wpo_rounds(
+                    inputs,
                     modules,
                     level=level,
                     options=options,
@@ -195,8 +209,11 @@ def om_link(
             counters.merge(wpo.counters)
             relax_iterations = wpo.relax_iterations
             relax_demoted = wpo.relax_demoted
-            wpo_stats = wpo.stats
             rounds = wpo.rounds
+            # ``None`` stands for each module whose body it built none of.
+            modules = wpo.members.bodies
+            if before is None:
+                before = wpo.members.before
         else:
 
             def run_round(round_index: int, layout) -> tuple[bool, list]:
@@ -224,12 +241,20 @@ def om_link(
                 modules,
                 run_round,
                 max_rounds=max_rounds,
-                layout_options=layout_options,
+                lay_out=lambda: lay_out(modules, layout_options),
                 full=level is OMLevel.FULL,
                 relax=relax_options,
                 bsr_range_words=options.bsr_range_words,
                 trace=trace,
             )
+        # Whatever reads every body reads a partitioned link's bodies
+        # once they are all built.
+        if wpo is not None and (
+            (options.verify and rounds.certified)
+            or (level is OMLevel.FULL
+                and (options.remove_dead_procs or options.schedule))
+        ):
+            modules = wpo.members.build_all()
         if options.verify and rounds.certified:
             _run_skipped_round(
                 modules, rounds, level=level, options=options, relax=relax_options
@@ -260,10 +285,17 @@ def om_link(
     if rounds is not None and rounds.layout is not None and not changed_since:
         final_layout, placements = rounds.layout, rounds.placements
     with span_or_null(trace, "om.finalize", cat="om"):
+        finals = (
+            wpo.members.final_objects() if wpo is not None
+            else [None] * len(modules)
+        )
         final_objs = [
-            reassemble_module(module, placement)
-            for module, placement in zip(modules, placements)
+            final or reassemble_module(module, placement)
+            for module, placement, final in zip(modules, placements, finals)
         ]
+        if wpo is not None:
+            wpo.members.store(None if changed_since else final_objs)
+            wpo.stats.built = sorted(wpo.members.built)
         final_inputs = resolve_inputs(final_objs, [])
         if final_layout is None:
             final_layout = compute_layout(final_inputs, layout_options)
@@ -289,7 +321,7 @@ def om_link(
     stats = OMStats(
         level=level.value,
         before=before,
-        after=count_code(modules),
+        after=wpo.members.count_after() if wpo is not None else count_code(modules),
         loads_converted=counters.loads_converted,
         loads_nullified=counters.loads_nullified + counters.pv_loads_removed,
         gat_bytes_before=gat_before,
@@ -301,7 +333,8 @@ def om_link(
         relax_demoted=relax_demoted,
     )
     return OMResult(
-        executable, stats, counters, verify=report, trace=trace, wpo=wpo_stats
+        executable, stats, counters, verify=report, trace=trace,
+        wpo=wpo.stats if wpo is not None else None,
     )
 
 

@@ -3,7 +3,9 @@ the paper's Figures 3, 4, and 5 and the GAT-reduction statistic."""
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from repro.isa.opcodes import OPS, Format
 from repro.isa.registers import Reg
@@ -32,71 +34,108 @@ _OPERATE = Format.OPERATE
 _ZERO = int(Reg.ZERO)
 
 
-def count_code(modules: list[SymbolicModule]) -> CodeCounts:
-    """Measure the current symbolic form (one pass over every item).
+class ModuleCounts(NamedTuple):
+    """One module's share of :class:`CodeCounts`.
+
+    A ``bsr`` is a call only when it branches to some procedure's entry
+    or its ``$postgp``/``$skipgp`` label, and that set spans every
+    module, so a module records its ``bsr`` targets, not a call count.
+    """
+
+    instructions: int
+    nops: int
+    addr_loads: int
+    pv_loads: int
+    gp_resets: int
+    jsrs: int
+    indirect_calls: int
+    bsr_targets: tuple
+
+
+def module_counts(module: SymbolicModule) -> ModuleCounts:
+    """Measure one module (one pass over its items).
 
     Ops are tested by identity: a nop is an operate instruction writing
     ZERO, or ``lda``/``ldah``/``ldq_u`` writing ZERO
     (``Instruction.is_nop``); a call is a ``jsr``, or a ``bsr`` to a
     procedure entry or its ``$postgp``/``$skipgp`` label.
     """
-    call_labels: set[str] = set()
-    for module in modules:
-        for proc in module.procs:
-            name = proc.name
-            call_labels.update((name, f"{name}$postgp", f"{name}$skipgp"))
-
     instructions = nops = addr_loads = pv_loads = 0
-    gp_resets = calls = indirect_calls = 0
+    gp_resets = jsrs = indirect_calls = 0
+    bsr_targets: list[str] = []
     jsr_kind = LituseKind.JSR
-    for module in modules:
-        for proc in module.procs:
-            name = proc.name
-            literal_uids: set[int] = set()
-            jsr_uses: set[int] = set()
-            for item in proc.items:
-                if isinstance(item, MLabel):
-                    continue
-                instructions += 1
-                instr = item.instr
-                op = instr.op
-                if op.format is _OPERATE:
-                    if instr.rc == _ZERO:
-                        nops += 1
-                elif op is _LDA or op is _LDAH or op is _LDQ_U:
-                    if instr.ra == _ZERO:
-                        nops += 1
-                if item.literal is not None:
-                    addr_loads += 1
-                    literal_uids.add(item.uid)
-                lituse = item.lituse
-                if lituse is not None and lituse[1] == jsr_kind:
-                    jsr_uses.add(lituse[0])
-                base = item.gpdisp_base
-                if base is not None and base != name:
-                    gp_resets += 1
-                if op is _JSR:
-                    calls += 1
-                    if lituse is None:
-                        # Calls through procedure variables always need
-                        # PV established; no optimization level removes
-                        # this.
-                        pv_loads += 1
-                        indirect_calls += 1
-                elif op is _BSR:
-                    branch = item.branch
-                    if branch is not None and branch[0] in call_labels:
-                        calls += 1
-            # Literal loads a direct jsr in the procedure still uses.
-            pv_loads += len(literal_uids & jsr_uses)
-    return CodeCounts(
-        instructions=instructions,
-        nops=nops,
-        addr_loads=addr_loads,
-        pv_loads=pv_loads,
-        gp_resets=gp_resets,
-        calls=calls,
-        indirect_calls=indirect_calls,
+    for proc in module.procs:
+        name = proc.name
+        literal_uids: set[int] = set()
+        jsr_uses: set[int] = set()
+        for item in proc.items:
+            if isinstance(item, MLabel):
+                continue
+            instructions += 1
+            instr = item.instr
+            op = instr.op
+            if op.format is _OPERATE:
+                if instr.rc == _ZERO:
+                    nops += 1
+            elif op is _LDA or op is _LDAH or op is _LDQ_U:
+                if instr.ra == _ZERO:
+                    nops += 1
+            if item.literal is not None:
+                addr_loads += 1
+                literal_uids.add(item.uid)
+            lituse = item.lituse
+            if lituse is not None and lituse[1] == jsr_kind:
+                jsr_uses.add(lituse[0])
+            base = item.gpdisp_base
+            if base is not None and base != name:
+                gp_resets += 1
+            if op is _JSR:
+                jsrs += 1
+                if lituse is None:
+                    # Calls through procedure variables always need
+                    # PV established; no optimization level removes
+                    # this.
+                    pv_loads += 1
+                    indirect_calls += 1
+            elif op is _BSR:
+                branch = item.branch
+                if branch is not None:
+                    bsr_targets.append(branch[0])
+        # Literal loads a direct jsr in the procedure still uses.
+        pv_loads += len(literal_uids & jsr_uses)
+    return ModuleCounts(
+        instructions, nops, addr_loads, pv_loads, gp_resets, jsrs,
+        indirect_calls, tuple(bsr_targets),
+    )
+
+
+def total_counts(
+    counts: Iterable[ModuleCounts], proc_names: Iterable[str]
+) -> CodeCounts:
+    """The program's counts from each module's, given the names of
+    every procedure in the program."""
+    call_labels: set[str] = set()
+    for name in proc_names:
+        call_labels.update((name, f"{name}$postgp", f"{name}$skipgp"))
+    total = CodeCounts()
+    for part in counts:
+        total.instructions += part.instructions
+        total.nops += part.nops
+        total.addr_loads += part.addr_loads
+        total.pv_loads += part.pv_loads
+        total.gp_resets += part.gp_resets
+        total.calls += part.jsrs + sum(
+            map(call_labels.__contains__, part.bsr_targets)
+        )
+        total.indirect_calls += part.indirect_calls
+    return total
+
+
+def count_code(modules: list[SymbolicModule]) -> CodeCounts:
+    """Measure the current symbolic form (one pass over every item)."""
+    return total_counts(
+        [module_counts(module) for module in modules],
+        (proc.name for module in modules for proc in module.procs),
     )
 
 

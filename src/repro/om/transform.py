@@ -27,8 +27,8 @@ and runs another round only when one of them flips (DESIGN.md,
 
 from __future__ import annotations
 
+from collections.abc import Collection
 from dataclasses import dataclass, field
-from itertools import islice
 
 from repro.isa.instruction import Instruction
 from repro.isa.opcodes import OPS
@@ -157,26 +157,35 @@ def _find_address_taken(modules: list[SymbolicModule]) -> set[str]:
     proc_names = {proc.name for module in modules for proc in module.procs}
     taken: set[str] = set()
     for module in modules:
-        for ref in module.data_refs:
-            if ref.symbol in proc_names and ref.label is None:
-                taken.add(ref.symbol)
+        taken.update(address_refs(module, proc_names))
+    return taken & proc_names
+
+
+def address_refs(
+    module: SymbolicModule, names: Collection[str] | None = None
+) -> set[str]:
+    """The symbols one module takes the address of (those of ``names``,
+    when given): data references that name no label, and literals
+    loaded with a non-JSR use or escaped; those that name procedures
+    are address-taken."""
+    refs = {ref.symbol for ref in module.data_refs if ref.label is None}
+    for proc in module.procs:
         literals: list[MInstr] = []
         # Literal loads with a non-JSR use: those uses take the address.
         address_uses: set[int] = set()
-        for proc in module.procs:
-            for item in proc.items:
-                if isinstance(item, MLabel):
-                    continue
-                literal = item.literal
-                if literal is not None and literal[0] in proc_names:
-                    literals.append(item)
-                lituse = item.lituse
-                if lituse is not None and lituse[1] != LituseKind.JSR:
-                    address_uses.add(lituse[0])
+        for item in proc.items:
+            if isinstance(item, MLabel):
+                continue
+            literal = item.literal
+            if literal is not None and (names is None or literal[0] in names):
+                literals.append(item)
+            lituse = item.lituse
+            if lituse is not None and lituse[1] != LituseKind.JSR:
+                address_uses.add(lituse[0])
         for item in literals:
             if item.lit_escaped or item.uid in address_uses:
-                taken.add(item.literal[0])
-    return taken
+                refs.add(item.literal[0])
+    return refs
 
 
 # -- helpers over item lists ------------------------------------------------------
@@ -271,17 +280,15 @@ def _nullify(item: MInstr) -> None:
 
 def _entry_pair_at_top(proc: SymbolicProc) -> tuple[MInstr, MInstr] | None:
     """The entry GPDISP pair if it sits in the first two instruction slots."""
-    instrs = list(
-        islice((item for item in proc.items if isinstance(item, MInstr)), 2)
-    )
-    if len(instrs) < 2:
-        return None
-    first, second = instrs[0], instrs[1]
-    if (
-        first.gpdisp_base == proc.name
-        and second.gpdisp_pair == first.uid
-    ):
-        return first, second
+    first = None
+    for item in proc.items:
+        if isinstance(item, MLabel):
+            continue
+        if first is not None:
+            return (first, item) if item.gpdisp_pair == first.uid else None
+        if item.gpdisp_base != proc.name:
+            return None
+        first = item
     return None
 
 
@@ -943,55 +950,36 @@ class Transformer:
 
     def _remove_dead_entry_setups(self) -> None:
         prog = self.prog
-        # A procedure's entry GP-setup can go only when every remaining
-        # entry arrives with the correct GP already established: no
-        # address-taken uses, no surviving literals (unconverted call
-        # sites), no stored entry pointers, and no branch to the entry
-        # label itself (skip-label branches land past the pair).
-        blocked: set[str] = {prog.entry}
-        for module in prog.modules:
-            for ref in module.data_refs:
-                if ref.label is None:
-                    blocked.add(ref.symbol)
-            for proc in module.procs:
-                for item in proc.items:
-                    if isinstance(item, MLabel):
-                        continue
-                    if item.literal is not None:
-                        blocked.add(item.literal[0])
-                    if item.branch is not None:
-                        blocked.add(item.branch[0])
-                    if item.hint is not None:
-                        blocked.add(item.hint)
+        removals = dead_entry_setups(
+            prog.entry,
+            [entry_facts(module) for module in prog.modules],
+            prog.address_taken,
+            self.facts,
+        )
+        for module_index, name in removals:
+            self.remove_entry_setup(
+                module_index, prog.modules[module_index].proc_named(name)
+            )
 
-        for module_index, module in enumerate(prog.modules):
-            for proc in module.procs:
-                if proc.name in blocked or not proc.uses_gp:
-                    continue
-                pair = _entry_pair_at_top(proc)
-                if pair is None:
-                    continue
-                if proc.name in prog.address_taken:
-                    # Address-taken when the round began, but no
-                    # reference that takes it survives, so the next
-                    # round's address-taken set drops it.
-                    self.facts.append(("address-taken", module_index, proc.name))
-                    continue
-                reason = (
-                    "every remaining entry arrives with the correct GP "
-                    "already established"
-                )
-                self._kill(
-                    module_index, proc, pair[0],
-                    pass_name="entry-setups", reason=reason,
-                    extra_counter="entry_setups_removed",
-                )
-                self._kill(
-                    module_index, proc, pair[1],
-                    pass_name="entry-setups", reason=reason,
-                )
-                self.counters.entry_setups_removed += 1
-                self.changed = True
+    def remove_entry_setup(self, module_index: int, proc: SymbolicProc) -> None:
+        """Delete a procedure's entry GP setup, which
+        :func:`dead_entry_setups` found dead."""
+        pair = _entry_pair_at_top(proc)
+        reason = (
+            "every remaining entry arrives with the correct GP "
+            "already established"
+        )
+        self._kill(
+            module_index, proc, pair[0],
+            pass_name="entry-setups", reason=reason,
+            extra_counter="entry_setups_removed",
+        )
+        self._kill(
+            module_index, proc, pair[1],
+            pass_name="entry-setups", reason=reason,
+        )
+        self.counters.entry_setups_removed += 1
+        self.changed = True
 
     # ---- kill helper ---------------------------------------------------------------
 
@@ -1050,6 +1038,62 @@ def _is_reset_free_leaf(proc: SymbolicProc) -> bool:
         if op is _JSR or op is _BSR:
             return False
     return True
+
+
+def entry_facts(module: SymbolicModule) -> tuple[set[str], tuple[str, ...]]:
+    """What the entry-setup pass reads from one module: the names its
+    code and data still reference (literals, branch and hint targets,
+    data references that name no label), and, in procedure order, the
+    procedures whose entry GP setup it may remove (they use GP and
+    their GPDISP pair sits at the top)."""
+    blocked = {ref.symbol for ref in module.data_refs if ref.label is None}
+    candidates = []
+    for proc in module.procs:
+        for item in proc.items:
+            if isinstance(item, MLabel):
+                continue
+            if item.literal is not None:
+                blocked.add(item.literal[0])
+            if item.branch is not None:
+                blocked.add(item.branch[0])
+            if item.hint is not None:
+                blocked.add(item.hint)
+        if proc.uses_gp and _entry_pair_at_top(proc) is not None:
+            candidates.append(proc.name)
+    return blocked, tuple(candidates)
+
+
+def dead_entry_setups(
+    entry: str,
+    facts: list[tuple[set[str], tuple[str, ...]]],
+    address_taken: set[str],
+    layout_facts: list[tuple],
+) -> list[tuple[int, str]]:
+    """The entry GP setups that can go, as (module index, procedure),
+    from every module's :func:`entry_facts`.
+
+    A procedure's entry GP-setup can go only when every remaining entry
+    arrives with the correct GP already established: no address-taken
+    uses, no surviving literals (unconverted call sites), no stored
+    entry pointers, and no branch to the entry label itself (skip-label
+    branches land past the pair).  A setup kept only because the
+    procedure was address-taken when the round began, though no
+    reference that takes it survives, is a layout fact: the next
+    round's address-taken set drops it.
+    """
+    blocked = {entry}
+    for names, __ in facts:
+        blocked.update(names)
+    removals = []
+    for module_index, (__, candidates) in enumerate(facts):
+        for name in candidates:
+            if name in blocked:
+                continue
+            if name in address_taken:
+                layout_facts.append(("address-taken", module_index, name))
+                continue
+            removals.append((module_index, name))
+    return removals
 
 
 # -- the round loop and its convergence certificate ---------------------------
@@ -1152,10 +1196,11 @@ class Rounds:
     """How the transformation rounds ended."""
 
     #: The layout of the modules as the rounds left them, and the
-    #: placements it was laid out from; ``None`` when the last round
-    #: allowed changed something, which nothing re-checks.
+    #: placements it was laid out from (``None`` for a module laid out
+    #: from an object); ``None`` when the last round allowed changed
+    #: something, which nothing re-checks.
     layout: Layout | None
-    placements: list[Placement] | None
+    placements: list[Placement | None] | None
     rounds: int
     #: The certificate, not a round that changed nothing, ended them:
     #: another round was allowed and skipped.
@@ -1163,11 +1208,11 @@ class Rounds:
 
 
 def run_rounds(
-    modules: list[SymbolicModule],
+    modules: list[SymbolicModule | None],
     run_round,
     *,
     max_rounds: int,
-    layout_options: LayoutOptions,
+    lay_out,
     full: bool,
     relax=None,
     bsr_range_words: int = 1 << 20,
@@ -1177,20 +1222,24 @@ def run_rounds(
 
     ``run_round`` transforms ``modules`` in place on the layout it is
     given and returns whether it changed anything and the layout facts
-    it recorded.  After a round that changed something, and another
-    round is allowed, the program is laid out once more; the next
-    round, or the finish, uses that layout.  Another round runs only
-    when the new layout flips one of the facts.  A traced link records
-    one ``om.converged`` event per check.
+    it recorded.  ``lay_out()`` lays the program out as it stands and
+    returns the layout and each module's placement (see :func:`lay_out`).
+    After a round that changed something, and another round is allowed,
+    the program is laid out once more; the next round, or the finish,
+    uses that layout.  Another round runs only when the new layout
+    flips one of the facts.  A traced link records one ``om.converged``
+    event per check.  The partitioned driver leaves ``None`` in
+    ``modules`` for a module whose body it has not built; the facts of
+    such a link need only the layout.
     """
-    layout, placements = lay_out(modules, layout_options)
+    layout, placements = lay_out()
     for round_index in range(max_rounds):
         changed, facts = run_round(round_index, layout)
         if not changed:
             return Rounds(layout, placements, round_index + 1)
         if round_index + 1 == max_rounds:
             break
-        layout, placements = lay_out(modules, layout_options)
+        layout, placements = lay_out()
         flipped = flipped_facts(
             Program(modules, layout),
             facts,

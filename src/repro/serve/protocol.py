@@ -56,8 +56,8 @@ _HEADER_LEN = 4
 JOB_OPS = ("compile", "link", "run", "explain")
 ADMIN_OPS = ("status", "metrics", "shutdown")
 #: Extra admin ops only the fleet router answers: ``route`` maps a
-#: request's content fields to the daemon that owns them and to the
-#: two ring candidates a job is sent to.
+#: job's op (its ``job`` field) and content fields to the daemon that
+#: owns them and to the two ring candidates the job is sent to.
 ROUTER_OPS = ("route",)
 OPS = JOB_OPS + ADMIN_OPS
 

@@ -43,8 +43,9 @@ daemon's registry snapshot (without its Prometheus text) and add them
 up with :func:`~repro.obs.metrics.sum_snapshots`.  ``status`` renders the sum,
 each daemon's own snapshot and the router's registry with
 :func:`~repro.obs.metrics.render_status`; ``metrics`` answers the
-snapshots and the router's own exposition.  ``route`` answers which
-daemon owns a key and its two ``candidates``, owner first (tests and
+snapshots and the router's own exposition.  ``route`` takes a job's
+op (``job``) and content fields and answers which daemon owns the key
+that job would get and its two ``candidates``, owner first (tests and
 operators use it to aim requests); ``shutdown`` initiates the fleet
 drain.
 """
@@ -227,6 +228,23 @@ class _Backend:
                 conn[1].close()
             pool.put_nowait(None)
 
+    async def close(self) -> None:
+        """Close every pooled connection; the router has drained, so
+        none is in flight."""
+        pool = self._ensure_pool()
+        writers = []
+        while not pool.empty():
+            conn = pool.get_nowait()
+            if conn is not None:
+                writers.append(conn[1])
+        for writer in writers:
+            writer.close()
+        for writer in writers:
+            try:
+                await writer.wait_closed()
+            except (OSError, ConnectionError):
+                pass
+
     async def roundtrip(
         self, body: bytes, *, max_frame: int, timeout: float
     ) -> bytes:
@@ -365,7 +383,8 @@ class FleetRouter:
         return host, port
 
     async def drain(self) -> None:
-        """Stop admitting, finish in-flight relays, flush the trace.
+        """Stop admitting, finish in-flight relays, close the client
+        and daemon connections, flush the trace.
 
         Daemons are NOT stopped here — the fleet supervisor owns their
         lifecycle and drains them after the router stops forwarding.
@@ -380,6 +399,8 @@ class FleetRouter:
         await self._idle.wait()
         for writer in list(self._writers):
             writer.close()
+        for backend in self.backends.values():
+            await backend.close()
         if self.trace is not None:
             self.trace.event(
                 "router.drained", cat="router",
@@ -471,7 +492,15 @@ class FleetRouter:
         if op == "metrics":
             return protocol.ok_response(rid, await self.metrics_payload())
         if op == "route":
-            key = routing_key(message)
+            # The key of the job the caller means to send, not of this
+            # route request.
+            job = message.get("job")
+            if job not in protocol.JOB_OPS:
+                self._count("bad_requests")
+                return protocol.error_response(
+                    rid, "bad-request", f"route needs a job op, got {job!r}"
+                )
+            key = routing_key({**message, "op": job})
             candidates = self.ring.nodes_for(key, 2)
             slot = candidates[0] if candidates else None
             backend = self.backends.get(slot) if slot else None

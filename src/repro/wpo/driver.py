@@ -1,93 +1,76 @@
 """The partitioned whole-program optimization (WPO) round driver.
 
-Replaces the monolithic per-round transform of ``om_link`` with the
-WHOPR-style split the LTO literature converged on (Glek & Hubička):
+Each OM round splits WHOPR-style (Glek & Hubička): a **serial phase**
+(layout, GP grouping, callee resolution, the jsr->bsr verdict for every
+call site) that reads each module only through its
+:class:`~repro.wpo.shard.ModuleSummary`; an **independent per-shard
+phase** (the calls and address-load passes, against stub summaries of
+out-of-shard callees); and a serial epilogue (skip-label effects, then
+dead entry-setup removal over every module's post-shard entry facts).
 
-* a **serial whole-program phase** per round — layout from the
-  placement, GP-range/GAT grouping, GP-pair canonicalization, the
-  jsr->bsr range/relaxation verdict for every call site, and
-  cross-shard relocation patching (skip-label effects);
-* an **independent per-shard phase** — the calls and address-load
-  passes over each shard, against summaries of everything outside it;
-* a serial epilogue — dead entry-setup removal over the merged
-  program (it needs the global blocked-set).
+Each shard keeps one cache entry (kind ``"wpo"``), keyed on its
+members' input-object digests (SHA-256 of ``dump_object``): the
+members' summaries; round 0's transform, valid under the key of the
+shift-stable context the serial phase computed (GP displacements,
+canonical groups, site decisions, callee summaries, whether the link is
+traced) and holding the counters, effects, events, layout facts and
+each member's post-shard value and entry facts; and, after a one-round
+link, each member's reassembled object and counts under the members'
+final state (that key plus the effects and removals that landed on
+each member).  Round 0 partitions and lays out the input objects, so a
+shard whose entry matches costs its members a digest and one cache
+read: nothing is translated, decoded or reassembled.  A link writes an
+entry only where it learned something new.
 
-Each shard execution is content-addressed through
-:class:`repro.cache.ArtifactCache` under kind ``"wpo"``: the key
-covers the member modules' object bytes plus the shift-stable context
-(GP displacements, canonical group pattern, per-site decisions, callee
-summaries) — and nothing position-dependent, so unchanged shards hit
-across edits *and* across rounds once they converge.  Editing one
-module therefore relinks in O(changed shard): every other shard's
-transform is a cache read.
+Whatever reads every body — a later round (rounds after the first are
+not cached), ``verify``'s skipped round, PGO layout, rescheduling,
+dead-procedure removal, relaxation, a traced link's pcs, or a final
+state its entry does not hold — first builds the missing bodies by
+decoding each member's post-shard value and replaying what landed on
+it.  A link without a cache runs the same code with every lookup a
+miss.
 
-Byte identity with the monolithic path is structural, not aspirational:
-the per-shard passes mutate only their own modules except for the
-idempotent skip-label/export insertion into callees, which is
-harvested as an effect and replayed serially; every cross-module
-*read* is answered from the post-canonicalize serial snapshot, which
-is exactly the state the monolithic pass order exposes.
-
-That same argument lets shards run on the driver's live modules:
-every job (GP values, addresses, groups, call decisions, stub
-summaries) is built before the first shard runs, a shard mutates only
-its own members and private stubs, and the effects land after all
-shards have run.  A shard records provenance into a log of its own
-only when the link is traced.  Whether it records is part of its
-cache key, so a traced link never replays an entry without events,
-and an untraced link records nothing.
-
-The rounds run in :func:`~repro.om.transform.run_rounds`, the loop
-the monolithic driver uses, with the same convergence certificate.
-Each round collects the layout facts of its serial phase (declined
-call sites), of its shards (declined address loads and GP resets, in
-shard-local module indices, cached with the shard) and of its
-epilogue (entry setups); after a round that changed something, the
-program is laid out once more and another round runs only when that
-layout flips one of them.  So a link whose first round converges runs
-one round, and an edit relink keys, encodes and digests each shard
-once.
-
-Every round lays out from :func:`~repro.om.symbolic.layout_object`.
-A round without a cache encodes and pickles nothing.  With one, the
-round encodes each module after the serial prologue into the uid-free
-value of :func:`~repro.om.symbolic.encode_module`, exactly the input
-its shard transforms, and a shard key hashes its members' values.  A
-miss pickles one entry of plain values: ``None`` for each member the
-shard left equal, the encoded value of each member it changed.  A hit
-unpickles the entry, decodes only the changed members and keeps the
-live objects of the others, so a shard that changed nothing decodes
-nothing.
+Byte identity with the monolithic path is structural: a shard mutates
+only its own members (the skip labels it gives out-of-shard callees are
+harvested as effects and replayed serially), and every cross-module
+read is answered from the post-canonicalize serial snapshot the
+monolithic pass order exposes.  So shards run on the driver's live
+modules once every job is built.  The rounds run in
+:func:`~repro.om.transform.run_rounds` with the monolithic driver's
+convergence certificate; shard layout facts are cached with the shard
+in shard-local module indices.
 """
 
 from __future__ import annotations
 
-import pickle
+import hashlib
+import marshal
 from dataclasses import dataclass, field
 
-from repro.layout.callgraph import iter_direct_call_sites
-from repro.linker.layout import LayoutOptions
-from repro.linker.resolve import LinkError
-from repro.minicc.mcode import MLabel
+from repro.layout.callgraph import direct_jsrs, proc_directory, resolve_callee
+from repro.linker.layout import Layout, LayoutOptions, compute_layout
+from repro.linker.resolve import LinkError, ResolvedInputs, resolve_inputs
 from repro.obs import provenance
 from repro.obs.trace import TraceLog, span_or_null
-from repro.om.symbolic import SymbolicModule, encode_module, module_digest
+from repro.om.stats import total_counts
+from repro.om.symbolic import SymbolicModule, decode_module, reassemble_module
 from repro.om.transform import (
     PassCounters,
     Program,
     Rounds,
     Transformer,
-    _entry_pair_at_top,
-    _find_skip_label,
-    _is_reset_free_leaf,
+    dead_entry_setups,
     run_rounds,
 )
+from repro.wpo.members import _KEY_VERSION, Entry, Members, apply_skip_effect
 from repro.wpo.partition import Shard, partition_modules
-from repro.wpo.shard import ShardResult, StubInfo, run_shard_job
-
-#: Bump to invalidate shard artifacts when the key or entry format changes.
-_KEY_VERSION = 3
-
+from repro.wpo.shard import (
+    ModuleSummary,
+    ShardResult,
+    StubInfo,
+    run_shard_job,
+    summarize,
+)
 
 @dataclass
 class WPOStats:
@@ -104,54 +87,10 @@ class WPOStats:
     missed_shards: list[int] = field(default_factory=list)
     #: Module names per shard, for mapping edits to shards.
     members: list[list[str]] = field(default_factory=list)
-
-
-@dataclass
-class WPORun:
-    """Everything ``om_link`` folds back out of the partitioned rounds."""
-
-    counters: PassCounters = field(default_factory=PassCounters)
-    #: The last round's relaxation fixpoint.
-    relax_iterations: int = 0
-    relax_demoted: int = 0
-    stats: WPOStats = field(default_factory=WPOStats)
-    rounds: Rounds | None = None
-
-
-def _site_decisions(prologue: Transformer, sites: list) -> dict[int, bool]:
-    """The jsr->bsr verdict for every direct call site, by jsr uid.
-
-    Mirrors ``Transformer._convert_call_site`` exactly: the relaxation
-    fixpoint's decision when one ran, otherwise the one-shot range
-    check against this round's layout, which records every site it
-    declines as a layout fact of the prologue.
-    """
-    relax_result = prologue.relax_result
-    if relax_result is not None:
-        return {
-            site.jsr.uid: relax_result.decisions.get(site.jsr.uid, False)
-            for site in sites
-        }
-    return {
-        site.jsr.uid: prologue.bsr_site_in_range(
-            site.caller_module, site.caller.name,
-            site.callee_module, site.callee.name,
-        )
-        for site in sites
-    }
-
-
-def _apply_skip_effect(module: SymbolicModule, proc_name: str) -> None:
-    """Idempotently give ``proc_name`` a skip label past its GP setup
-    and export it (the only cross-module mutation the calls pass makes)."""
-    proc = module.proc_named(proc_name)
-    label = f"{proc.name}$skipgp"
-    if _find_skip_label(proc) is None:
-        pair = _entry_pair_at_top(proc)
-        proc.items.insert(
-            proc.items.index(pair[1]) + 1, MLabel(label, is_target=True)
-        )
-    proc.export_labels.add(label)
+    #: Indices of the modules whose bodies the link built, translated
+    #: or decoded from a shard entry: none for a relink whose shards
+    #: all hit, only the missed shards' members after an edit.
+    built: list[int] = field(default_factory=list)
 
 
 def _replay_events(
@@ -181,13 +120,192 @@ def _replay_events(
         )
 
 
+@dataclass
+class WPORun:
+    """Everything ``om_link`` folds back out of the partitioned rounds."""
+
+    counters: PassCounters = field(default_factory=PassCounters)
+    #: The last round's relaxation fixpoint.
+    relax_iterations: int = 0
+    relax_demoted: int = 0
+    stats: WPOStats = field(default_factory=WPOStats)
+    rounds: Rounds | None = None
+    #: Each module's input object and body, for the finish.
+    members: Members | None = None
+
+
+def wpo_rounds(
+    inputs: ResolvedInputs,
+    modules: list[SymbolicModule] | None = None,
+    *,
+    level,
+    options,
+    relax_options,
+    layout_options: LayoutOptions,
+    max_rounds: int,
+    cache=None,
+    trace: TraceLog | None = None,
+) -> WPORun:
+    """Run the OM transformation rounds partitioned into shards.
+
+    ``inputs`` are the link's resolved input objects.  ``modules``, when
+    given, are their bodies as a profile-guided layout reordered them;
+    otherwise the rounds translate only the members of shards that
+    miss.  Returns the merged counters and telemetry, and the members'
+    bodies and final objects for the finish.
+    """
+    from repro.om.driver import OMLevel  # circular-safe: driver imports us lazily
+
+    full = level is OMLevel.FULL
+    convert_escaped = bool(options.convert_escaped and full)
+    objects = (
+        inputs.modules if modules is None
+        else [reassemble_module(module) for module in modules]
+    )
+    shards = partition_modules(objects, options.partitions)
+    members = Members(objects, modules, shards, cache, trace, full)
+    run = WPORun(members=members)
+    run.stats = WPOStats(
+        partitions=options.partitions,
+        shards=len(shards),
+        members=[[objects[g].name for g in shard.members] for shard in shards],
+    )
+    # Bodies come first where a round-0 step reads every one of them:
+    # relaxation models every body's addresses, and a traced link's
+    # events carry each body's pcs.
+    eager = (
+        cache is None or modules is not None or trace is not None
+        or relax_options is not None
+    )
+    missed: set[int] = set()
+
+    def run_round(round_index: int, layout) -> tuple[bool, list]:
+        with span_or_null(
+            trace,
+            f"om.round{round_index}",
+            cat="om",
+            level=level.value,
+            wpo=len(shards),
+        ):
+            return _run_round(
+                members,
+                layout,
+                options=options,
+                relax_options=relax_options,
+                round_index=round_index,
+                eager=eager,
+                full=full,
+                convert_escaped=convert_escaped,
+                cache=cache,
+                trace=trace,
+                run=run,
+                missed=missed,
+            )
+
+    laid_out = False
+
+    def lay_out_program() -> tuple[Layout, list]:
+        # Round 0 lays out from the input objects, which place exactly
+        # as their translations do.
+        nonlocal laid_out
+        if not laid_out:
+            laid_out = True
+            resolved = inputs if modules is None else resolve_inputs(objects, [])
+            return compute_layout(resolved, layout_options), [None] * len(objects)
+        return members.lay_out(layout_options)
+
+    run.rounds = run_rounds(
+        members.bodies,
+        run_round,
+        max_rounds=max_rounds,
+        lay_out=lay_out_program,
+        full=full,
+        relax=relax_options,
+        bsr_range_words=options.bsr_range_words,
+        trace=trace,
+    )
+    run.stats.rounds = run.rounds.rounds
+    run.stats.missed_shards = sorted(missed)
+    run.stats.built = sorted(members.built)
+    return run
+
+
+def _canonicalize(prologue: Transformer, index: int, body: SymbolicModule) -> None:
+    for proc in body.procs:
+        prologue._canonicalize_gp_pairs(index, proc)
+
+
+def _summarize_shards(
+    members: Members,
+    prologue: Transformer,
+    *,
+    round_index: int,
+    eager: bool,
+    full: bool,
+) -> bool:
+    """Give every member its summary; whether canonicalization moved
+    anything.  A body is canonicalized, then summarized; an unbuilt
+    member's summary comes from its shard's entry, and a shard whose
+    entry misses translates its members.  Round 0 reads each shard's
+    entry."""
+    changed = False
+    for shard in members.shards:
+        if round_index == 0 and members.cache is not None:
+            stored = members.load(shard)
+            if stored is not None and not eager:
+                for g, summary in zip(shard.members, stored.summaries):
+                    members.summaries[g] = summary
+                members.entries[shard.index] = Entry(
+                    stored.summaries, stored.canonicalized
+                )
+                changed = changed or stored.canonicalized
+                continue
+            members.translate(shard.members)
+        prologue.changed = False
+        for g in shard.members:
+            body = members.bodies[g]
+            if full:
+                _canonicalize(prologue, g, body)
+            members.summaries[g] = summarize(body)
+        changed = changed or prologue.changed
+        if round_index == 0:
+            members.entries[shard.index] = Entry(
+                tuple(members.summaries[g] for g in shard.members),
+                prologue.changed,
+            )
+    if round_index == 0:
+        members.before = total_counts(
+            (summary.counts for summary in members.summaries),
+            (proc.name for summary in members.summaries for proc in summary.procs),
+        )
+    return changed
+
+
+def _resolve_sites(
+    summaries: list[ModuleSummary],
+) -> list[list[tuple | None]]:
+    """Per module, each direct-call candidate of its summary resolved
+    to (caller, callee module, callee's procedure facts), or ``None``,
+    as :func:`~repro.layout.callgraph.resolve_callee` resolves a body's."""
+    directory = proc_directory(summaries)
+    resolved = []
+    for index, summary in enumerate(summaries):
+        sites = []
+        for caller, name in summary.sites:
+            target = resolve_callee(summaries, directory, index, name)
+            sites.append(None if target is None else (caller, *target))
+        resolved.append(sites)
+    return resolved
+
+
 class _ShardJob:
     """One shard's job, cache key, and driver-side stub directory."""
 
     def __init__(self, shard: Shard, job: dict, key_payload: dict | None,
                  stub_modules: dict[int, int], stub_names: dict[int, str]):
         self.shard = shard
-        #: The job dict; its modules are the driver's live members.
+        #: The job dict; its modules are the driver's live members,
+        #: filled in when the shard runs.
         self.job = job
         #: Cache-key payload (``None`` when no cache is attached).
         self.key_payload = key_payload
@@ -199,12 +317,11 @@ class _ShardJob:
 
 def _build_shard_job(
     shard: Shard,
-    modules: list[SymbolicModule],
+    summaries: list[ModuleSummary],
     digests: list[str] | None,
     layout,
-    prog: Program,
-    sites_by_module: dict[int, list],
-    decisions: dict[int, bool],
+    resolved: list[list[tuple | None]],
+    decisions: list[list[bool]],
     *,
     full: bool,
     convert_escaped: bool,
@@ -213,7 +330,7 @@ def _build_shard_job(
 ) -> _ShardJob:
     members = shard.members
     local_of = {g: i for i, g in enumerate(members)}
-    single_group = prog.single_group()
+    single_group = len(layout.groups) <= 1
 
     # Canonical group ids: first appearance over members, then stubs.
     # Execution only ever compares groups for equality, and the cache
@@ -228,16 +345,9 @@ def _build_shard_job(
     group = [canon_group(layout.module_group[g]) for g in members]
 
     addr: dict[tuple[int, str], int] = {}
-    literal_syms: list[set[str]] = []  # per member
     for local, g in enumerate(members):
-        module = modules[g]
-        syms = {
-            item.literal[0]
-            for item in module.all_items()
-            if getattr(item, "literal", None) is not None
-        }
-        literal_syms.append(syms)
-        for symbol in sorted(syms | {proc.name for proc in module.procs}):
+        summary = summaries[g]
+        for symbol in sorted({*summary.literals, *(p.name for p in summary.procs)}):
             try:
                 addr[(local, symbol)] = layout.symbol_addr(g, symbol)
             except LinkError:
@@ -248,46 +358,31 @@ def _build_shard_job(
     stub_of: dict[tuple[int, str], int] = {}
     stub_modules: dict[int, int] = {}
     key_sites: list[list] = []
-    member_set = set(members)
-    for g in members:
-        for site in sites_by_module.get(g, ()):
-            local = local_of[site.caller_module]
-            name = site.callee.name
-            decision = decisions.get(site.jsr.uid, False)
-            if site.callee_module in member_set:
-                resolutions[(local, name)] = (
-                    "shard",
-                    local_of[site.callee_module],
-                )
-                ref = ["shard", local_of[site.callee_module]]
+    for local, g in enumerate(members):
+        for site, decision in zip(resolved[g], decisions[g]):
+            if site is None:
+                continue
+            caller, callee_module, callee = site
+            name = callee.name
+            if callee_module in local_of:
+                resolutions[(local, name)] = ("shard", local_of[callee_module])
+                ref = ["shard", local_of[callee_module]]
             else:
-                skey = (site.callee_module, name)
+                skey = (callee_module, name)
                 sid = stub_of.get(skey)
                 if sid is None:
                     sid = len(stubs)
                     stub_of[skey] = sid
-                    stub_modules[sid] = site.callee_module
-                    callee = site.callee
+                    stub_modules[sid] = callee_module
                     stubs[sid] = StubInfo(
-                        name=name,
-                        exported=callee.exported,
-                        uses_gp=callee.uses_gp,
-                        group=canon_group(
-                            layout.module_group[site.callee_module]
-                        ),
-                        entry_pair=_entry_pair_at_top(callee) is not None,
-                        has_skip=_find_skip_label(callee) is not None,
-                        reset_free_leaf=_is_reset_free_leaf(callee),
+                        group=canon_group(layout.module_group[callee_module]),
+                        **callee._asdict(),
                     )
                 resolutions[(local, name)] = ("stub", sid)
                 ref = ["stub"] + stubs[sid].summary()
-            key_sites.append([local, site.caller.name, decision, ref])
+            key_sites.append([local, caller, decision, ref])
 
-    shard_uids = {
-        site.jsr.uid for g in members for site in sites_by_module.get(g, ())
-    }
     job = {
-        "modules": [modules[g] for g in members],
         "full": full,
         "convert_escaped": convert_escaped,
         "round_index": round_index,
@@ -297,9 +392,8 @@ def _build_shard_job(
         "addr": addr,
         "resolutions": resolutions,
         "stubs": stubs,
-        "decisions": {
-            uid: decisions.get(uid, False) for uid in shard_uids
-        },
+        "decisions": [decisions[g] for g in members],
+        "store": digests is not None,
     }
     key_payload = None
     if digests is not None:
@@ -320,9 +414,9 @@ def _build_shard_job(
                         if (local, symbol) in addr
                         else None,
                     ]
-                    for symbol in sorted(syms)
+                    for symbol in summaries[g].literals
                 ]
-                for local, syms in enumerate(literal_syms)
+                for local, g in enumerate(members)
             ],
             "sites": key_sites,
         }
@@ -330,82 +424,14 @@ def _build_shard_job(
     return _ShardJob(shard, job, key_payload, stub_modules, stub_names)
 
 
-def wpo_rounds(
-    modules: list[SymbolicModule],
-    *,
-    level,
-    options,
-    relax_options,
-    layout_options: LayoutOptions,
-    max_rounds: int,
-    cache=None,
-    trace: TraceLog | None = None,
-) -> WPORun:
-    """Run the OM transformation rounds partitioned into shards.
-
-    Mutates ``modules`` in place (shards transform their entries; cache
-    hits replace them), exactly like the monolithic round loop mutates
-    them, and returns the merged counters and telemetry.
-    """
-    from repro.om.driver import OMLevel  # circular-safe: driver imports us lazily
-
-    full = level is OMLevel.FULL
-    convert_escaped = bool(options.convert_escaped and full)
-    shards = partition_modules(modules, options.partitions)
-    run = WPORun()
-    run.stats = WPOStats(
-        partitions=options.partitions,
-        shards=len(shards),
-        members=[[modules[g].name for g in shard.members] for shard in shards],
-    )
-    missed: set[int] = set()
-
-    def run_round(round_index: int, layout) -> tuple[bool, list]:
-        with span_or_null(
-            trace,
-            f"om.round{round_index}",
-            cat="om",
-            level=level.value,
-            wpo=len(shards),
-        ):
-            return _run_round(
-                modules,
-                shards,
-                layout,
-                options=options,
-                relax_options=relax_options,
-                round_index=round_index,
-                full=full,
-                convert_escaped=convert_escaped,
-                cache=cache,
-                trace=trace,
-                run=run,
-                missed=missed,
-            )
-
-    run.rounds = run_rounds(
-        modules,
-        run_round,
-        max_rounds=max_rounds,
-        layout_options=layout_options,
-        full=full,
-        relax=relax_options,
-        bsr_range_words=options.bsr_range_words,
-        trace=trace,
-    )
-    run.stats.rounds = run.rounds.rounds
-    run.stats.missed_shards = sorted(missed)
-    return run
-
-
 def _run_round(
-    modules: list[SymbolicModule],
-    shards: list[Shard],
+    members: Members,
     layout,
     *,
     options,
     relax_options,
     round_index: int,
+    eager: bool,
     full: bool,
     convert_escaped: bool,
     cache,
@@ -414,10 +440,19 @@ def _run_round(
     missed: set[int],
 ) -> tuple[bool, list[tuple]]:
     """One partitioned round on ``layout``: whether it changed anything,
-    and the layout facts it recorded (in global module indices)."""
-    # ---- serial whole-program phase -----------------------------------
-    prog = Program.build(modules, layout, entry=options.entry)
+    and the layout facts it recorded (in global module indices).  Only
+    round 0 reads and writes the shard cache: a later round runs on
+    every body."""
+    bodies = members.bodies
+    shards = members.shards
+    if round_index > 0:
+        members.build_all()
+    elif eager:
+        members.translate(list(range(len(bodies))))
+    cached = round_index == 0 and cache is not None
 
+    # ---- serial whole-program phase -----------------------------------
+    prog = Program(bodies, layout, entry=options.entry)
     prologue = Transformer(
         prog,
         full=full,
@@ -427,24 +462,45 @@ def _run_round(
         relax=relax_options,
         bsr_range_words=options.bsr_range_words,
     )
-    prologue.run_passes(calls=False, address_loads=False, entry_setups=False)
-    run.counters.merge(prologue.counters)
-    if prologue.relax_result is not None:
+    changed = _summarize_shards(
+        members, prologue, round_index=round_index, eager=eager, full=full,
+    )
+    summaries = members.summaries
+    resolved = _resolve_sites(summaries)
+    address_taken = set()
+    proc_names = {proc.name for summary in summaries for proc in summary.procs}
+    for summary in summaries:
+        address_taken.update(summary.taken & proc_names)
+
+    if relax_options is not None:
+        # The fixpoint models every body's addresses (relaxation keeps
+        # every body built).
+        prologue.run_passes(
+            canonicalize=False, calls=False, address_loads=False,
+            entry_setups=False,
+        )
         run.relax_iterations = prologue.relax_result.iterations
         run.relax_demoted = prologue.relax_result.demoted
-    sites = iter_direct_call_sites(modules)
-    decisions = _site_decisions(prologue, sites)
-
-    sites_by_module: dict[int, list] = {}
-    for site in sites:
-        sites_by_module.setdefault(site.caller_module, []).append(site)
-
-    # A shard key hashes its members as the prologue left them, which
-    # is exactly what the shard transforms.
-    encoded = digests = None
-    if cache is not None:
-        encoded = [encode_module(module) for module in modules]
-        digests = [module_digest(value) for value in encoded]
+        by_uid = prologue.relax_result.decisions
+        decisions = [
+            [
+                by_uid.get(jsr.uid, False)
+                for proc in body.procs
+                for jsr, __, __ in direct_jsrs(proc)
+            ]
+            for body in bodies
+        ]
+    else:
+        decisions = [
+            [
+                site is not None and prologue.bsr_site_in_range(
+                    g, site[0], site[1], site[2].name
+                )
+                for site in sites
+            ]
+            for g, sites in enumerate(resolved)
+        ]
+    run.counters.merge(prologue.counters)
 
     # Shards record provenance only for a traced link to replay.  It is
     # part of the key: a traced link never reuses an entry without
@@ -453,11 +509,10 @@ def _run_round(
     jobs = [
         _build_shard_job(
             shard,
-            modules,
-            digests,
+            summaries,
+            members.digests if cached else None,
             layout,
-            prog,
-            sites_by_module,
+            resolved,
             decisions,
             full=full,
             convert_escaped=convert_escaped,
@@ -470,41 +525,46 @@ def _run_round(
     # ---- per-shard phase ----------------------------------------------
     # Shards transform the live modules in place (every cross-module
     # fact they read was computed above, before any shard ran).  Only
-    # cache hits arrive as bytes; an entry is pickled only to be
-    # cached.
+    # cache hits arrive as stored values.
     results: list[ShardResult | None] = [None] * len(jobs)
-    blobs: list[bytes | None] = [None] * len(jobs)
-    keys: list[str | None] = [None] * len(jobs)
     pending: list[int] = []
     for index, job in enumerate(jobs):
-        if cache is not None:
-            keys[index] = cache.key(job.key_payload)
-            blobs[index] = cache.get("wpo", keys[index])
-            if blobs[index] is not None:
+        if cached:
+            entry = members.entries[index]
+            entry.context = cache.key(job.key_payload)
+            stored = members.stored[index]
+            if stored is not None and stored.context == entry.context:
                 run.stats.hits += 1
+                entry.result = stored.result
+                results[index] = ShardResult.from_entry(marshal.loads(stored.result))
                 continue
         pending.append(index)
 
     for index in pending:
+        job = jobs[index]
+        unbuilt = [g for g in job.shard.members if bodies[g] is None]
+        members.translate(unbuilt)
+        if full:
+            # The canonicalization their summaries describe.
+            for g in unbuilt:
+                _canonicalize(prologue, g, bodies[g])
+        job.job["modules"] = [bodies[g] for g in job.shard.members]
         with span_or_null(
             trace, "om.wpo.shard", cat="om",
-            round=round_index, shard=jobs[index].shard.index,
-            members=len(jobs[index].shard.members),
+            round=round_index, shard=job.shard.index,
+            members=len(job.shard.members),
         ):
             results[index] = run_shard_job(
-                jobs[index].job, TraceLog() if record else None
+                job.job, TraceLog() if record else None
             )
         run.stats.misses += 1
-        missed.add(jobs[index].shard.index)
-        if cache is not None:
-            entry = results[index].entry(
-                [encoded[g] for g in jobs[index].shard.members]
-            )
-            cache.put(
-                "wpo",
-                keys[index],
-                pickle.dumps(entry, protocol=pickle.HIGHEST_PROTOCOL),
-            )
+        missed.add(job.shard.index)
+        if cached:
+            # Held as bytes until the link stores it: the values of a
+            # whole program's members, as tuples, outweigh what the finish
+            # allocates.
+            members.entries[index].result = marshal.dumps(results[index].entry())
+            results[index].values = []
     if trace is not None:
         trace.event(
             "om.wpo.round",
@@ -513,40 +573,48 @@ def _run_round(
             shards=len(jobs),
             hits=len(jobs) - len(pending),
             misses=len(pending),
+            built=len(members.built),
         )
 
     # ---- serial merge + epilogue --------------------------------------
-    changed = prologue.changed
     facts = prologue.facts
+    posts: list[tuple] = [None] * len(bodies)
     for index, job in enumerate(jobs):
         result = results[index]
-        if result is None:
-            result = results[index] = ShardResult.from_entry(
-                pickle.loads(blobs[index]),
-                [modules[g] for g in job.shard.members],
-            )
-        members = job.shard.members
-        for local, g in enumerate(members):
-            modules[g] = result.modules[local]
+        shard_members = job.shard.members
+        if index not in pending:
+            for local, g in enumerate(shard_members):
+                if bodies[g] is not None:
+                    # A hit on a built member replaces its body.
+                    bodies[g] = decode_module(result.values[local])
+                    members.built.add(g)
+                else:
+                    members.values[g] = result.values[local]
+        for local, g in enumerate(shard_members):
+            posts[g] = result.entry_facts[local]
         run.counters.merge(result.counters)
         changed = changed or result.changed
         facts.extend(
-            (fact[0], members[fact[1]], *fact[2:]) for fact in result.facts
+            (fact[0], shard_members[fact[1]], *fact[2:]) for fact in result.facts
         )
     # Effects after every replacement, so they land on the merged
     # modules; insertion is idempotent and position-deterministic.
+    landed: list[set[str]] = [set() for __ in bodies]
     for index, job in enumerate(jobs):
         result = results[index]
         for sid in result.effects:
-            _apply_skip_effect(
-                modules[job.stub_modules[sid]], job.stub_names[sid]
-            )
+            g = job.stub_modules[sid]
+            name = job.stub_names[sid]
+            landed[g].add(name)
+            if bodies[g] is not None:
+                apply_skip_effect(bodies[g], name)
+            else:
+                members.effects[g].add(name)
         _replay_events(trace, result.events, round_index)
 
-    # The epilogue reads the merged modules (``prog.modules`` is this
-    # same list), the layout, and the address-taken set computed before
-    # any transform, which is exactly what the monolithic round's
-    # entry-setup pass reads.
+    # The epilogue reads every module's post-shard entry facts, and the
+    # address-taken set computed before any transform, which is exactly
+    # what the monolithic round's entry-setup pass reads.
     epilogue = Transformer(
         prog,
         full=full,
@@ -554,9 +622,28 @@ def _run_round(
         trace=trace,
         round_index=round_index,
     )
-    epilogue.run_passes(
-        canonicalize=False, relax=False, calls=False, address_loads=False
-    )
+    removed: list[list[str]] = [[] for __ in bodies]
+    if full:
+        for g, name in dead_entry_setups(options.entry, posts, address_taken, facts):
+            removed[g].append(name)
+            body = bodies[g]
+            if body is not None:
+                epilogue.remove_entry_setup(g, body.proc_named(name))
+            else:
+                # What remove_entry_setup counts for a deleted pair.
+                epilogue.counters.entry_setups_removed += 1
+                epilogue.counters.instructions_deleted += 2
+                epilogue.changed = True
+                members.removals[g].append(name)
     run.counters.merge(epilogue.counters)
-    facts.extend(epilogue.facts)
+
+    # The members' state after round 0 is its transform and what landed
+    # on each member; a final object is stored only for that state.
+    for index, job in enumerate(jobs):
+        entry = members.entries[index]
+        if entry is not None:
+            entry.final = None if round_index else hashlib.sha256(repr((
+                entry.context,
+                [(sorted(landed[g]), removed[g]) for g in job.shard.members],
+            )).encode()).hexdigest()
     return changed or epilogue.changed, facts

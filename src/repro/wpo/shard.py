@@ -27,29 +27,41 @@ A shard runs :func:`run_shard_job` on the driver's live modules and
 transforms them in place.  Because the job depends only on member
 content and the context, its result is cacheable under a content key,
 and a cache hit is byte-equivalent to re-running the shard.  The cache
-entry (:meth:`ShardResult.entry`) holds plain values: the
-:func:`~repro.om.symbolic.encode_module` value of each member the shard
-changed, ``None`` for each member it left as it was, and the counters,
-effects, events and layout facts.
+entry (:meth:`ShardResult.entry`) holds plain values: the counters,
+effects, events and layout facts, and per member its
+:func:`~repro.om.symbolic.encode_module` value after the shard (from
+which the driver builds the member's body only when a later step reads
+it) and its :func:`~repro.om.transform.entry_facts`, which the serial
+epilogue reads instead of the body.
+
+The serial phase reads every other module only through its
+:class:`ModuleSummary` (:func:`summarize`), which the driver caches with
+the shard under its members' input digests.
 """
 
 from __future__ import annotations
 
 from dataclasses import astuple, dataclass, field
+from typing import NamedTuple
 
 from repro.isa.instruction import Instruction
 from repro.isa.registers import Reg
+from repro.layout.callgraph import direct_jsrs
 from repro.linker.resolve import LinkError
 from repro.minicc.mcode import MInstr, MLabel
 from repro.obs import provenance
 from repro.obs.trace import TraceLog
-from repro.om.symbolic import (
-    SymbolicModule,
-    SymbolicProc,
-    decode_module,
-    encode_module,
+from repro.om.stats import ModuleCounts, module_counts
+from repro.om.symbolic import SymbolicModule, SymbolicProc, encode_module
+from repro.om.transform import (
+    PassCounters,
+    Transformer,
+    _entry_pair_at_top,
+    _find_skip_label,
+    _is_reset_free_leaf,
+    address_refs,
+    entry_facts,
 )
-from repro.om.transform import PassCounters, Transformer
 
 
 @dataclass(frozen=True)
@@ -176,11 +188,72 @@ class _Decisions:
         self.decisions = decisions
 
 
+class ProcFacts(NamedTuple):
+    """Every question the calls pass asks of a callee, answered."""
+
+    name: str
+    exported: bool
+    uses_gp: bool
+    entry_pair: bool  # GPDISP pair sits in the first two slots
+    has_skip: bool  # a $skipgp label already exists
+    reset_free_leaf: bool  # cannot change GP (no gpdisp, no calls)
+
+
+class ModuleSummary(NamedTuple):
+    """What the serial phase reads from one translated, canonicalized
+    module: plain values, stored with its shard.
+
+    ``procs`` holds each procedure's :class:`ProcFacts`, in order.
+    ``sites`` holds the (caller, callee name) of each direct-call
+    candidate in item order (:func:`~repro.layout.callgraph.direct_jsrs`);
+    the serial phase resolves the names.  ``literals`` are the symbols the module loads
+    from the GAT, ``taken`` the symbols it takes the address of
+    (:func:`~repro.om.transform.address_refs`), and ``counts`` its
+    :func:`~repro.om.stats.module_counts`.
+    """
+
+    procs: tuple[ProcFacts, ...]
+    sites: tuple
+    literals: tuple
+    taken: set
+    counts: ModuleCounts
+
+    def proc_named(self, name: str) -> ProcFacts | None:
+        for proc in self.procs:
+            if proc.name == name:
+                return proc
+        return None
+
+
+def summarize(module: SymbolicModule) -> ModuleSummary:
+    """The :class:`ModuleSummary` of a module as the round's prologue
+    left it."""
+    procs = []
+    sites = []
+    literals: set[str] = set()
+    for proc in module.procs:
+        procs.append(ProcFacts(
+            proc.name, proc.exported, proc.uses_gp,
+            _entry_pair_at_top(proc) is not None,
+            _find_skip_label(proc) is not None,
+            _is_reset_free_leaf(proc),
+        ))
+        sites.extend((proc.name, callee) for __, __, callee in direct_jsrs(proc))
+        literals.update(
+            item.literal[0]
+            for item in proc.items
+            if isinstance(item, MInstr) and item.literal is not None
+        )
+    return ModuleSummary(
+        tuple(procs), tuple(sites), tuple(sorted(literals)),
+        address_refs(module), module_counts(module),
+    )
+
+
 @dataclass
 class ShardResult:
     """What a shard execution produces, or what a cache hit replays."""
 
-    modules: list[SymbolicModule] = field(default_factory=list)
     counters: PassCounters = field(default_factory=PassCounters)
     changed: bool = False
     #: Stub ids whose callee needs a skip label applied serially.
@@ -189,44 +262,31 @@ class ShardResult:
     events: list[dict] = field(default_factory=list)
     #: Layout facts, module indices local to the shard.
     facts: list[tuple] = field(default_factory=list)
+    #: Per member, its :func:`~repro.om.symbolic.encode_module` value
+    #: after the shard, to build its body from when a later step needs it.
+    values: list[tuple] = field(default_factory=list)
+    #: Per member, its :func:`~repro.om.transform.entry_facts` after
+    #: the shard, which the serial epilogue reads.
+    entry_facts: list[tuple] = field(default_factory=list)
 
-    def entry(self, before: list[tuple]) -> tuple:
-        """The shard cache's entry for this result: plain values only.
-
-        ``before`` holds each member's encoded value as the shard found
-        it.  A member whose value the shard left equal is stored as
-        ``None``; any other is stored as its value now.  The encodings
-        decide member by member; ``changed`` speaks for the whole shard.
-        """
-        members = []
-        for module, value in zip(self.modules, before):
-            after = encode_module(module)
-            members.append(None if after == value else after)
+    def entry(self) -> tuple:
+        """The shard cache's entry for this result: plain values only."""
         return (
-            tuple(members),
             astuple(self.counters),
             self.changed,
             tuple(self.effects),
             self.events,
             tuple(self.facts),
+            tuple(self.values),
+            tuple(self.entry_facts),
         )
 
     @classmethod
-    def from_entry(cls, entry: tuple, live: list[SymbolicModule]) -> ShardResult:
-        """The result an :meth:`entry` replays onto the shard's ``live``
-        members: a member stored as ``None`` stays the live object, and
-        any other is decoded afresh."""
-        members, counters, changed, effects, events, facts = entry
+    def from_entry(cls, entry: tuple) -> ShardResult:
+        counters, changed, effects, events, facts, values, entry_facts = entry
         return cls(
-            modules=[
-                module if value is None else decode_module(value)
-                for module, value in zip(live, members)
-            ],
-            counters=PassCounters(*counters),
-            changed=changed,
-            effects=list(effects),
-            events=events,
-            facts=list(facts),
+            PassCounters(*counters), changed, list(effects), events,
+            list(facts), list(values), list(entry_facts),
         )
 
 
@@ -262,7 +322,13 @@ def run_shard_job(job: dict, trace: TraceLog | None) -> ShardResult:
         trace=trace,
         round_index=job["round_index"],
     )
-    transformer.relax_result = _Decisions(job["decisions"])
+    # The serial phase decided each member's direct-call candidates in
+    # item order; the transformer looks its verdicts up by jsr uid.
+    decisions: dict[int, bool] = {}
+    for module, verdicts in zip(modules, job["decisions"]):
+        jsrs = [jsr for proc in module.procs for jsr, __, __ in direct_jsrs(proc)]
+        decisions.update(zip((jsr.uid for jsr in jsrs), verdicts))
+    transformer.relax_result = _Decisions(decisions)
     transformer.run_passes(canonicalize=False, relax=False, entry_setups=False)
 
     # A stub is always cross-module, so any conversion that skips its
@@ -274,10 +340,11 @@ def run_shard_job(job: dict, trace: TraceLog | None) -> ShardResult:
         if f"{stub.name}$skipgp" in stub.export_labels
     )
     return ShardResult(
-        modules=modules,
         counters=transformer.counters,
         changed=transformer.changed,
         effects=effects,
         events=provenance.events(trace) if trace is not None else [],
         facts=transformer.facts,
+        values=[encode_module(module) for module in modules] if job["store"] else [],
+        entry_facts=[entry_facts(module) for module in modules],
     )

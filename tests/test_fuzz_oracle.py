@@ -79,3 +79,44 @@ def test_divergence_predicate_tracks_kind():
     assert predicate(broken.modules)
     # A healthy program is not.
     assert not predicate(generate_program(0).modules)
+
+
+def test_the_wpo_cell_relinks_warm_without_building_a_body(monkeypatch):
+    from repro.fuzz import oracle
+
+    cached = []  # the shard-cache links' (misses, built)
+    om_link = oracle.om_link
+
+    def spied(*args, cache=None, **kwargs):
+        result = om_link(*args, cache=cache, **kwargs)
+        if cache is not None:
+            cached.append((result.wpo.misses, result.wpo.built))
+        return result
+
+    monkeypatch.setattr(oracle, "om_link", spied)
+    report = evaluate_program(generate_program(2))
+    assert not report.diverged, report.summary()
+    for mode in MODES:
+        wpo = report.cells[f"{mode}/om-full-wpo"]
+        assert wpo.exe_digest == wpo.relink_digest
+        assert wpo.exe_digest == report.cells[f"{mode}/om-full"].exe_digest
+    assert len(cached) == 2 * len(MODES)
+    for (cold_misses, __), (warm_misses, warm_built) in zip(cached[::2], cached[1::2]):
+        assert cold_misses > 0 and warm_misses == 0 and warm_built == []
+
+
+def test_a_wrong_warm_relink_is_an_exe_bytes_divergence(monkeypatch):
+    from repro.fuzz import oracle
+    from repro.linker import link
+
+    relinked = oracle._relinked
+
+    def wrong(program, mode, objects, libmc, level, options):
+        cold, __ = relinked(program, mode, objects, libmc, level, options)
+        ld_objects, ld_libmc = oracle._compile_objects(program, mode)
+        return cold, link(ld_objects, [ld_libmc])
+
+    monkeypatch.setattr(oracle, "_relinked", wrong)
+    report = evaluate_program(generate_program(2))
+    assert [d.kind for d in report.divergences] == ["exe-bytes"] * len(MODES)
+    assert report.divergences[0].cells == ("each/om-full", "each/om-full-wpo")

@@ -239,13 +239,16 @@ def test_layout_object_lays_out_like_the_encoded_module(program, libmc):
 
 def test_uncached_om_links_encode_each_module_once(monkeypatch, libmc):
     """A link whose first round converges places each module twice,
-    for round 0's layout and for the certificate's, and lays out three
-    times: the standard linker's baseline, round 0 and the certificate.
-    The finish encodes each module once, at the certificate's placement,
-    in that same layout."""
+    for round 0's layout and for the certificate's (a partitioned link
+    lays round 0 out from its input objects, so once), and lays out
+    three times: the standard linker's baseline, round 0 and the
+    certificate.  The finish encodes each module once, at the
+    certificate's placement, in that same layout."""
     import repro.om.driver
     import repro.om.symbolic
     import repro.om.transform
+    import repro.wpo.driver
+    import repro.wpo.members
 
     encoded: list[str] = []
     calls = {"place": 0, "layout": 0}
@@ -262,13 +265,14 @@ def test_uncached_om_links_encode_each_module_once(monkeypatch, libmc):
         encoded.append(module.name)
         return reassemble_module(module, placement)
 
-    # Only the finish encodes: the partitioned driver does not even
-    # import reassemble_module.
+    # Only the finish encodes.
     monkeypatch.setattr(repro.om.driver, "reassemble_module", encoding)
     placing = counting("place", repro.om.symbolic.place_module)
-    for owner in (repro.om.symbolic, repro.om.transform):
+    for owner in (repro.om.symbolic, repro.om.transform, repro.wpo.members):
         monkeypatch.setattr(owner, "place_module", placing)
-    for owner in (repro.om.driver, repro.om.transform):
+    for owner in (
+        repro.om.driver, repro.om.transform, repro.wpo.driver, repro.wpo.members
+    ):
         monkeypatch.setattr(owner, "compute_layout", counting("layout", compute_layout))
 
     blob = dump_archive([make_crt0()] + build_program("li", "each"))
@@ -283,6 +287,9 @@ def test_uncached_om_links_encode_each_module_once(monkeypatch, libmc):
             load_archive(blob), [lib], level=OMLevel.FULL, options=options
         )
         assert sorted(encoded) == sorted(linked)
-        assert calls == {"place": 2 * len(linked), "layout": 3}
+        # The partitioned driver lays round 0 out from the input
+        # objects, which places nothing.
+        places = len(linked) if options.partitions else 2 * len(linked)
+        assert calls == {"place": places, "layout": 3}
         if options.partitions:
             assert result.wpo.rounds == 1

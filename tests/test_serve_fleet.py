@@ -34,7 +34,7 @@ from contextlib import contextmanager
 import pytest
 
 from repro.cache import ArtifactCache
-from repro.serve.client import ServeClient, ServerBusy
+from repro.serve.client import RequestFailed, ServeClient, ServerBusy
 from repro.serve.quota import QuotaManager, TenantPolicy
 from repro.serve.router import RouterConfig, RouterThread, routing_key
 from repro.serve.server import ServeConfig, ServerThread
@@ -79,8 +79,9 @@ def stub_fleet(tmp_path, n=2, *, quotas=None, retry_after=0.01, **server_cfg):
             thread.stop()
 
 
-def _route(client, **params):
-    return client.request("route", **params)["result"]
+def _route(client, op, **params):
+    """The router's answer for where an ``op`` job with ``params`` goes."""
+    return client.request("route", job=op, **params)["result"]
 
 
 def _candidates(router, op, **params):
@@ -158,18 +159,60 @@ def test_routing_is_consistent_and_content_keyed(tmp_path):
             slots = set()
             for i in range(24):
                 params = {"sources": _sources(f"text-{i}"), "mode": "each"}
-                first = _route(client, **params)
-                again = _route(client, **params)
+                first = _route(client, "compile", **params)
+                again = _route(client, "compile", **params)
                 assert first["slot"] == again["slot"]
                 assert first["slot"] in ("d0", "d1")
                 assert first["address"] is not None
                 # Accounting fields must not move the routing decision.
-                tagged = _route(client, tenant="t9",
+                tagged = _route(client, "compile", tenant="t9",
                                 request_id="c1:1", **params)
                 assert tagged["slot"] == first["slot"]
                 slots.add(first["slot"])
             # 24 distinct keys must spread over both daemons.
             assert slots == {"d0", "d1"}
+
+
+def test_route_answers_for_the_job_the_caller_means(tmp_path):
+    """``route`` hashes the key the named job gets, so its slot and
+    candidates are the ones that job is sent to; without a job op it is
+    a bad request."""
+    from repro.serve.protocol import JOB_OPS
+
+    with stub_fleet(tmp_path, n=2) as (router, _servers):
+        with ServeClient(router.address, timeout=30) as client:
+            for i in range(200):
+                params = {"sources": _sources(f"probe-{i}"), "mode": "each"}
+                for op in JOB_OPS:
+                    answer = _route(client, op, **params)
+                    candidates = _candidates(router, op, **params)
+                    assert answer["candidates"] == candidates
+                    assert answer["slot"] == candidates[0]
+            with pytest.raises(RequestFailed, match="bad-request"):
+                client.request("route", **params)
+
+
+def test_a_drained_router_closes_its_daemon_connections(tmp_path):
+    import gc
+    import warnings
+
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", ResourceWarning)
+        with stub_fleet(tmp_path, n=2) as (router, _servers):
+            with ServeClient(router.address, timeout=30) as client:
+                for i in range(6):
+                    params = {"sources": _sources(f"conn-{i}"), "mode": "each"}
+                    assert client.compile(**params)["ok"]
+            used = router.call(lambda r: sum(
+                conn is not None
+                for backend in r.backends.values()
+                for conn in backend._pool._queue
+            ))
+        assert used > 0
+        for backend in router.router.backends.values():
+            assert all(conn is None for conn in backend._pool._queue)
+        gc.collect()
+    assert [str(w.message) for w in caught if "transport" in str(w.message)] == []
 
 
 def test_identical_requests_coalesce_fleet_wide(tmp_path):
@@ -414,7 +457,7 @@ def test_dead_backend_remaps_its_slice_without_client_errors(tmp_path):
             owned = {}
             for i in range(40):
                 params = {"sources": _sources(f"key-{i}"), "mode": "each"}
-                slot = _route(client, **params)["slot"]
+                slot = _route(client, "compile", **params)["slot"]
                 owned.setdefault(slot, params)
                 if len(owned) == 2:
                     break
@@ -494,7 +537,7 @@ def test_sigkill_mid_burst_remaps_restarts_and_serves_warm(tmp_path):
                     "sources": _sources(f"int main() {{ return {i}; }}"),
                     "mode": "each",
                 }
-                slot = _route(client, **params)["slot"]
+                slot = _route(client, "compile", **params)["slot"]
                 if slot not in warm:
                     assert client.compile(**params)["ok"]
                     warm[slot] = params
@@ -506,7 +549,7 @@ def test_sigkill_mid_burst_remaps_restarts_and_serves_warm(tmp_path):
                 "sources": _sources(_SLOW_SOURCE, name="slow.mc"),
                 "mode": "each", "variant": "om-full", "timed": False,
             }
-            victim = _route(client, **slow)["slot"]
+            victim = _route(client, "run", **slow)["slot"]
             survivor = "d0" if victim == "d1" else "d1"
             pids = fleet.call(
                 lambda s: {slot: d.pid for slot, d in s.daemons.items()}
@@ -554,6 +597,6 @@ def test_sigkill_mid_burst_remaps_restarts_and_serves_warm(tmp_path):
 
             # The restarted daemon serves its old key warm from the
             # shared cache: same slot, zero recompute.
-            assert _route(client, **warm[victim])["slot"] == victim
+            assert _route(client, "compile", **warm[victim])["slot"] == victim
             response = client.compile(**warm[victim])
             assert response["ok"] and response["cached"]

@@ -9,6 +9,7 @@ from types import SimpleNamespace
 import pytest
 
 from repro import wpo
+from repro.wpo import members as _members  # noqa: F401 - wpo.members for patching
 from repro.benchsuite import build_program, build_stdlib
 from repro.cache import ArtifactCache
 from repro.fuzz.generate import generate_scale_program
@@ -21,9 +22,9 @@ from repro.objfile.serialize import dump_archive, load_archive
 from repro.obs import provenance
 from repro.obs.trace import TraceLog
 from repro.om import OMLevel, OMOptions, om_link, symbolic
-from repro.om.symbolic import translate_module
+from repro.om import driver as om_driver
 from repro.wpo import partition_modules
-from repro.wpo.shard import ShardProgram, ShardResult
+from repro.wpo.shard import ShardProgram
 
 
 def _compile(program):
@@ -76,9 +77,42 @@ def test_wpo_byte_identical_without_cache_and_across_partition_counts():
         assert _exe(_link(program, OMOptions(partitions=partitions))) == mono
 
 
+def test_wpo_byte_identical_after_a_profile_guided_layout(tmp_path):
+    """A layout plan reorders the bodies before the rounds, so the
+    partitioned link starts from those bodies, cold and warm."""
+    program = generate_scale_program(4, 9)
+    options = dict(layout=True, relax=True)
+    mono = _exe(_link(program, OMOptions(**options)))
+    cache = ArtifactCache(tmp_path, stamp="wpo-pgo")
+    for expected_hits in (False, True):
+        linked = _link(program, OMOptions(partitions=3, **options), cache)
+        assert _exe(linked) == mono
+        assert (linked.wpo.hits > 0) is expected_hits
+
+
+@pytest.mark.parametrize(
+    "extra", ["schedule", "remove_dead_procs", "verify"],
+)
+def test_a_warm_relink_builds_what_reads_every_body(extra, tmp_path):
+    """Rescheduling, dead-procedure removal and ``verify``'s skipped
+    round read every body after the rounds, so a warm relink whose
+    shards all hit decodes every member, with the skip labels and
+    entry-setup removals that landed on it, and links the bytes of the
+    monolithic link."""
+    program = generate_scale_program(11, 10)
+    options = {extra: True}
+    mono = _exe(_link(program, OMOptions(**options)))
+    cache = ArtifactCache(tmp_path, stamp="wpo-readers")
+    cold = _link(program, OMOptions(partitions=3, **options), cache)
+    warm = _link(program, OMOptions(partitions=3, **options), cache)
+    assert _exe(cold) == _exe(warm) == mono
+    assert warm.wpo.misses == 0
+    assert warm.wpo.built == cold.wpo.built == list(range(len(cold.wpo.built)))
+
+
 def _count_pickling(monkeypatch) -> dict[str, int]:
     """Count the pickle.dumps / pickle.loads calls made from repro.wpo
-    (its driver is the only module there that pickles)."""
+    (its shard entries, in ``members``, are all it pickles)."""
     calls = {"dumps": 0, "loads": 0}
 
     def counted(name):
@@ -93,7 +127,7 @@ def _count_pickling(monkeypatch) -> dict[str, int]:
         dumps=counted("dumps"),
         loads=counted("loads"),
     )
-    monkeypatch.setattr(wpo.driver, "pickle", counting)
+    monkeypatch.setattr(wpo.members, "pickle", counting)
     return calls
 
 
@@ -202,11 +236,17 @@ def test_partitioned_link_keeps_the_whole_audit_trail(name, libmc, tmp_path):
     assert traced.wpo.hits == 0 and traced.wpo.misses == cold.wpo.misses
     assert _event_multiset(trace) == mono
     # ...which the next traced link replays, every decision included.
+    # Its events carry pcs, so it builds every body, and its round
+    # event says so.
     trace = TraceLog()
     warm = link(OMOptions(partitions=3), cache, trace)
     assert warm.wpo.misses == 0 and warm.wpo.hits == cold.wpo.misses
     assert provenance.reconcile(trace, warm.counters) == {}
     assert _event_multiset(trace) == mono
+    assert [
+        event["args"]["built"] for event in trace.events
+        if event["name"] == "om.wpo.round"
+    ] == [len(warm.wpo.built)] * warm.wpo.rounds
 
 
 def test_untraced_cached_relinks_record_nothing(tmp_path, monkeypatch):
@@ -252,11 +292,41 @@ def test_one_module_edit_misses_only_its_shard(tmp_path):
     assert inc.wpo.hits > 0  # the untouched shards replayed from cache
 
 
-def test_converged_shards_keep_their_live_modules(tmp_path, monkeypatch):
+def _count_bodies(monkeypatch) -> dict[str, list[str]]:
+    """Record the module of every translate_module, decode_module and
+    reassemble_module call a link makes."""
+    calls: dict[str, list[str]] = {"translate": [], "decode": [], "reassemble": []}
+
+    def counted(name, real, module_name):
+        def call(*args, **kwargs):
+            result = real(*args, **kwargs)
+            calls[name].append(module_name(args[0], result))
+            return result
+
+        return call
+
+    for owner in (wpo.members, om_driver):
+        monkeypatch.setattr(owner, "translate_module", counted(
+            "translate", symbolic.translate_module, lambda obj, out: obj.name
+        ))
+    for owner in (wpo.driver, om_driver):
+        monkeypatch.setattr(owner, "reassemble_module", counted(
+            "reassemble", symbolic.reassemble_module, lambda module, out: module.name
+        ))
+    for owner in (wpo.driver, wpo.members):
+        monkeypatch.setattr(owner, "decode_module", counted(
+            "decode", symbolic.decode_module, lambda value, out: out.name
+        ))
+    return calls
+
+
+def test_a_real_second_round_decodes_what_it_reads(tmp_path, monkeypatch):
     """eqntott with a 16,509-word bsr reach runs a real second round
-    that converts one more call.  In a warm link, that round's hits
-    decode only the shard holding the call; the others keep their live
-    modules."""
+    that converts one more call.  A warm link's round 0 hits every
+    shard and builds no body.  Only round 0 is cached, and the cold
+    link's final objects describe its second round, so the certificate
+    builds every member once, by decoding it, and the second round
+    runs every shard on those bodies.  Nothing is translated."""
     blob = dump_archive([make_crt0()] + build_program("eqntott", "each"))
     lib = build_stdlib()
 
@@ -270,40 +340,24 @@ def test_converged_shards_keep_their_live_modules(tmp_path, monkeypatch):
     cold = link(options, cache)
     assert cold.wpo.rounds == 2
 
-    rounds: list[int] = []  # the round each _run_round call runs
-    decodes: list[int] = []  # the round of each decode_module call
-    hits: list[tuple[int, bool]] = []  # (round, every member kept live)
+    rounds: list[tuple[int, int]] = []  # (round, bodies built before it)
     run_round = wpo.driver._run_round
-    decode = wpo.shard.decode_module
-    from_entry = ShardResult.from_entry
 
-    def counted_round(*args, **kwargs):
-        rounds.append(kwargs["round_index"])
-        return run_round(*args, **kwargs)
-
-    def counted_decode(value):
-        decodes.append(rounds[-1])
-        return decode(value)
-
-    def checked_from_entry(entry, live):
-        result = from_entry(entry, live)
-        kept = all(out is module for out, module in zip(result.modules, live))
-        hits.append((rounds[-1], kept))
-        return result
+    def counted_round(members, *args, **kwargs):
+        rounds.append((kwargs["round_index"], len(members.built)))
+        return run_round(members, *args, **kwargs)
 
     monkeypatch.setattr(wpo.driver, "_run_round", counted_round)
-    monkeypatch.setattr(wpo.shard, "decode_module", counted_decode)
-    monkeypatch.setattr(ShardResult, "from_entry", staticmethod(checked_from_entry))
-
+    calls = _count_bodies(monkeypatch)
     warm = link(options, cache)
     assert _exe(warm) == _exe(cold)
-    assert warm.wpo.misses == 0 and rounds == [0, 1]
-    assert warm.wpo.members[2] == ["rand.o", "runtime.o"]
-    # The converted call and its callee's skip label are in shard 2.
-    assert [kept for r, kept in hits if r == 1] == [True, True, False]
-    assert decodes.count(1) == 2
-    # Round 0's hits decode what their shards changed.
-    assert [kept for r, kept in hits if r == 0] == [False] * warm.wpo.shards
+    modules = sorted(name for members in warm.wpo.members for name in members)
+    assert rounds == [(0, 0), (1, len(modules))]
+    assert warm.wpo.hits == warm.wpo.shards == warm.wpo.misses
+    assert calls["translate"] == []
+    assert sorted(calls["decode"]) == modules
+    assert sorted(calls["reassemble"]) == modules
+    assert len(warm.wpo.built) == len(modules)
 
 
 def test_one_module_edit_after_a_warm_link_misses_only_its_shard(tmp_path):
@@ -322,7 +376,9 @@ def test_one_module_edit_after_a_warm_link_misses_only_its_shard(tmp_path):
 
 
 def test_cached_rounds_encode_no_object(tmp_path, monkeypatch):
-    """With or without a cache hit, only the finish encodes objects."""
+    """A cold link's finish encodes each module once.  A relink whose
+    shards all hit translates, decodes and reassembles nothing, and
+    encodes no object: its shard entries supply the final objects."""
     encoded: list[int] = []  # words per encoded text section
     encode_stream = symbolic.encode_stream
 
@@ -332,13 +388,81 @@ def test_cached_rounds_encode_no_object(tmp_path, monkeypatch):
 
     monkeypatch.setattr(symbolic, "encode_stream", counted)
     program = generate_scale_program(11, 10)
+    mono = _exe(_link(program, OMOptions()))
     linked = resolve_inputs(_compile(program), [build_stdlib()]).modules
     cache = ArtifactCache(tmp_path, stamp="wpo-encode")
-    for expected_hits in (False, True):
-        encoded.clear()
-        result = _link(program, OMOptions(partitions=3), cache)
-        assert (result.wpo.hits > 0) is expected_hits
-        assert len(encoded) == len(linked)
+
+    encoded.clear()
+    cold = _link(program, OMOptions(partitions=3), cache)
+    assert _exe(cold) == mono
+    assert len(encoded) == len(linked)  # the finish, once per module
+    assert cold.wpo.built == list(range(len(linked)))
+
+    encoded.clear()
+    calls = _count_bodies(monkeypatch)
+    warm = _link(program, OMOptions(partitions=3), cache)
+    assert _exe(warm) == mono
+    assert warm.wpo.misses == 0 and warm.wpo.built == []
+    assert calls == {"translate": [], "decode": [], "reassemble": []}
+    assert encoded == []
+
+
+def test_an_edit_builds_only_its_missed_shard(tmp_path, monkeypatch):
+    options = OMOptions(partitions=4)
+    cache = ArtifactCache(tmp_path, stamp="wpo-built")
+    _link(generate_scale_program(7, 12), options, cache)
+    assert _link(generate_scale_program(7, 12), options, cache).wpo.built == []
+
+    edit = generate_scale_program(7, 12, salts={5: 2})
+    mono = _exe(_link(edit, OMOptions()))
+    calls = _count_bodies(monkeypatch)
+    edited = _link(edit, options, cache)
+    assert _exe(edited) == mono
+    missed = {
+        name
+        for index in edited.wpo.missed_shards
+        for name in edited.wpo.members[index]
+    }
+    assert edited.wpo.missed_shards and "s5.o" in missed
+    assert sorted(calls["translate"]) == sorted(missed)
+    assert sorted(calls["reassemble"]) == sorted(missed)
+    assert calls["decode"] == []
+    assert len(edited.wpo.built) == len(missed)
+
+
+def _reshaped(program, index: int, how: str):
+    """``program`` with module ``index`` grown by one statement, one
+    call or one global, so its size, its call sites or its literals
+    move."""
+    name, text = program.modules[index]
+    stem = name.removesuffix(".mc")
+    head, tail = text.rsplit("    return", 1)
+    if how == "instruction":
+        head += "    t = t * 3;\n"
+    elif how == "call":
+        head = "extern int f1(int x);\n" + head + "    t = t + f1(t & 1);\n"
+    else:
+        head = f"int {stem}_h;\n" + head + f"    {stem}_h = t;\n"
+    modules = list(program.modules)
+    modules[index] = (name, head + "    return" + tail)
+    return SimpleNamespace(modules=modules)
+
+
+@pytest.mark.parametrize("how", ["instruction", "call", "global"])
+def test_an_interface_edit_links_byte_identical(how, tmp_path):
+    options = OMOptions(partitions=4)
+    cache = ArtifactCache(tmp_path, stamp="wpo-interface")
+    base = generate_scale_program(7, 12)
+    _link(base, options, cache)
+    assert _link(base, options, cache).wpo.misses == 0
+
+    edit = _reshaped(base, 5, how)
+    assert edit.modules[5][0] == "s5.mc" and edit.modules[5] != base.modules[5]
+    mono = _link(edit, OMOptions())
+    edited = _link(edit, options, cache)
+    assert _exe(edited) == _exe(mono)
+    assert edited.counters == mono.counters
+    assert edited.wpo.misses > 0
 
 
 def test_salted_edit_keeps_partition_boundaries(tmp_path):
@@ -353,9 +477,8 @@ def test_salted_edit_keeps_partition_boundaries(tmp_path):
 # -- partition determinism -------------------------------------------------------
 
 
-def _symbolic_modules(program):
-    inputs = resolve_inputs(_compile(program), [])
-    return [translate_module(module) for module in inputs.modules]
+def _objects(program):
+    return resolve_inputs(_compile(program), []).modules
 
 
 def _member_names(modules, shards):
@@ -366,7 +489,7 @@ def _member_names(modules, shards):
 
 
 def test_partition_independent_of_module_discovery_order():
-    modules = _symbolic_modules(generate_scale_program(13, 9))
+    modules = _objects(generate_scale_program(13, 9))
     reference = _member_names(modules, partition_modules(modules, 3))
     permuted = list(reversed(modules))
     shuffled = _member_names(permuted, partition_modules(permuted, 3))
@@ -374,7 +497,7 @@ def test_partition_independent_of_module_discovery_order():
 
 
 def test_partition_covers_every_module_exactly_once():
-    modules = _symbolic_modules(generate_scale_program(2, 8))
+    modules = _objects(generate_scale_program(2, 8))
     shards = partition_modules(modules, 3)
     seen = [index for shard in shards for index in shard.members]
     assert sorted(seen) == list(range(len(modules)))
@@ -383,9 +506,54 @@ def test_partition_covers_every_module_exactly_once():
 
 
 def test_partition_clamps_to_module_count():
-    modules = _symbolic_modules(generate_scale_program(1, 3))
+    modules = _objects(generate_scale_program(1, 3))
     shards = partition_modules(modules, 99)
     assert len(shards) <= len(modules)
+
+
+@pytest.mark.parametrize("name", ["eqntott", "li", "mixcall", "nasa7", "scale"])
+def test_input_objects_partition_and_lay_out_as_their_translations(name, libmc):
+    """Round 0 partitions and lays out the input objects, not their
+    translations: the call pairs, weights and OM's layout agree."""
+    from repro.layout.callgraph import build_call_graph
+    from repro.linker.layout import LayoutOptions, compute_layout
+    from repro.om.transform import lay_out
+    from repro.wpo.partition import _call_pairs, _module_weight
+
+    objects = (
+        _compile(generate_scale_program(3, 40)) if name == "scale"
+        else [make_crt0()] + build_program(name, "each")
+    )
+    lib = Archive(libmc.name, load_archive(dump_archive(libmc.members)))
+    inputs = resolve_inputs(objects, [lib])
+    modules = [symbolic.translate_module(obj) for obj in inputs.modules]
+
+    graph = build_call_graph(modules)
+    assert Counter(_call_pairs(inputs.modules)) == Counter(
+        (site.caller_module, site.callee_module) for site in graph.sites
+    )
+    assert [_module_weight(obj) for obj in inputs.modules] == [
+        sum(len(proc.instructions()) for proc in module.procs) + 1
+        for module in modules
+    ]
+
+    layout_options = OMOptions()
+    options = LayoutOptions(
+        gat_capacity=layout_options.gat_capacity,
+        sort_commons=layout_options.sort_commons,
+    )
+    direct = compute_layout(inputs, options)
+    translated, __ = lay_out(modules, options)
+    assert direct.text_end == translated.text_end
+    assert [g.slots for g in direct.groups] == [g.slots for g in translated.groups]
+    assert direct.module_group == translated.module_group
+    for index, obj in enumerate(inputs.modules):
+        assert direct.gp_for_module(index) == translated.gp_for_module(index)
+        for sym in obj.symbols:
+            if sym.is_defined:
+                assert direct.symbol_addr(index, sym.name) == (
+                    translated.symbol_addr(index, sym.name)
+                ), (obj.name, sym.name)
 
 
 # -- the scale generator ---------------------------------------------------------
