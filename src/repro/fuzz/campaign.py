@@ -67,6 +67,7 @@ def _evaluate_task(seed: int, config_dict: dict, max_instructions: int) -> dict:
         "pairs": sorted(report.coverage),
         "diverged": report.diverged,
         "kinds": [d.kind for d in report.divergences],
+        "timed_pairs": report.timed_pairs,
         "seconds": time.perf_counter() - start,
         "hits": hits1 - hits0,
         "misses": misses1 - misses0,
@@ -88,6 +89,8 @@ class CampaignStats:
     replay_ok: bool | None = None
     cache_hits: int = 0
     cache_misses: int = 0
+    #: Timed interpreter/JIT cell pairs the oracle compared.
+    timed_pairs: int = 0
 
     @property
     def ok(self) -> bool:
@@ -96,8 +99,8 @@ class CampaignStats:
     def format(self) -> str:
         lines = [
             f"fuzz: seed={self.master_seed} iterations={self.iterations} "
-            f"divergences={len(self.divergences)} corpus={len(self.corpus_paths)} "
-            f"jobs={self.jobs} wall={self.wall:.1f}s"
+            f"divergences={len(self.divergences)} timed_pairs={self.timed_pairs} "
+            f"corpus={len(self.corpus_paths)} jobs={self.jobs} wall={self.wall:.1f}s"
         ]
         if self.cache_hits or self.cache_misses:
             lines.append(
@@ -177,6 +180,7 @@ def run_campaign(
 
     def fold(result: dict) -> None:
         stats.iterations += 1
+        stats.timed_pairs += result["timed_pairs"]
         if executor is not None:
             # Worker-side cache traffic; inline traffic is captured by
             # the parent-side snapshot delta at the end.

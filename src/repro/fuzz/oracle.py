@@ -22,10 +22,12 @@ pinned byte-identical to OM-full).  The oracle then asserts:
   image's sha256 equals OM-full's, both for its cold link against a
   private shard cache and for the warm relink from that cache, whose
   shards all hit and build no module body;
-* **backend identity** — the ``jit`` column reruns the ld executable
-  on the translating machine backend
-  (:class:`~repro.machine.jit.JitMachine`) and must match the
-  interpreter cell exactly, output and executed-instruction count;
+* **backend identity** — the ``ld`` cell runs on the timing model,
+  and the ``jit`` column reruns its executable there on the
+  translating machine backend (:class:`~repro.machine.jit.JitMachine`):
+  output, executed instructions, cycles, I- and D-cache misses and
+  dual issues must all match the interpreter's.  The OM cells run
+  functionally, so both interpreter loops stay fuzzed;
 * **convergence** — every OM link runs with ``OMOptions.verify``, so
   the round its convergence certificate skipped runs anyway; a change
   in it is an ``unconverged`` divergence, not a quietly weaker link.
@@ -89,6 +91,13 @@ _EXE_PINNED = ("om-full", "om-full-wpo")
 #: tests the JIT against the reference interpreter for free.
 VARIANTS = ("ld", "jit") + tuple(_OM_SPECS)
 
+#: Cells that run on the timing model (the backend pair); the rest run
+#: functionally.
+_TIMED = ("ld", "jit")
+
+#: RunResult fields a timed cell records beyond its instruction count.
+_TIMING_FIELDS = ("cycles", "icache_misses", "dcache_misses", "dual_issues")
+
 #: (smaller-or-equal, reference) pairs the instruction check enforces.
 _MONOTONE = (
     ("om-simple", "ld"),
@@ -131,6 +140,8 @@ class CellResult:
     exe_digest: str | None = None
     #: sha256 of the warm relink's image (OM-full-wpo only).
     relink_digest: str | None = None
+    #: The ``_TIMING_FIELDS`` of a timed cell's run (``_TIMED`` only).
+    timing: tuple[int, ...] | None = None
 
 
 @dataclass(frozen=True)
@@ -150,6 +161,8 @@ class OracleReport:
     cells: dict[str, CellResult] = field(default_factory=dict)
     divergences: list[Divergence] = field(default_factory=list)
     coverage: set[CoveragePair] = field(default_factory=set)
+    #: Modes whose timed interpreter and JIT runs were compared.
+    timed_pairs: int = 0
 
     @property
     def diverged(self) -> bool:
@@ -252,7 +265,7 @@ def _run_cell(
     else:
         outcome = run(
             executable,
-            timed=False,
+            timed=variant in _TIMED,
             max_instructions=max_instructions,
             backend="jit" if variant == "jit" else "interp",
         )
@@ -264,6 +277,10 @@ def _run_cell(
         gat_loads=gat_loads,
         exe_digest=exe_digest,
         relink_digest=relink_digest,
+        timing=(
+            tuple(getattr(outcome, name) for name in _TIMING_FIELDS)
+            if variant in _TIMED else None
+        ),
     )
 
 
@@ -322,6 +339,7 @@ def _cached_cell(
             gat_loads=payload.get("gat_loads"),
             exe_digest=payload.get("exe_digest"),
             relink_digest=payload.get("relink_digest"),
+            timing=tuple(payload["timing"]) if payload.get("timing") else None,
         )
     cell = _run_cell(program, mode, variant, max_instructions)
     cache.put(
@@ -336,6 +354,7 @@ def _cached_cell(
                 "gat_loads": cell.gat_loads,
                 "exe_digest": cell.exe_digest,
                 "relink_digest": cell.relink_digest,
+                "timing": cell.timing,
             }
         ).encode(),
     )
@@ -393,24 +412,29 @@ def evaluate_program(
 
     for mode in MODES:
         # Backend pin: the JIT must reproduce the interpreter exactly
-        # on the same (ld-linked) executable — output equality is
-        # already covered globally, so this adds the executed-count
-        # identity (the paper-style differential-oracle discipline).
+        # on the same (ld-linked) executable under the timing model —
+        # output equality is already covered globally, so this adds the
+        # executed count and every timing counter (the paper-style
+        # differential-oracle discipline).
         interp_cell = report.cells.get(f"{mode}/ld")
         jit_cell = report.cells.get(f"{mode}/jit")
-        if (
-            interp_cell is not None
-            and jit_cell is not None
-            and jit_cell.instructions != interp_cell.instructions
-        ):
-            report.divergences.append(
-                Divergence(
-                    "backend",
-                    f"jit executed {jit_cell.instructions} != "
-                    f"interp {interp_cell.instructions}",
-                    (f"{mode}/jit", f"{mode}/ld"),
+        if interp_cell is not None and jit_cell is not None:
+            report.timed_pairs += 1
+            fields = ("instructions",) + _TIMING_FIELDS
+            want = (interp_cell.instructions,) + interp_cell.timing
+            got = (jit_cell.instructions,) + jit_cell.timing
+            if got != want:
+                report.divergences.append(
+                    Divergence(
+                        "backend",
+                        "; ".join(
+                            f"jit {name} {g} != interp {w}"
+                            for name, g, w in zip(fields, got, want)
+                            if g != w
+                        ),
+                        (f"{mode}/jit", f"{mode}/ld"),
+                    )
                 )
-            )
         # Byte-identity pin: the partitioned link, cold and relinked
         # warm, must reproduce the monolithic om-full image exactly, not
         # merely equivalently.

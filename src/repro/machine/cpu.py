@@ -11,6 +11,18 @@ one that additionally models the paper's performance terms:
 * direct-mapped split 8KB I/D caches with a fixed miss penalty;
 * a one-cycle bubble for taken branches.
 
+The timed loop takes one dispatch per word: one branch per op kind,
+tested in order of dynamic frequency, computes the word's issue cycle
+and executes it.  Its ``ldq``/``stq`` read and write aligned data and
+stack quads through the 8-byte views the JIT uses too
+(:meth:`Machine._quad_views`) and hand every other address to the
+bounds-checked helpers, so every value and error is the helpers'.  It
+probes the I-cache only when a fetch enters a new line (judged by
+address), follows a taken branch or starts a loop call: only
+instruction fetches touch the tags, so every other fetch hits.
+:func:`_operate` and :func:`_branch_taken` stay the interpreter's one
+transcription of operate and branch semantics.
+
 The timed loop is also the source of the ``getticks`` PAL call's value.
 
 Both loops are resumable: they run from any word index on a shared
@@ -35,6 +47,7 @@ from repro.isa.timing import (
 from repro.linker.executable import Executable, STACK_BYTES, STACK_TOP
 
 _MASK = (1 << 64) - 1
+_SIGN = 1 << 63
 
 #: Index a loop returns when the program halts.  Far below any
 #: reachable branch target (branch displacements are 21-bit), so it
@@ -142,14 +155,31 @@ class Machine:
         data_end = data_seg.end
         for vaddr, size in exe.zeroed:
             data_end = max(data_end, vaddr + size)
-        self.data = bytearray(data_end - self.data_base)
+        # The image is padded to whole quads: a quad that starts below
+        # the limit reads and writes all 8 bytes, and the image never
+        # resizes under the quad views.
+        self.data = bytearray(-(-(data_end - self.data_base) // 8) * 8)
         self.data[: len(data_seg.data)] = data_seg.data
-        self.data_limit = self.data_base + len(self.data)
+        self.data_limit = data_end
         self.stack_base = STACK_TOP - STACK_BYTES
         self.stack = bytearray(STACK_BYTES)
         self._decoded = _predecode(self.text, self.text_base)
 
     # -- memory helpers (shared by both loops) ---------------------------------
+
+    def _quad_views(self) -> tuple[memoryview, memoryview]:
+        """8-byte views of the data and stack images, for the ``ldq`` and
+        ``stq`` fast paths of the timed loop and the JIT.
+
+        A view index is an offset ``>> 3``, so both views are empty
+        (every access takes the helpers) unless both bases are 8-aligned.
+        The caller releases them when its run or loop call ends.
+        """
+        if self.data_base & 7 or self.stack_base & 7:
+            empty = memoryview(b"").cast("Q")
+            return empty, empty
+        return (memoryview(self.data).cast("Q"),
+                memoryview(self.stack).cast("Q"))
 
     def _load_q(self, addr: int) -> int:
         if addr & 7:
@@ -356,189 +386,319 @@ class Machine:
         text_base = self.text_base
         load_q = self._load_q
         store_q = self._store_q
+        operate = _operate
+        branch_taken = _branch_taken
+        op_latency = _OPERATE_LATENCY
         count = st[0]
         counting = counts is not None
         cycle_counting = cycle_counts is not None
 
         # Timing state.  `slot_open`: the second issue slot of `cycle` is
-        # available; `slot_class`: class of the instruction in the first.
+        # available; `slot_class`: class of the instruction in the first
+        # (2 integer, 1 memory, 3 control).  A word pairs into the open
+        # slot when its operands are ready by `cycle` and its class
+        # differs; otherwise it opens the next cycle its operands allow.
         cycle, slot_open, slot_class, imisses, dmisses, duals, prev_cycle = st[2:]
         iline_shift = _ILINE_SHIFT
-        in_lines = _IN_LINES
-        dn_lines = _DN_LINES
+        imask = _IN_LINES - 1
+        dmask = _DN_LINES - 1
         miss_penalty = CACHE_MISS_PENALTY
-        op_latency = _OPERATE_LATENCY
+        load_hit = LOAD_LATENCY
+        load_miss = LOAD_LATENCY + CACHE_MISS_PENALTY
+        taken_penalty = TAKEN_BRANCH_PENALTY
+        mask = _MASK
+        k_op_rr, k_op_rl, k_lda, k_cbr, k_ldq, k_stq, k_ldah, k_br, k_bsr = (
+            K_OP_RR, K_OP_RL, K_LDA, K_CBR, K_LDQ, K_STQ, K_LDAH, K_BR, K_BSR)
+        k_jsr, k_ret, k_jmp, k_pal = K_JSR, K_RET, K_JMP, K_PAL
 
-        while True:
-            op = decoded[index]
-            kind = op[0]
-            count += 1
-            if counting:
-                counts[index] += 1
-            if count > stop:
-                if stop >= st[1]:
-                    raise ExecutionBudgetExceeded(st[1])
-                count -= 1
+        # Only instruction fetches touch `itags`, so a word fetched right
+        # after another of its line hits.  The loop probes when a fetch
+        # reaches `line_end`: the first word of the next line, judged by
+        # address since the text base need not be line-aligned, or the
+        # first word of the call or of a taken branch's target.
+        line_end = index
+        qd, qs = self._quad_views()
+        data_base = self.data_base
+        data_bytes = qd.nbytes
+        stack_base = self.stack_base
+        stack_bytes = qs.nbytes
+        try:
+            while True:
+                op = decoded[index]
+                count += 1
                 if counting:
-                    counts[index] -= 1
-                break
+                    counts[index] += 1
+                if count > stop:
+                    if stop >= st[1]:
+                        raise ExecutionBudgetExceeded(st[1])
+                    count -= 1
+                    if counting:
+                        counts[index] -= 1
+                    break
+                if index == line_end:
+                    line = (text_base + 4 * index) >> iline_shift
+                    if itags[line & imask] != line:
+                        itags[line & imask] = line
+                        imisses += 1
+                        cycle += miss_penalty
+                        slot_open = False
+                    line_end = (((line + 1) << iline_shift) - text_base) >> 2
 
-            # Instruction fetch / I-cache.
-            iaddr = text_base + 4 * index
-            line = iaddr >> iline_shift
-            islot = line & (in_lines - 1)
-            if itags[islot] != line:
-                itags[islot] = line
-                imisses += 1
-                cycle += miss_penalty
-                slot_open = False
-
-            # Issue-cycle computation: operand readiness.
-            if kind == K_OP_RR:
-                __, fn, ra, rb, rc = op
-                klass = 2  # integer
-                operand_ready = ready[ra] if ready[ra] > ready[rb] else ready[rb]
-            elif kind == K_OP_RL:
-                __, fn, ra, rb, rc = op
-                klass = 2
-                operand_ready = ready[ra]
-            elif kind in (K_LDQ, K_LDA, K_LDAH, K_LDL, K_LDQ_U, K_LDBU):
-                __, ra, rb, disp = op
-                klass = 1  # memory
-                operand_ready = ready[rb]
-            elif kind in (K_STQ, K_STL, K_STB):
-                __, ra, rb, disp = op
-                klass = 1
-                operand_ready = ready[ra] if ready[ra] > ready[rb] else ready[rb]
-            elif kind == K_CBR:
-                __, cond, ra, target = op
-                klass = 3  # control
-                operand_ready = ready[ra]
-            elif kind in (K_JSR, K_JMP, K_RET):
-                __, ra, rb = op
-                klass = 3
-                operand_ready = ready[rb]
-            else:  # BR/BSR/PAL
-                klass = 3
-                operand_ready = 0
-
-            if slot_open and operand_ready <= cycle and klass != slot_class:
-                # Pairs into the open second slot of the current cycle.
-                slot_open = False
-                duals += 1
-                issue = cycle
-            else:
-                issue = cycle + 1
-                if operand_ready > issue:
-                    issue = operand_ready
-                cycle = issue
-                slot_open = True
-                slot_class = klass
-
-            # Execute.
-            taken = False
-            if kind == K_LDQ:
-                addr = (regs[rb] + disp) & _MASK
-                regs[ra] = load_q(addr)
-                latency = LOAD_LATENCY
-                dline = addr >> iline_shift
-                dslot = dline & (dn_lines - 1)
-                if dtags[dslot] != dline:
-                    dtags[dslot] = dline
-                    dmisses += 1
-                    latency += miss_penalty
-                ready[ra] = issue + latency
-            elif kind == K_OP_RR or kind == K_OP_RL:
-                b = rb if kind == K_OP_RL else regs[rb]
-                regs[rc] = _operate(fn, regs[ra], b, regs[rc])
-                ready[rc] = issue + op_latency[fn]
-            elif kind == K_LDA:
-                regs[ra] = (regs[rb] + disp) & _MASK
-                ready[ra] = issue + 1
-            elif kind == K_LDAH:
-                regs[ra] = (regs[rb] + (disp << 16)) & _MASK
-                ready[ra] = issue + 1
-            elif kind == K_STQ:
-                addr = (regs[rb] + disp) & _MASK
-                store_q(addr, regs[ra])
-                dline = addr >> iline_shift
-                dslot = dline & (dn_lines - 1)
-                if dtags[dslot] != dline:
-                    dtags[dslot] = dline
-                    dmisses += 1
-                    cycle += miss_penalty
+                # One branch per kind, most frequent first: each computes
+                # the word's issue cycle, then executes it.
+                kind = op[0]
+                if kind == k_op_rr:
+                    __, fn, ra, rb, rc = op
+                    opr = ready[ra]
+                    if ready[rb] > opr:
+                        opr = ready[rb]
+                    if slot_open and opr <= cycle and slot_class != 2:
+                        slot_open = False
+                        duals += 1
+                        issue = cycle
+                    else:
+                        issue = cycle = cycle + 1 if opr <= cycle else opr
+                        slot_open = True
+                        slot_class = 2
+                    regs[rc] = operate(fn, regs[ra], regs[rb], regs[rc])
+                    ready[rc] = issue + op_latency[fn]
+                    regs[31] = ready[31] = 0
+                elif kind == k_op_rl:
+                    __, fn, ra, lit, rc = op
+                    opr = ready[ra]
+                    if slot_open and opr <= cycle and slot_class != 2:
+                        slot_open = False
+                        duals += 1
+                        issue = cycle
+                    else:
+                        issue = cycle = cycle + 1 if opr <= cycle else opr
+                        slot_open = True
+                        slot_class = 2
+                    regs[rc] = operate(fn, regs[ra], lit, regs[rc])
+                    ready[rc] = issue + op_latency[fn]
+                    regs[31] = ready[31] = 0
+                elif kind == k_lda:
+                    __, ra, rb, disp = op
+                    opr = ready[rb]
+                    if slot_open and opr <= cycle and slot_class != 1:
+                        slot_open = False
+                        duals += 1
+                        issue = cycle
+                    else:
+                        issue = cycle = cycle + 1 if opr <= cycle else opr
+                        slot_open = True
+                        slot_class = 1
+                    regs[ra] = (regs[rb] + disp) & mask
+                    ready[ra] = issue + 1
+                    regs[31] = ready[31] = 0
+                elif kind == k_cbr:
+                    __, cond, ra, target = op
+                    opr = ready[ra]
+                    if slot_open and opr <= cycle and slot_class != 3:
+                        slot_open = False
+                        duals += 1
+                        issue = cycle
+                    else:
+                        issue = cycle = cycle + 1 if opr <= cycle else opr
+                        slot_open = True
+                        slot_class = 3
+                    if branch_taken(cond, regs[ra]):
+                        cycle = issue + taken_penalty
+                        slot_open = False
+                        if cycle_counting:
+                            cycle_counts[index] += cycle - prev_cycle
+                            prev_cycle = cycle
+                        index = line_end = target
+                        continue
+                elif kind == k_ldq:
+                    __, ra, rb, disp = op
+                    opr = ready[rb]
+                    if slot_open and opr <= cycle and slot_class != 1:
+                        slot_open = False
+                        duals += 1
+                        issue = cycle
+                    else:
+                        issue = cycle = cycle + 1 if opr <= cycle else opr
+                        slot_open = True
+                        slot_class = 1
+                    # The views serve aligned data and stack quads, in
+                    # `_load_q`'s order; it takes every other address.
+                    addr = (regs[rb] + disp) & mask
+                    o = addr - data_base
+                    if 0 <= o < data_bytes and not o & 7:
+                        regs[ra] = qd[o >> 3]
+                    else:
+                        o = addr - stack_base
+                        if 0 <= o < stack_bytes and not o & 7:
+                            regs[ra] = qs[o >> 3]
+                        else:
+                            regs[ra] = load_q(addr)
+                    dline = addr >> iline_shift
+                    if dtags[dline & dmask] != dline:
+                        dtags[dline & dmask] = dline
+                        dmisses += 1
+                        ready[ra] = issue + load_miss
+                    else:
+                        ready[ra] = issue + load_hit
+                    regs[31] = ready[31] = 0
+                elif kind == k_stq:
+                    __, ra, rb, disp = op
+                    opr = ready[ra]
+                    if ready[rb] > opr:
+                        opr = ready[rb]
+                    if slot_open and opr <= cycle and slot_class != 1:
+                        slot_open = False
+                        duals += 1
+                        issue = cycle
+                    else:
+                        issue = cycle = cycle + 1 if opr <= cycle else opr
+                        slot_open = True
+                        slot_class = 1
+                    addr = (regs[rb] + disp) & mask
+                    o = addr - data_base
+                    if 0 <= o < data_bytes and not o & 7:
+                        qd[o >> 3] = regs[ra]
+                    else:
+                        o = addr - stack_base
+                        if 0 <= o < stack_bytes and not o & 7:
+                            qs[o >> 3] = regs[ra]
+                        else:
+                            store_q(addr, regs[ra])
+                    dline = addr >> iline_shift
+                    if dtags[dline & dmask] != dline:
+                        dtags[dline & dmask] = dline
+                        dmisses += 1
+                        cycle += miss_penalty
+                        slot_open = False
+                elif kind == k_ldah:
+                    __, ra, rb, disp = op
+                    opr = ready[rb]
+                    if slot_open and opr <= cycle and slot_class != 1:
+                        slot_open = False
+                        duals += 1
+                        issue = cycle
+                    else:
+                        issue = cycle = cycle + 1 if opr <= cycle else opr
+                        slot_open = True
+                        slot_class = 1
+                    regs[ra] = (regs[rb] + (disp << 16)) & mask
+                    ready[ra] = issue + 1
+                    regs[31] = ready[31] = 0
+                elif kind == k_br or kind == k_bsr:
+                    __, ra, target = op
+                    if slot_open and slot_class != 3:
+                        slot_open = False
+                        duals += 1
+                        issue = cycle
+                    else:
+                        issue = cycle = cycle + 1
+                        slot_class = 3
+                    regs[ra] = text_base + 4 * (index + 1)
+                    ready[ra] = issue + 1
+                    regs[31] = ready[31] = 0
+                    cycle = issue + taken_penalty
                     slot_open = False
-            elif kind == K_CBR:
-                if _branch_taken(cond, regs[ra]):
-                    taken = True
-                    next_index = target
-            elif kind == K_BR or kind == K_BSR:
-                __, ra2, target = op
-                regs[ra2] = text_base + 4 * (index + 1)
-                ready[ra2] = issue + 1
-                taken = True
-                next_index = target
-            elif kind in (K_JSR, K_JMP, K_RET):
-                dest = regs[rb] & ~3
-                regs[ra] = text_base + 4 * (index + 1)
-                ready[ra] = issue + 1
-                taken = True
-                next_index = (dest - text_base) >> 2
-                if not 0 <= next_index < len(decoded):
-                    raise MachineError(f"jump to unmapped address {dest:#x}")
-            elif kind == K_PAL:
-                func = op[1]
-                if func == PalFunc.HALT:
-                    # Charge the halting word's issue cost so the
-                    # per-word cycle deltas sum exactly to the total.
                     if cycle_counting:
                         cycle_counts[index] += cycle - prev_cycle
                         prev_cycle = cycle
-                    index = HALT
-                    break
-                if func == PalFunc.PUTINT:
-                    value = regs[16]
-                    out.append(str(value - (1 << 64) if value >> 63 else value))
-                    out.append("\n")
-                elif func == PalFunc.PUTCHAR:
-                    out.append(chr(regs[16] & 0xFF))
-                elif func == PalFunc.GETTICKS:
-                    regs[0] = cycle
-                    ready[0] = issue + 1
+                    index = line_end = target
+                    continue
+                elif kind == k_ret or kind == k_jsr or kind == k_jmp:
+                    __, ra, rb = op
+                    opr = ready[rb]
+                    if slot_open and opr <= cycle and slot_class != 3:
+                        slot_open = False
+                        duals += 1
+                        issue = cycle
+                    else:
+                        issue = cycle = cycle + 1 if opr <= cycle else opr
+                        slot_class = 3
+                    dest = regs[rb] & ~3
+                    regs[ra] = text_base + 4 * (index + 1)
+                    ready[ra] = issue + 1
+                    target = (dest - text_base) >> 2
+                    if not 0 <= target < len(decoded):
+                        raise MachineError(f"jump to unmapped address {dest:#x}")
+                    regs[31] = ready[31] = 0
+                    cycle = issue + taken_penalty
+                    slot_open = False
+                    if cycle_counting:
+                        cycle_counts[index] += cycle - prev_cycle
+                        prev_cycle = cycle
+                    index = line_end = target
+                    continue
+                elif kind == k_pal:
+                    if slot_open and slot_class != 3:
+                        slot_open = False
+                        duals += 1
+                        issue = cycle
+                    else:
+                        issue = cycle = cycle + 1
+                        slot_open = True
+                        slot_class = 3
+                    func = op[1]
+                    if func == PalFunc.HALT:
+                        # Charge the halting word's issue cost so the
+                        # per-word cycle deltas sum exactly to the total.
+                        if cycle_counting:
+                            cycle_counts[index] += cycle - prev_cycle
+                            prev_cycle = cycle
+                        index = HALT
+                        break
+                    if func == PalFunc.PUTINT:
+                        value = regs[16]
+                        out.append(str(value - (1 << 64) if value >> 63 else value))
+                        out.append("\n")
+                    elif func == PalFunc.PUTCHAR:
+                        out.append(chr(regs[16] & 0xFF))
+                    elif func == PalFunc.GETTICKS:
+                        regs[0] = cycle
+                        ready[0] = issue + 1
+                    else:
+                        raise MachineError(f"unknown PAL function {func:#x}")
                 else:
-                    raise MachineError(f"unknown PAL function {func:#x}")
-            elif kind == K_LDL:
-                addr = (regs[rb] + disp) & _MASK
-                value = load_q(addr & ~7)
-                shift = (addr & 4) * 8
-                word = (value >> shift) & 0xFFFFFFFF
-                regs[ra] = word | (~0xFFFFFFFF & _MASK if word >> 31 else 0)
-                ready[ra] = issue + LOAD_LATENCY
-            elif kind == K_LDQ_U:
-                regs[ra] = load_q((regs[rb] + disp) & ~7 & _MASK)
-                ready[ra] = issue + LOAD_LATENCY
-            elif kind == K_LDBU:
-                regs[ra] = self._load_byte((regs[rb] + disp) & _MASK)
-                ready[ra] = issue + LOAD_LATENCY
-            elif kind == K_STB:
-                self._store_byte((regs[rb] + disp) & _MASK, regs[ra])
-            elif kind == K_STL:
-                self._store_long((regs[rb] + disp) & _MASK, regs[ra])
-            else:
-                raise MachineError(f"unhandled op kind {kind}")
+                    # Byte, longword and unaligned-quad accesses: memory
+                    # class, no D-cache model.
+                    __, ra, rb, disp = op
+                    opr = ready[rb]
+                    if kind == K_STL or kind == K_STB:
+                        if ready[ra] > opr:
+                            opr = ready[ra]
+                    if slot_open and opr <= cycle and slot_class != 1:
+                        slot_open = False
+                        duals += 1
+                        issue = cycle
+                    else:
+                        issue = cycle = cycle + 1 if opr <= cycle else opr
+                        slot_open = True
+                        slot_class = 1
+                    addr = (regs[rb] + disp) & mask
+                    if kind == K_LDL:
+                        value = load_q(addr & ~7)
+                        word = (value >> ((addr & 4) * 8)) & 0xFFFFFFFF
+                        regs[ra] = word | (~0xFFFFFFFF & mask if word >> 31 else 0)
+                        ready[ra] = issue + load_hit
+                    elif kind == K_LDQ_U:
+                        regs[ra] = load_q(addr & ~7)
+                        ready[ra] = issue + load_hit
+                    elif kind == K_LDBU:
+                        regs[ra] = self._load_byte(addr)
+                        ready[ra] = issue + load_hit
+                    elif kind == K_STB:
+                        self._store_byte(addr, regs[ra])
+                    elif kind == K_STL:
+                        self._store_long(addr, regs[ra])
+                    else:
+                        raise MachineError(f"unhandled op kind {kind}")
+                    regs[31] = ready[31] = 0
 
-            regs[31] = 0
-            ready[31] = 0
-            if taken:
-                cycle = issue + TAKEN_BRANCH_PENALTY
-                slot_open = False
-            if cycle_counting:
-                cycle_counts[index] += cycle - prev_cycle
-                prev_cycle = cycle
-            if taken:
-                index = next_index
-            else:
+                if cycle_counting:
+                    cycle_counts[index] += cycle - prev_cycle
+                    prev_cycle = cycle
                 index += 1
+        finally:
+            qd.release()
+            qs.release()
 
         st[0] = count
         st[2:] = cycle, slot_open, slot_class, imisses, dmisses, duals, prev_cycle
@@ -606,43 +766,47 @@ def _to_signed(value: int) -> int:
 
 
 def _operate(fn: int, a: int, b: int, old_c: int) -> int:
-    """Evaluate an operate instruction; operands/result are u64."""
-    if fn == 0:  # addq
-        return (a + b) & _MASK
-    if fn == 1:  # subq
-        return (a - b) & _MASK
+    """Evaluate an operate instruction; operands/result are u64.
+
+    Tested in order of dynamic frequency over the benchmark programs.
+    Flipping the sign bit maps signed order onto unsigned order.
+    """
     if fn == 16:  # bis
         return a | b
+    if fn == 22:  # sra
+        return ((a - (1 << 64) if a >> 63 else a) >> (b & 63)) & _MASK
+    if fn == 10:  # cmplt
+        return 1 if a ^ _SIGN < b ^ _SIGN else 0
     if fn == 9:  # cmpeq
         return 1 if a == b else 0
-    if fn == 10:  # cmplt
-        return 1 if _to_signed(a) < _to_signed(b) else 0
+    if fn == 1:  # subq
+        return (a - b) & _MASK
+    if fn == 14:  # and
+        return a & b
+    if fn == 0:  # addq
+        return (a + b) & _MASK
+    if fn == 4:  # s8addq
+        return (a * 8 + b) & _MASK
+    if fn == 20:  # sll
+        return (a << (b & 63)) & _MASK
+    if fn == 2:  # mulq
+        return (a * b) & _MASK
     if fn == 11:  # cmple
-        return 1 if _to_signed(a) <= _to_signed(b) else 0
+        return 1 if a ^ _SIGN <= b ^ _SIGN else 0
+    if fn == 18:  # xor
+        return a ^ b
     if fn == 12:  # cmpult
         return 1 if a < b else 0
     if fn == 13:  # cmpule
         return 1 if a <= b else 0
-    if fn == 2:  # mulq
-        return (a * b) & _MASK
-    if fn == 4:  # s8addq
-        return (a * 8 + b) & _MASK
     if fn == 3:  # s4addq
         return (a * 4 + b) & _MASK
-    if fn == 20:  # sll
-        return (a << (b & 63)) & _MASK
     if fn == 21:  # srl
         return a >> (b & 63)
-    if fn == 22:  # sra
-        return (_to_signed(a) >> (b & 63)) & _MASK
-    if fn == 14:  # and
-        return a & b
     if fn == 15:  # bic
         return a & ~b & _MASK
     if fn == 17:  # ornot
         return (a | (~b & _MASK)) & _MASK
-    if fn == 18:  # xor
-        return a ^ b
     if fn == 19:  # eqv
         return (a ^ (~b & _MASK)) & _MASK
     if fn == 5:  # addl

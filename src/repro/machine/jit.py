@@ -981,7 +981,7 @@ class _Emitter:
         anything else probes the data segment."""
         prog = self.prog
         stack = ("qs", prog.stack_base, prog.stack_len)
-        data = ("qd", prog.data_base, prog.data_len & ~7)
+        data = ("qd", prog.data_base, prog.data_len)
         return (stack, data) if rb == 30 else (data, stack)
 
     @staticmethod
@@ -1010,7 +1010,7 @@ class _Emitter:
         if 0 <= o < prog.stack_len:
             return ("qs", o >> 3)
         o = value - prog.data_base
-        if 0 <= o < prog.data_len & ~7:
+        if 0 <= o < prog.data_len:
             return ("qd", o >> 3)
         return None
 
@@ -1018,9 +1018,10 @@ class _Emitter:
         """Inline data/stack fast paths for an 8-byte access at ``addr``.
 
         ``assign(view_expr)`` renders the access given a source/target
-        expression; unmapped, unaligned, or partial-tail addresses fall
-        back to the bounds-checked memory helper, which reproduces the
-        interpreter's exception behavior exactly.
+        expression; unmapped or unaligned addresses fall back to the
+        bounds-checked memory helper, which reproduces the interpreter's
+        exception behavior exactly.  The data image is whole quads
+        (``Machine`` pads it), so the view covers every mapped quad.
         """
         (v1, b1, l1), (v2, b2, l2) = self._quad_regions(rb)
         out.append(f"{ind}o = addr - {b1}")
@@ -1458,7 +1459,7 @@ class _Emitter:
                 if op[0] == K_LDQ and op[1] == base:
                     break  # base clobbered: this load ends the run
         span = max(disps) - min(disps) + 8
-        if span > prog.stack_len or span > prog.data_len & ~7:
+        if span > prog.stack_len or span > prog.data_len:
             return 1
         return n
 
@@ -1836,7 +1837,10 @@ class CompiledProgram:
                 "__builtins__": {},
             }
             exec(compile(src, f"<jit:{start}>", "exec"), namespace)
-            entry = (namespace[name], em.max_unit)
+            # Popping the function breaks the function <-> globals
+            # cycle, so a dropped translation is freed at once, not at
+            # the next full collection.
+            entry = (namespace.pop(name), em.max_unit)
             table[start] = entry
             if em.loop_form:
                 # The cascade dispatches any head, so control arriving
@@ -1946,11 +1950,7 @@ class JitMachine(Machine):
         regs, st, index = self._initial_state()
         limit = st[1]
         out: list[str] = []
-        if program.fast_mem:
-            qd = memoryview(self.data)[: len(self.data) & ~7].cast("Q")
-            qs = memoryview(self.stack).cast("Q")
-        else:
-            qd = qs = None
+        qd, qs = self._quad_views()
         mem = (self._load_q, self._store_q, self._load_byte,
                self._store_byte, self._store_long, qd, qs,
                self.data, self.stack)
@@ -1998,11 +1998,8 @@ class JitMachine(Machine):
                                ready, itags, dtags,
                                st[0] + 1 if st[0] < limit else limit)
         finally:
-            if qd is not None:
-                # Release the exported buffers so the bytearrays stay
-                # resizable for callers once the run is over.
-                qd.release()
-                qs.release()
+            qd.release()
+            qs.release()
             if counting:
                 # Expand per-segment execution counters to per-word
                 # counts; valid even across overlapping regions because

@@ -130,30 +130,32 @@ def partition_modules(
     order = sorted(range(len(modules)), key=lambda i: modules[i].name)
     weights = [_module_weight(module) for module in modules]
 
-    # Module-level call affinity: static cross-module call multiplicity.
-    affinity: dict[tuple[int, int], int] = {}
-    for key in _call_pairs(modules):
-        if key[0] != key[1]:
-            affinity[key] = affinity.get(key, 0) + 1
+    # Module-level call affinity, both directions summed: each module's
+    # call neighbours with their static cross-module call multiplicity.
+    neighbours: list[dict[int, int]] = [{} for _ in modules]
+    for caller, callee in _call_pairs(modules):
+        if caller != callee:
+            neighbours[caller][callee] = neighbours[caller].get(callee, 0) + 1
+            neighbours[callee][caller] = neighbours[callee].get(caller, 0) + 1
 
     shards = [Shard(index) for index in range(partitions)]
     ceiling = (sum(weights) / partitions) * 1.25 + 1
-
-    def pull(shard: Shard, module_index: int) -> int:
-        return sum(
-            affinity.get((module_index, member), 0)
-            + affinity.get((member, module_index), 0)
-            for member in shard.members
-        )
+    placed: dict[int, int] = {}  # module index -> shard index
 
     for module_index in order:
+        pull = [0] * partitions
+        for neighbour, calls in neighbours[module_index].items():
+            shard_index = placed.get(neighbour)
+            if shard_index is not None:
+                pull[shard_index] += calls
         open_shards = [s for s in shards if s.weight < ceiling] or shards
         best = max(
             open_shards,
-            key=lambda s: (pull(s, module_index), -s.weight, -s.index),
+            key=lambda s: (pull[s.index], -s.weight, -s.index),
         )
         best.members.append(module_index)
         best.weight += weights[module_index]
+        placed[module_index] = best.index
 
     shards = [shard for shard in shards if shard.members]
     for index, shard in enumerate(shards):

@@ -12,6 +12,7 @@ from repro.fuzz.corpus import (
     sources_digest,
 )
 from repro.fuzz.generate import GenConfig, generate_program
+from repro.fuzz.oracle import MODES
 
 
 def test_corpus_roundtrip(tmp_path):
@@ -73,7 +74,9 @@ def test_campaign_smoke(tmp_path):
     # corpus is non-empty and the replay check ran and passed.
     assert stats.corpus_paths
     assert stats.replay_ok is True
+    assert stats.timed_pairs == 3 * len(MODES)
     assert "fuzz: seed=0 iterations=3" in stats.format()
+    assert f"timed_pairs={3 * len(MODES)} " in stats.format()
 
 
 def test_campaign_is_deterministic(tmp_path):

@@ -27,6 +27,36 @@ def test_matrix_is_complete_and_agrees(report):
     assert len(outputs) == 1
 
 
+def test_the_backend_pair_runs_on_the_timing_model(report):
+    """The ld cell and the jit column run timed and agree on every
+    timing counter; the OM cells run functionally."""
+    assert report.timed_pairs == len(MODES)
+    for mode in MODES:
+        ld, jit = report.cells[f"{mode}/ld"], report.cells[f"{mode}/jit"]
+        cycles, __, __, duals = ld.timing
+        assert cycles > ld.instructions and duals > 0
+        assert jit.timing == ld.timing
+        assert report.cells[f"{mode}/om-full"].timing is None
+
+
+def test_a_jit_timing_difference_is_a_backend_divergence(monkeypatch):
+    from repro.machine.jit import JitMachine
+
+    run_timed = JitMachine._run_timed
+
+    def late(self, counts=None, cycle_counts=None):
+        result = run_timed(self, counts, cycle_counts)
+        result.icache_misses += 1
+        return result
+
+    monkeypatch.setattr(JitMachine, "_run_timed", late)
+    report = evaluate_program(generate_program(0))
+    assert [d.kind for d in report.divergences] == ["backend"] * len(MODES)
+    first = report.divergences[0]
+    assert first.cells == ("each/jit", "each/ld")
+    assert first.detail.startswith("jit icache_misses ")
+
+
 def test_instruction_counts_are_monotone(report):
     for mode in MODES:
         ld = report.cells[f"{mode}/ld"].instructions

@@ -421,3 +421,28 @@ def test_fallback_at_every_budget_boundary(crt0, libmc, monkeypatch):
                 assert got == want, (jit_cls.__name__, timed, budget)
     assert want[0].run.instructions == total  # the last budgets complete
     assert program_for(JitMachine(exe)).stats.fallback_steps > 0
+
+
+def test_dropped_translations_are_freed_without_a_collection(crt0, libmc):
+    """A region function does not keep itself alive through its
+    globals, so dropping a translation frees it by reference counting:
+    cold runs leave no garbage waiting for a full collection."""
+    import gc
+    import weakref
+
+    machine = JitMachine(_link_asm(crt0, libmc, BRANCHY))
+    machine.run(timed=True)
+    refs = [
+        weakref.ref(entry[0])
+        for table in machine.jit_program().tables.values()
+        for entry in table.values()
+        if entry is not _FALLBACK
+    ]
+    assert refs
+    gc.disable()
+    try:
+        del machine
+        clear_jit_cache()
+        assert [ref() for ref in refs] == [None] * len(refs)
+    finally:
+        gc.enable()

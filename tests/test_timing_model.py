@@ -11,8 +11,14 @@ from repro.isa.timing import (
     issue_class,
     result_latency,
 )
+from repro.experiments import build
 from repro.linker import link
-from repro.machine import BACKENDS, run
+from repro.linker.executable import TEXT_BASE
+from repro.linker.layout import LayoutOptions
+from repro.machine import BACKENDS, Machine, run
+from repro.machine.cpu import _DN_LINES, _IN_LINES
+from repro.machine.jit import JitProfilingMachine
+from repro.machine.profile import ProfilingMachine
 from repro.minicc import Options, compile_module
 
 NOSCHED = Options(schedule=False)
@@ -155,3 +161,162 @@ def test_load_use_stall_visible(libmc, crt0):
     result = cycles_of(chained, libmc, crt0)
     # Unscheduled: each iteration has ldq immediately used by xor.
     assert result.cpi > 1.3
+
+
+# -- the I-cache probe rule ---------------------------------------------------
+#
+# The timed loop probes the I-cache only when a fetch enters a new line,
+# follows a taken branch or starts a loop call; the pins below were
+# recorded when it probed on every word.  Each program is linked with
+# ``main`` at the text base, which sits at a line start (TEXT_BASE) or
+# mid-line (TEXT_BASE + 16), so word indexes and line boundaries differ.
+
+#: Thirteen straight-line words: the fall-through crosses one line
+#: boundary at TEXT_BASE and two at TEXT_BASE + 16.
+PROBE_FALL = """
+        .ent    main
+main:   lda     $t0, 1($zero)
+        addq    $t0, 1, $t1
+        addq    $t1, 1, $t2
+        addq    $t2, 1, $t3
+        addq    $t3, 1, $t4
+        addq    $t4, 1, $t5
+        addq    $t5, 1, $t6
+        addq    $t6, 1, $t7
+        addq    $t7, 1, $t0
+        addq    $t0, 1, $t1
+        addq    $t1, 1, $a0
+        call_pal putint
+        call_pal halt
+        .end    main
+"""
+
+#: A three-word loop whose taken branch stays inside one line at
+#: TEXT_BASE and crosses back over a line boundary at TEXT_BASE + 16.
+PROBE_INLINE = """
+        .ent    main
+main:   lda     $t0, 5($zero)
+        lda     $a0, 0($zero)
+loop:   addq    $a0, 3, $a0
+        subq    $t0, 1, $t0
+        bne     $t0, loop
+        call_pal putint
+        call_pal halt
+        .end    main
+"""
+
+#: A four-word loop that straddles two lines at TEXT_BASE.
+PROBE_STRADDLE = """
+        .ent    main
+main:   lda     $t0, 6($zero)
+        lda     $a0, 0($zero)
+        nop
+        nop
+        nop
+loop:   addq    $a0, 3, $a0
+        addq    $a0, 1, $a0
+        subq    $t0, 1, $t0
+        bne     $t0, loop
+        call_pal putint
+        call_pal halt
+        .end    main
+"""
+
+PROBE_PROGRAMS = {
+    "fall": PROBE_FALL, "inline": PROBE_INLINE, "straddle": PROBE_STRADDLE,
+}
+
+#: (program, text base offset) -> ((cycles, I-cache misses, dual
+#: issues), per-word cycle counts).
+PROBE_PINS = {
+    ("fall", 0): ((32, 2, 1), [11, 1, 1, 1, 1, 1, 1, 1, 11, 1, 1, 0, 1]),
+    ("fall", 16): ((42, 3, 1), [11, 1, 1, 1, 11, 1, 1, 1, 1, 1, 1, 0, 11]),
+    ("inline", 0): ((33, 1, 0), [11, 1, 5, 5, 9, 1, 1]),
+    ("inline", 16): ((43, 2, 0), [11, 1, 5, 5, 19, 1, 1]),
+    ("straddle", 0): ((55, 2, 1), [11, 1, 0, 1, 1, 6, 6, 6, 21, 1, 1]),
+    ("straddle", 16): ((55, 2, 1), [11, 1, 0, 1, 11, 6, 6, 6, 11, 1, 1]),
+}
+
+#: (program, text base offset) -> the sums, over every stop count
+#: inside the run, of the final cycles and I-cache misses when the run
+#: stops there, its I-cache is emptied, and it runs on.
+RESUME_PINS = {
+    ("fall", 0): (495, 35),
+    ("fall", 16): (605, 46),
+    ("inline", 0): (774, 36),
+    ("inline", 16): (1064, 65),
+    ("straddle", 0): (2141, 109),
+    ("straddle", 16): (1941, 89),
+}
+
+
+def _probe_exe(libmc, name, shift):
+    source = PROBE_PROGRAMS[name]
+    return link([assemble_text(source, "probe.o")], [libmc], entry="main",
+                options=LayoutOptions(text_base=TEXT_BASE + shift))
+
+
+def _profiled_timed(cls, exe):
+    machine = cls(exe)
+    result = machine.run_profiled(timed=True).run
+    return result, machine.counts, machine.cycle_counts
+
+
+@pytest.mark.parametrize("name, shift", sorted(PROBE_PINS))
+def test_probe_rule_matches_the_pins_and_the_jit(name, shift, libmc):
+    """Line crossings by fall-through, taken branches inside and across
+    lines, and a line-aligned or mid-line text base: the interpreter's
+    cycles, I-cache misses and per-word cycle counts equal the pins
+    and the timed JIT's."""
+    exe = _probe_exe(libmc, name, shift)
+    result, counts, cycle_counts = _profiled_timed(ProfilingMachine, exe)
+    totals = (result.cycles, result.icache_misses, result.dual_issues)
+    assert (totals, cycle_counts) == PROBE_PINS[name, shift]
+    jit = _profiled_timed(JitProfilingMachine, exe)
+    assert jit == (result, counts, cycle_counts)
+
+
+@pytest.mark.parametrize("name, shift", sorted(RESUME_PINS))
+def test_probe_rule_on_a_resumed_run(name, shift, libmc):
+    """A run stopped at any word, including mid-line, resumes exactly
+    where it left off; when the I-cache is emptied in between, the
+    first fetch of the resumed call probes and misses."""
+    exe = _probe_exe(libmc, name, shift)
+    whole = Machine(exe).run(timed=True)
+    sums = [0, 0]
+    for stop in range(1, whole.instructions):
+        for evict in (False, True):
+            machine = Machine(exe)
+            regs, st, index = machine._initial_state()
+            out = []
+            ready, itags, dtags = [0] * 32, [-1] * _IN_LINES, [-1] * _DN_LINES
+            index = machine._loop_timed(regs, st, out, index, None, None,
+                                        ready, itags, dtags, stop)
+            assert st[0] == stop
+            if evict:
+                itags[:] = [-1] * _IN_LINES
+            machine._loop_timed(regs, st, out, index, None, None, ready,
+                                itags, dtags, st[1])
+            if evict:
+                sums[0] += st[2]
+                sums[1] += st[5]
+            else:
+                resumed = (st[0], st[2], st[5], st[6], st[7], "".join(out))
+                assert resumed == (whole.instructions, whole.cycles,
+                                   whole.icache_misses, whole.dcache_misses,
+                                   whole.dual_issues, whole.output), stop
+    assert tuple(sums) == RESUME_PINS[name, shift]
+
+
+def test_probe_rule_on_mixcall_linked_mid_line():
+    """mixcall with its text base 16 bytes into a line, where word
+    index and address disagree on line boundaries."""
+    objects, lib = build.copies_for("mixcall", "each", 1)
+    exe = link(objects, [lib], options=LayoutOptions(text_base=TEXT_BASE + 16))
+    result, counts, cycle_counts = _profiled_timed(ProfilingMachine, exe)
+    assert (result.instructions, result.cycles, result.icache_misses,
+            result.dcache_misses, result.dual_issues) == (
+        26737, 30838, 82, 44, 3876)
+    assert _profiled_timed(JitProfilingMachine, exe) == (
+        result, counts, cycle_counts)
+    assert Machine(exe).run(timed=True) == result
