@@ -68,6 +68,7 @@ def _evaluate_task(seed: int, config_dict: dict, max_instructions: int) -> dict:
         "diverged": report.diverged,
         "kinds": [d.kind for d in report.divergences],
         "timed_pairs": report.timed_pairs,
+        "jit_words": report.jit_words,
         "seconds": time.perf_counter() - start,
         "hits": hits1 - hits0,
         "misses": misses1 - misses0,
@@ -91,6 +92,8 @@ class CampaignStats:
     cache_misses: int = 0
     #: Timed interpreter/JIT cell pairs the oracle compared.
     timed_pairs: int = 0
+    #: Words the jit cells' second runs translated.
+    jit_words: int = 0
 
     @property
     def ok(self) -> bool:
@@ -100,7 +103,8 @@ class CampaignStats:
         lines = [
             f"fuzz: seed={self.master_seed} iterations={self.iterations} "
             f"divergences={len(self.divergences)} timed_pairs={self.timed_pairs} "
-            f"corpus={len(self.corpus_paths)} jobs={self.jobs} wall={self.wall:.1f}s"
+            f"jit_words={self.jit_words} corpus={len(self.corpus_paths)} "
+            f"jobs={self.jobs} wall={self.wall:.1f}s"
         ]
         if self.cache_hits or self.cache_misses:
             lines.append(
@@ -181,6 +185,7 @@ def run_campaign(
     def fold(result: dict) -> None:
         stats.iterations += 1
         stats.timed_pairs += result["timed_pairs"]
+        stats.jit_words += result["jit_words"]
         if executor is not None:
             # Worker-side cache traffic; inline traffic is captured by
             # the parent-side snapshot delta at the end.

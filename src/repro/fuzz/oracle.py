@@ -23,11 +23,14 @@ pinned byte-identical to OM-full).  The oracle then asserts:
   private shard cache and for the warm relink from that cache, whose
   shards all hit and build no module body;
 * **backend identity** — the ``ld`` cell runs on the timing model,
-  and the ``jit`` column reruns its executable there on the
+  and the ``jit`` column reruns its executable there twice on the
   translating machine backend (:class:`~repro.machine.jit.JitMachine`):
-  output, executed instructions, cycles, I- and D-cache misses and
-  dual issues must all match the interpreter's.  The OM cells run
-  functionally, so both interpreter loops stay fuzzed;
+  a first run on a cold program, which interprets most of a short
+  program, then a second in the same process, which translates each
+  head on first entry.  Each run's output, executed instructions,
+  cycles, I- and D-cache misses and dual issues must all match the
+  interpreter's.  The OM cells run functionally, so both interpreter
+  loops stay fuzzed;
 * **convergence** — every OM link runs with ``OMOptions.verify``, so
   the round its convergence certificate skipped runs anyway; a change
   in it is an ``unconverged`` divergence, not a quietly weaker link.
@@ -142,6 +145,10 @@ class CellResult:
     relink_digest: str | None = None
     #: The ``_TIMING_FIELDS`` of a timed cell's run (``_TIMED`` only).
     timing: tuple[int, ...] | None = None
+    #: The jit cell's second run: output, instructions, then timing.
+    rerun: tuple | None = None
+    #: Words the jit cell's second run translated.
+    jit_words: int | None = None
 
 
 @dataclass(frozen=True)
@@ -163,6 +170,8 @@ class OracleReport:
     coverage: set[CoveragePair] = field(default_factory=set)
     #: Modes whose timed interpreter and JIT runs were compared.
     timed_pairs: int = 0
+    #: Words the jit cells' second runs translated.
+    jit_words: int = 0
 
     @property
     def diverged(self) -> bool:
@@ -253,7 +262,7 @@ def _run_cell(
         exe_digest = hashlib.sha256(dump_executable(executable)).hexdigest()
         if variant == "om-full-wpo":
             relink_digest = hashlib.sha256(dump_executable(relink)).hexdigest()
-    gat_loads = None
+    gat_loads = rerun = jit_words = None
     if variant in _GAT_PROFILED:
         from repro.machine.profile import profile
 
@@ -262,6 +271,8 @@ def _run_cell(
         )
         outcome = profiled.run
         gat_loads = profiled.overhead.gat_loads
+    elif variant == "jit":
+        outcome, rerun, jit_words = _jit_runs(executable, max_instructions)
     else:
         outcome = run(
             executable,
@@ -281,7 +292,33 @@ def _run_cell(
             tuple(getattr(outcome, name) for name in _TIMING_FIELDS)
             if variant in _TIMED else None
         ),
+        rerun=rerun,
+        jit_words=jit_words,
     )
+
+
+def _timed_run(cell: CellResult) -> tuple:
+    """A timed cell's output, instructions and timing, in ``rerun``'s order."""
+    return (cell.output, cell.instructions) + cell.timing
+
+
+def _jit_runs(executable, max_instructions: int):
+    """The jit cell's first run on a cold program, its second run's
+    output, instructions and timing, and the words the second run
+    translated.  The first run interprets each head until it is hot, so
+    only the second runs a short program's code in translated regions."""
+    from repro.machine.jit import JitMachine, clear_jit_cache
+
+    clear_jit_cache()
+    first = JitMachine(executable, max_instructions=max_instructions)
+    outcome = first.run(timed=True)
+    words = first.jit_program().stats.words
+    second = JitMachine(executable, max_instructions=max_instructions)
+    again = second.run(timed=True)
+    rerun = (again.output, again.instructions) + tuple(
+        getattr(again, name) for name in _TIMING_FIELDS
+    )
+    return outcome, rerun, second.jit_program().stats.words - words
 
 
 def _relinked(
@@ -340,6 +377,8 @@ def _cached_cell(
             exe_digest=payload.get("exe_digest"),
             relink_digest=payload.get("relink_digest"),
             timing=tuple(payload["timing"]) if payload.get("timing") else None,
+            rerun=tuple(payload["rerun"]) if payload.get("rerun") else None,
+            jit_words=payload.get("jit_words"),
         )
     cell = _run_cell(program, mode, variant, max_instructions)
     cache.put(
@@ -355,6 +394,8 @@ def _cached_cell(
                 "exe_digest": cell.exe_digest,
                 "relink_digest": cell.relink_digest,
                 "timing": cell.timing,
+                "rerun": cell.rerun,
+                "jit_words": cell.jit_words,
             }
         ).encode(),
     )
@@ -411,29 +452,29 @@ def evaluate_program(
         )
 
     for mode in MODES:
-        # Backend pin: the JIT must reproduce the interpreter exactly
-        # on the same (ld-linked) executable under the timing model —
-        # output equality is already covered globally, so this adds the
-        # executed count and every timing counter (the paper-style
-        # differential-oracle discipline).
+        # Backend pin: each JIT run must reproduce the interpreter
+        # exactly on the same (ld-linked) executable under the timing
+        # model: output, executed count and every timing counter (the
+        # paper-style differential-oracle discipline).
         interp_cell = report.cells.get(f"{mode}/ld")
         jit_cell = report.cells.get(f"{mode}/jit")
         if interp_cell is not None and jit_cell is not None:
             report.timed_pairs += 1
-            fields = ("instructions",) + _TIMING_FIELDS
-            want = (interp_cell.instructions,) + interp_cell.timing
-            got = (jit_cell.instructions,) + jit_cell.timing
-            if got != want:
+            report.jit_words += jit_cell.jit_words
+            fields = ("output", "instructions") + _TIMING_FIELDS
+            want = _timed_run(interp_cell)
+            runs = (("jit", _timed_run(jit_cell)),
+                    ("jit second run", jit_cell.rerun))
+            differ = [
+                f"{run} {name} {g!r} != interp {w!r}"
+                for run, got in runs
+                for name, g, w in zip(fields, got, want)
+                if g != w
+            ]
+            if differ:
                 report.divergences.append(
-                    Divergence(
-                        "backend",
-                        "; ".join(
-                            f"jit {name} {g} != interp {w}"
-                            for name, g, w in zip(fields, got, want)
-                            if g != w
-                        ),
-                        (f"{mode}/jit", f"{mode}/ld"),
-                    )
+                    Divergence("backend", "; ".join(differ),
+                               (f"{mode}/jit", f"{mode}/ld"))
                 )
         # Byte-identity pin: the partitioned link, cold and relinked
         # warm, must reproduce the monolithic om-full image exactly, not

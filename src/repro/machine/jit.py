@@ -40,11 +40,22 @@ Structure:
   a word the translator does not cover (odd PAL functions,
   undecodable words), and the end of a bounded run whose remaining
   budget is smaller than the next region, so ``ExecutionBudgetExceeded``
-  trips at the interpreter's own instruction index.
+  trips at the interpreter's own instruction index;
+* a program's first run is tiered: the interpreter runs each segment
+  whose head has no translation, one segment per driver visit, until
+  the head's ``_HOT_ENTRIES``-th visit builds its region.  Most code a
+  single run reaches executes too rarely to pay back its translation:
+  generating and compiling a timed word costs about as much time as
+  440 of its translated executions save.  Every later run of the same
+  program translates each head on first entry, so reruns, warm
+  benchmarks and repeated served jobs run translated code, as before.
 
 Compiled programs are cached across runs in a small module-level LRU
 keyed by the text bytes and load layout; ``clear_jit_cache`` and
 ``CompiledProgram.invalidate`` expose the cache semantics for tests.
+``invalidate`` drops the translations but not the record that a run
+has started, so the next run translates eagerly; after
+``clear_jit_cache`` the next run is a first run again.
 """
 
 from __future__ import annotations
@@ -102,6 +113,12 @@ _REGION_SEGMENT_CAP = 48
 
 #: Maximum nesting of inlined branch-taken arms in one emission tree.
 _INLINE_DEPTH_CAP = 16
+
+#: On a program's first run, the driver visit to an untranslated head
+#: that builds its region; the visits before it interpret the head's
+#: segment.  Cold timed JIT time over dynamic-run's 14 executables is
+#: flat between 128 and 256 and worse on either side.
+_HOT_ENTRIES = 256
 
 _CONTROL_KINDS = frozenset((K_BR, K_BSR, K_CBR, K_JSR, K_JMP, K_RET))
 
@@ -1723,6 +1740,8 @@ class CompiledProgram:
         self.tables: dict[tuple, dict] = {}
         self.sources: dict[tuple, str] = {}
         self.stats = JitStats()
+        #: Set when the first run starts; later runs translate eagerly.
+        self.started = False
         self._lock = threading.Lock()
 
     def _compute_splits(self, entry_index, proc_indexes) -> frozenset:
@@ -1855,7 +1874,8 @@ class CompiledProgram:
             return entry
 
     def invalidate(self) -> None:
-        """Drop every translation; the next run recompiles lazily."""
+        """Drop every translation; the next run recompiles lazily, each
+        head on first entry (a run has already started)."""
         with self._lock:
             self.tables.clear()
             self.seg_len.clear()
@@ -1946,6 +1966,10 @@ class JitMachine(Machine):
         flavor = (timed, counting, timed and cycle_counts is not None)
         with program._lock:
             table = program.tables.setdefault(flavor, {})
+            # The first run counts the driver's visits to each untranslated
+            # head; a later run has no counts and translates on first entry.
+            visits = None if program.started else [0] * program.nwords
+            program.started = True
 
         regs, st, index = self._initial_state()
         limit = st[1]
@@ -1965,6 +1989,7 @@ class JitMachine(Machine):
         execs = [0] * program.nwords if counting else None
         stats = program.stats
         build = program.build
+        segment_end = program.segment_end
         get = table.get
 
         try:
@@ -1972,6 +1997,16 @@ class JitMachine(Machine):
                 if index >= 0:
                     entry = get(index)
                     if entry is None:
+                        if visits is not None:
+                            visits[index] += 1
+                            end = segment_end(index)
+                            if end is not None and visits[index] < _HOT_ENTRIES:
+                                # A cold head: the interpreter runs its
+                                # segment, and never past the budget.
+                                index = interp(regs, st, out, index, counts,
+                                               cycle_counts, ready, itags, dtags,
+                                               min(st[0] + end - index, limit))
+                                continue
                         entry = build(index, flavor)
                     if entry is _FALLBACK:
                         stats.fallback_steps += 1

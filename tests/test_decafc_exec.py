@@ -29,11 +29,14 @@ def dcf(libmc, crt0):
             ).executable
         else:
             exe = link(objects, [libmc])
+        # The JIT's first run of a program interprets its cold code; the
+        # second runs it in translated regions.
         results = [
             [int(line) for line in run(exe, backend=backend).output.split()]
-            for backend in ("interp", "jit")
+            for backend in ("interp", "jit", "jit")
         ]
         assert results[0] == results[1], "interp and JIT outputs diverged"
+        assert results[0] == results[2], "interp and JIT outputs diverged"
         return results[0]
 
     return execute

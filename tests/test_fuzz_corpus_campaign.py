@@ -77,6 +77,9 @@ def test_campaign_smoke(tmp_path):
     assert stats.timed_pairs == 3 * len(MODES)
     assert "fuzz: seed=0 iterations=3" in stats.format()
     assert f"timed_pairs={3 * len(MODES)} " in stats.format()
+    assert stats.jit_words > 0
+    assert f"timed_pairs={3 * len(MODES)} jit_words={stats.jit_words} " in (
+        stats.format())
 
 
 def test_campaign_is_deterministic(tmp_path):

@@ -57,6 +57,39 @@ def test_a_jit_timing_difference_is_a_backend_divergence(monkeypatch):
     assert first.detail.startswith("jit icache_misses ")
 
 
+def test_the_jit_column_runs_twice_and_translates_on_the_second(report):
+    """The jit cell's first run is a cold program's, its second one
+    translates each head on first entry; both equal the interpreter."""
+    for mode in MODES:
+        ld, jit = report.cells[f"{mode}/ld"], report.cells[f"{mode}/jit"]
+        assert jit.rerun == (ld.output, ld.instructions) + ld.timing
+        assert jit.jit_words > 0
+    assert report.jit_words == sum(
+        report.cells[f"{mode}/jit"].jit_words for mode in MODES
+    )
+
+
+def test_a_second_jit_run_difference_is_a_backend_divergence(monkeypatch):
+    from repro.machine.jit import JitMachine
+
+    run_timed = JitMachine._run_timed
+
+    def paired(self, counts=None, cycle_counts=None):
+        second = self.jit_program().started
+        result = run_timed(self, counts, cycle_counts)
+        if second:
+            result.dual_issues += 1
+        return result
+
+    monkeypatch.setattr(JitMachine, "_run_timed", paired)
+    report = evaluate_program(generate_program(0))
+    assert [d.kind for d in report.divergences] == ["backend"] * len(MODES)
+    first = report.divergences[0]
+    assert first.cells == ("each/jit", "each/ld")
+    assert first.detail.startswith("jit second run dual_issues ")
+    assert "; " not in first.detail  # the first run agreed
+
+
 def test_instruction_counts_are_monotone(report):
     for mode in MODES:
         ld = report.cells[f"{mode}/ld"].instructions

@@ -6,7 +6,10 @@ pin the split-point rules on hand-written assembly — where word
 indexes are knowable — plus region entry at any head, the per-line
 I-cache probe at line and slot boundaries, the cache-invalidation
 contract of :class:`repro.machine.jit.CompiledProgram`, and the
-interpreter fallback at every budget boundary.
+interpreter fallback at every budget boundary.  Tests that inspect
+the translations a single run leaves translate each head on first
+entry (the ``eager`` fixture): a first run would interpret these short
+programs.
 """
 
 import pytest
@@ -91,6 +94,14 @@ def _fresh_cache():
     clear_jit_cache()
 
 
+@pytest.fixture()
+def eager(monkeypatch):
+    """Translate each head on first entry, on a first run too."""
+    from repro.machine import jit as jit_mod
+
+    monkeypatch.setattr(jit_mod, "_HOT_ENTRIES", 1)
+
+
 BRANCHY = """
         .ent    main
 main:   lda     $t0, 3($zero)
@@ -104,7 +115,7 @@ loop:   subq    $t0, 1, $t0
 """
 
 
-def test_splits_at_branch_target_and_fallthrough(crt0, libmc):
+def test_splits_at_branch_target_and_fallthrough(crt0, libmc, eager):
     machine = JitMachine(_link_asm(crt0, libmc, BRANCHY))
     prog = program_for(machine)
     main = _proc_index(machine, "main")
@@ -140,7 +151,7 @@ callee: lda     $v0, 42($zero)
 """
 
 
-def test_splits_at_jsr_return_and_proc_entries(crt0, libmc):
+def test_splits_at_jsr_return_and_proc_entries(crt0, libmc, eager):
     machine = JitMachine(_link_asm(crt0, libmc, CALLS))
     prog = program_for(machine)
     main = _proc_index(machine, "main")
@@ -159,7 +170,7 @@ def test_splits_at_jsr_return_and_proc_entries(crt0, libmc):
     assert machine.run(timed=False).output == "42\n"
 
 
-def test_call_continuation_is_a_head_under_timing(crt0, libmc):
+def test_call_continuation_is_a_head_under_timing(crt0, libmc, eager):
     """The timed flavor cannot fold the planted return address, so the
     continuation behind a spliced callee gets its own arm: the callee's
     ret lands on it in the region, and the driver never roots a second
@@ -192,7 +203,7 @@ loop:   addq    $t1, $t0, $t1
 """
 
 
-def test_probe_once_per_line_across_a_line_boundary(crt0, libmc):
+def test_probe_once_per_line_across_a_line_boundary(crt0, libmc, eager):
     """A loop segment whose second word is the last of one I-cache
     line and whose third is the first of the next: the straight-line
     path probes each of the two lines once, and the timing still
@@ -230,7 +241,7 @@ far:    addq    $t1, 2, $t1
 """
 
 
-def test_probe_repeats_when_a_line_returns_to_its_slot(crt0, libmc):
+def test_probe_repeats_when_a_line_returns_to_its_slot(crt0, libmc, eager):
     """One path visits line A, then line B one cache size away (the
     same direct-mapped slot), then A again: the second visit to A must
     probe again, because B evicted it."""
@@ -271,7 +282,7 @@ value:  .quad   1994
 """
 
 
-def test_gat_load_sequence_straddling_block_edge(crt0, libmc):
+def test_gat_load_sequence_straddling_block_edge(crt0, libmc, eager):
     """A GAT address load in one block, its dependent load in the next.
 
     The loop label falls between the two halves of the sequence, so
@@ -298,7 +309,7 @@ def test_gat_load_sequence_straddling_block_edge(crt0, libmc):
     assert gat_load == main + 3  # documented layout held
 
 
-def test_cache_invalidation_recompiles_lazily(crt0, libmc):
+def test_cache_invalidation_recompiles_lazily(crt0, libmc, eager):
     machine = JitMachine(_link_asm(crt0, libmc, BRANCHY))
     prog = program_for(machine)
     first = machine.run(timed=False)
@@ -333,7 +344,7 @@ def test_compiled_program_shared_and_keyed_by_image(crt0, libmc):
     assert program_for(JitMachine(exe)) is not one
 
 
-def test_untranslatable_start_uses_fallback(crt0, libmc, monkeypatch):
+def test_untranslatable_start_uses_fallback(crt0, libmc, monkeypatch, eager):
     from repro.machine import jit as jit_mod
 
     exe = _link_asm(crt0, libmc, BRANCHY)
@@ -423,7 +434,7 @@ def test_fallback_at_every_budget_boundary(crt0, libmc, monkeypatch):
     assert program_for(JitMachine(exe)).stats.fallback_steps > 0
 
 
-def test_dropped_translations_are_freed_without_a_collection(crt0, libmc):
+def test_dropped_translations_are_freed_without_a_collection(crt0, libmc, eager):
     """A region function does not keep itself alive through its
     globals, so dropping a translation frees it by reference counting:
     cold runs leave no garbage waiting for a full collection."""

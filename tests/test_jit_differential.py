@@ -9,10 +9,14 @@ observable.  Three layers of evidence:
   trip point — functional and timed paths);
 * a seeded regression across every benchsuite program (functional
   identity for all, full timed-model identity for a pinned subset and
-  for the Decaf programs on a cold translation cache);
+  for the Decaf programs);
 * execution-budget fidelity: a bounded run must trip (or complete)
   at exactly the same point as the interpreter, leaving identical
   memory behind — mid-block checkpointing may not drift.
+
+Every comparison runs the JIT twice on a cold translation cache: the
+first run interprets each head until it is hot, and the second runs
+the program in translated regions.
 """
 
 import pytest
@@ -44,6 +48,13 @@ def _fields(result) -> tuple:
     return tuple(getattr(result, name) for name in _RUN_FIELDS)
 
 
+def _first_and_second(run_jit):
+    """``run_jit()`` on a cold translation cache (a first run), then
+    again (a run that translates each head on first entry)."""
+    clear_jit_cache()
+    return run_jit(), run_jit()
+
+
 def _link_generated(program, crt0, libmc):
     objects = [crt0] + [
         compile_module(text, name.replace(".mc", ".o"))
@@ -60,32 +71,36 @@ def test_jit_matches_interpreter_on_generated_programs(seed, crt0, libmc):
     budget = 5_000_000
     for timed in (False, True):
         want = _bounded_state(Machine, exe, budget, timed)
-        assert _bounded_state(JitMachine, exe, budget, timed) == want
+        assert _first_and_second(
+            lambda: _bounded_state(JitMachine, exe, budget, timed)
+        ) == (want, want)
 
 
 @pytest.mark.parametrize("program", PROGRAMS)
 def test_jit_matches_interpreter_on_benchsuite(program, crt0, libmc):
     exe = build.link_variant(program, "each", "ld", 1)
     interp = Machine(exe).run(timed=False)
-    jit = JitMachine(exe).run(timed=False)
-    assert _fields(jit) == _fields(interp)
+    runs = _first_and_second(lambda: JitMachine(exe).run(timed=False))
+    for jit in runs:
+        assert _fields(jit) == _fields(interp)
 
 
 @pytest.mark.parametrize("program", TIMED_PROGRAMS)
 def test_jit_matches_timing_model_on_benchsuite(program):
     exe = build.link_variant(program, "each", "ld", 1)
     interp = Machine(exe).run(timed=True)
-    jit = JitMachine(exe).run(timed=True)
-    assert _fields(jit) == _fields(interp)
+    runs = _first_and_second(lambda: JitMachine(exe).run(timed=True))
+    for jit in runs:
+        assert _fields(jit) == _fields(interp)
 
 
 @pytest.mark.parametrize("program", DECAF_TIMED_PROGRAMS)
 def test_jit_matches_timing_model_on_decaf(program):
     exe = build.link_variant(program, "each", "om-full", 1)
     interp = Machine(exe).run(timed=True)
-    clear_jit_cache()
-    jit = JitMachine(exe).run(timed=True)
-    assert _fields(jit) == _fields(interp)
+    runs = _first_and_second(lambda: JitMachine(exe).run(timed=True))
+    for jit in runs:
+        assert _fields(jit) == _fields(interp)
 
 
 def test_backend_selector_round_trip():
@@ -133,13 +148,15 @@ def test_budget_trips_at_identical_instruction(timed, crt0, libmc):
     """
     exe = link([crt0, compile_module(source, "t.o")], [libmc])
     total = Machine(exe).run(timed=False).instructions
-    clear_jit_cache()
     budgets = [1, 7, total // 3, total // 2, total - 1, total, total + 50]
     for budget in budgets:
         want, want_data = _bounded_state(Machine, exe, budget, timed)
-        got, got_data = _bounded_state(JitMachine, exe, budget, timed)
-        assert got == want, f"budget={budget}"
-        assert got_data == want_data, f"budget={budget}: memory diverged"
+        runs = _first_and_second(
+            lambda: _bounded_state(JitMachine, exe, budget, timed)
+        )
+        for got, got_data in runs:
+            assert got == want, f"budget={budget}"
+            assert got_data == want_data, f"budget={budget}: memory diverged"
     assert want[0] == "completed"  # the final budget covers the run
 
 
@@ -150,6 +167,9 @@ def test_budget_fidelity_on_benchsuite_program(budget_frac):
     total = Machine(exe).run(timed=False).instructions
     budget = total // budget_frac
     want, want_data = _bounded_state(Machine, exe, budget, timed=False)
-    got, got_data = _bounded_state(JitMachine, exe, budget, timed=False)
-    assert got == want == ("tripped", budget)
-    assert got_data == want_data
+    runs = _first_and_second(
+        lambda: _bounded_state(JitMachine, exe, budget, timed=False)
+    )
+    for got, got_data in runs:
+        assert got == want == ("tripped", budget)
+        assert got_data == want_data

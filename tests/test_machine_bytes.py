@@ -6,7 +6,7 @@ from repro.isa.textasm import assemble_text
 from repro.linker import link
 from repro.linker.executable import STACK_TOP
 from repro.machine import Machine, MachineError, run
-from repro.machine.jit import JitMachine
+from repro.machine.jit import JitMachine, clear_jit_cache
 
 WRITER = """
         .ent    main
@@ -192,5 +192,10 @@ def test_quad_access_on_every_region_boundary(libmc):
         exe = _quad_probe(libmc, addrs[name], body)
         for cls in (Machine, JitMachine):
             for timed in (True, False):
-                got = _outcome(cls(exe), timed)
-                assert got == want, (name, body, cls.__name__, timed)
+                # The JIT's first run interprets the probe; its second
+                # runs it in translated regions.
+                clear_jit_cache()
+                for attempt in range(2 if cls is JitMachine else 1):
+                    got = _outcome(cls(exe), timed)
+                    assert got == want, (name, body, cls.__name__, timed,
+                                         attempt)

@@ -17,7 +17,7 @@ from repro.linker.executable import TEXT_BASE
 from repro.linker.layout import LayoutOptions
 from repro.machine import BACKENDS, Machine, run
 from repro.machine.cpu import _DN_LINES, _IN_LINES
-from repro.machine.jit import JitProfilingMachine
+from repro.machine.jit import JitProfilingMachine, clear_jit_cache
 from repro.machine.profile import ProfilingMachine
 from repro.minicc import Options, compile_module
 
@@ -87,8 +87,12 @@ def test_operate_latency_matches_the_scheduler_table(name, libmc, crt0):
         return run(exe, backend=backend).cycles
 
     for backend in BACKENDS:
-        stall = cycles("$t2", backend) - cycles("$t1", backend)
-        assert stall == OP_FACTS[name].latency - 1, backend
+        # The JIT's first runs interpret the probes; its second runs
+        # translate them.
+        clear_jit_cache()
+        for __ in range(2 if backend == "jit" else 1):
+            stall = cycles("$t2", backend) - cycles("$t1", backend)
+            assert stall == OP_FACTS[name].latency - 1, backend
 
 
 # -- end-to-end timing behaviour --------------------------------------------------
@@ -262,6 +266,15 @@ def _profiled_timed(cls, exe):
     return result, machine.counts, machine.cycle_counts
 
 
+def _first_and_second(exe):
+    """The timed JIT's profiled runs of ``exe`` on a cold translation
+    cache: a first run, which interprets each head until it is hot,
+    then one that translates each head on first entry."""
+    clear_jit_cache()
+    return (_profiled_timed(JitProfilingMachine, exe),
+            _profiled_timed(JitProfilingMachine, exe))
+
+
 @pytest.mark.parametrize("name, shift", sorted(PROBE_PINS))
 def test_probe_rule_matches_the_pins_and_the_jit(name, shift, libmc):
     """Line crossings by fall-through, taken branches inside and across
@@ -272,8 +285,7 @@ def test_probe_rule_matches_the_pins_and_the_jit(name, shift, libmc):
     result, counts, cycle_counts = _profiled_timed(ProfilingMachine, exe)
     totals = (result.cycles, result.icache_misses, result.dual_issues)
     assert (totals, cycle_counts) == PROBE_PINS[name, shift]
-    jit = _profiled_timed(JitProfilingMachine, exe)
-    assert jit == (result, counts, cycle_counts)
+    assert _first_and_second(exe) == ((result, counts, cycle_counts),) * 2
 
 
 @pytest.mark.parametrize("name, shift", sorted(RESUME_PINS))
@@ -317,6 +329,5 @@ def test_probe_rule_on_mixcall_linked_mid_line():
     assert (result.instructions, result.cycles, result.icache_misses,
             result.dcache_misses, result.dual_issues) == (
         26737, 30838, 82, 44, 3876)
-    assert _profiled_timed(JitProfilingMachine, exe) == (
-        result, counts, cycle_counts)
+    assert _first_and_second(exe) == ((result, counts, cycle_counts),) * 2
     assert Machine(exe).run(timed=True) == result
