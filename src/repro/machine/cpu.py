@@ -27,7 +27,8 @@ The timed loop is also the source of the ``getticks`` PAL call's value.
 
 Both loops are resumable: they run from any word index on a shared
 state vector and stop at a given instruction count, so the JIT backend
-hands them every word its translated regions do not run.
+hands them every word its translated regions do not run.  It passes
+its run's quad views along, so a short call does not make its own.
 """
 
 from __future__ import annotations
@@ -80,6 +81,15 @@ _OPERATE_CODE = {name: i for i, name in enumerate(_OPERATE_NAMES)}
 #: Result latency of each operate function code, from the schedulers'
 #: table, so the timing model and the schedulers cannot disagree.
 _OPERATE_LATENCY = tuple(OP_FACTS[name].latency for name in _OPERATE_NAMES)
+
+#: The timed loop's constants, bound to its locals in one step per call
+#: (cache geometry, penalties and latencies, the mask, the op kinds).
+_TIMED_LOOP_CONSTANTS = (
+    _ILINE_SHIFT, _IN_LINES - 1, _DN_LINES - 1, CACHE_MISS_PENALTY,
+    LOAD_LATENCY, LOAD_LATENCY + CACHE_MISS_PENALTY, TAKEN_BRANCH_PENALTY,
+    _MASK, K_OP_RR, K_OP_RL, K_LDA, K_CBR, K_LDQ, K_STQ, K_LDAH, K_BR, K_BSR,
+    K_JSR, K_RET, K_JMP, K_PAL,
+)
 
 _COND_BRANCH_NAMES = {
     "beq": 0, "bne": 1, "blt": 2, "ble": 3, "bge": 4, "bgt": 5,
@@ -277,11 +287,12 @@ class Machine:
     # unexecuted otherwise.  Either way the loop's locals are written
     # back to ``st`` before it returns.  The two loops share one
     # signature; the functional loop ignores the timing arguments:
-    # per-word cycle attribution, per-register result-ready cycles and
-    # the I- and D-cache tags.
+    # per-word cycle attribution, per-register result-ready cycles, the
+    # I- and D-cache tags and the caller's quad views (``views``, which
+    # the timed loop makes and releases itself when it is None).
 
     def _loop_functional(self, regs, st, out, index, counts, cycle_counts,
-                         ready, itags, dtags, stop) -> int:
+                         ready, itags, dtags, stop, views=None) -> int:
         decoded = self._decoded
         text_base = self.text_base
         load_q = self._load_q
@@ -381,7 +392,7 @@ class Machine:
         return index
 
     def _loop_timed(self, regs, st, out, index, counts, cycle_counts,
-                    ready, itags, dtags, stop) -> int:
+                    ready, itags, dtags, stop, views=None) -> int:
         decoded = self._decoded
         text_base = self.text_base
         load_q = self._load_q
@@ -399,17 +410,9 @@ class Machine:
         # slot when its operands are ready by `cycle` and its class
         # differs; otherwise it opens the next cycle its operands allow.
         cycle, slot_open, slot_class, imisses, dmisses, duals, prev_cycle = st[2:]
-        iline_shift = _ILINE_SHIFT
-        imask = _IN_LINES - 1
-        dmask = _DN_LINES - 1
-        miss_penalty = CACHE_MISS_PENALTY
-        load_hit = LOAD_LATENCY
-        load_miss = LOAD_LATENCY + CACHE_MISS_PENALTY
-        taken_penalty = TAKEN_BRANCH_PENALTY
-        mask = _MASK
-        k_op_rr, k_op_rl, k_lda, k_cbr, k_ldq, k_stq, k_ldah, k_br, k_bsr = (
-            K_OP_RR, K_OP_RL, K_LDA, K_CBR, K_LDQ, K_STQ, K_LDAH, K_BR, K_BSR)
-        k_jsr, k_ret, k_jmp, k_pal = K_JSR, K_RET, K_JMP, K_PAL
+        (iline_shift, imask, dmask, miss_penalty, load_hit, load_miss,
+         taken_penalty, mask, k_op_rr, k_op_rl, k_lda, k_cbr, k_ldq, k_stq,
+         k_ldah, k_br, k_bsr, k_jsr, k_ret, k_jmp, k_pal) = _TIMED_LOOP_CONSTANTS
 
         # Only instruction fetches touch `itags`, so a word fetched right
         # after another of its line hits.  The loop probes when a fetch
@@ -417,7 +420,8 @@ class Machine:
         # address since the text base need not be line-aligned, or the
         # first word of the call or of a taken branch's target.
         line_end = index
-        qd, qs = self._quad_views()
+        own_views = views is None
+        qd, qs = self._quad_views() if own_views else views
         data_base = self.data_base
         data_bytes = qd.nbytes
         stack_base = self.stack_base
@@ -697,8 +701,9 @@ class Machine:
                     prev_cycle = cycle
                 index += 1
         finally:
-            qd.release()
-            qs.release()
+            if own_views:
+                qd.release()
+                qs.release()
 
         st[0] = count
         st[2:] = cycle, slot_open, slot_class, imisses, dmisses, duals, prev_cycle

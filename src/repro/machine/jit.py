@@ -25,6 +25,13 @@ Structure:
   there is no per-instruction dispatch inside a region, and the
   timed flavors probe the I-cache once per line per straight-line
   path, since only instruction fetches touch the tags;
+* the timed flavors fold the dual-issue model's static facts: inside
+  a tree the previous word's class, a slot that a taken branch or a
+  pairing closed, and the readiness of an operand written on the path
+  are known at translation time, so only what the run decides is
+  tested; ``sc`` is stored only where control leaves a tree, and
+  constant cycle increments ride along as a translation-time offset
+  (see :meth:`_Emitter._emit_issue`);
 * a region whose segments form a dispatch cascade (loop form) can be
   entered at any of its heads: every head shares the root's table
   entry, so control that comes back to the driver at a head re-enters
@@ -46,9 +53,11 @@ Structure:
   the head's ``_HOT_ENTRIES``-th visit builds its region.  Most code a
   single run reaches executes too rarely to pay back its translation:
   generating and compiling a timed word costs about as much time as
-  440 of its translated executions save.  Every later run of the same
-  program translates each head on first entry, so reruns, warm
-  benchmarks and repeated served jobs run translated code, as before.
+  270 of its translated executions save.  The driver hands the
+  interpreter the run's quad views, so a visit costs the interpreter
+  call and its words.  Every later run of the same program translates
+  each head on first entry, so reruns, warm benchmarks and repeated
+  served jobs run translated code, as before.
 
 Compiled programs are cached across runs in a small module-level LRU
 keyed by the text bytes and load layout; ``clear_jit_cache`` and
@@ -62,6 +71,7 @@ from __future__ import annotations
 
 import hashlib
 import threading
+import time
 from collections import OrderedDict, deque
 from dataclasses import dataclass
 
@@ -445,6 +455,24 @@ class _Emitter:
         #: Only instruction fetches touch ``itags``, so a later word of
         #: a probed line cannot miss until another line claims the slot.
         self.probed: dict[int, int] = {}
+        #: The dual-issue model's translation-time facts on the current
+        #: path (timed flavors): the previous word's issue class (None
+        #: at a tree head, which other code enters), whether the second
+        #: slot is open (True/False, None when only the run knows), and
+        #: whether the ``so`` local lags that known value.
+        self.prev_class = None
+        self.slot_open = None
+        self.so_stale = False
+        #: Operand readiness on the current path: ``tick`` counts the
+        #: cycles ``cycle`` has surely advanced since the tree head,
+        #: ``epoch`` changes whenever it may have advanced by more, and
+        #: ``written`` maps a register written on the path to (tick,
+        #: epoch, least latency, greatest latency) at its write.
+        self.tick = self.epoch = 0
+        self.written: dict[int, tuple] = {}
+        #: Cycles the path has added that the ``cycle`` local lacks yet
+        #: (taken-branch bubbles, cycles opened with no operand).
+        self.cyc_off = 0
         if self.opt:
             self._compute_liveness()
 
@@ -754,11 +782,15 @@ class _Emitter:
         """Optimizer state to restore after emitting a branch arm."""
         return (dict(self.kval), set(self.defer), dict(self.sym),
                 dict(self.memtab), dict(self.probed), self.pending,
-                self.in_branch)
+                self.in_branch, self.prev_class, self.slot_open,
+                self.so_stale, self.tick, self.epoch, dict(self.written),
+                self.cyc_off)
 
     def _restore(self, saved: tuple) -> None:
         (self.kval, self.defer, self.sym, self.memtab, self.probed,
-         self.pending, self.in_branch) = saved
+         self.pending, self.in_branch, self.prev_class, self.slot_open,
+         self.so_stale, self.tick, self.epoch, self.written,
+         self.cyc_off) = saved
 
     def _mat_deps(self, out, ind, rc: int) -> None:
         """Materialize forwarded expressions that read ``rc`` before a
@@ -792,7 +824,9 @@ class _Emitter:
     def _writeback(self, cnt_expr: str) -> list[str]:
         slots = [("st[0]", cnt_expr)]
         if self.timed:
-            slots += [("st[2]", "cycle"), ("st[3]", "so"), ("st[4]", "sc"),
+            so = "so" if self.slot_open is None else repr(self.slot_open)
+            sc = "sc" if self.prev_class is None else str(self.prev_class)
+            slots += [("st[2]", self._cycle()), ("st[3]", so), ("st[4]", sc),
                       ("st[7]", "du")]
         if self.cyc:
             slots.append(("st[8]", "prev"))
@@ -823,6 +857,7 @@ class _Emitter:
             return
         if t in self.segs:
             self._flush(out, ind)
+            self._sync_issue(out, ind)
             out.append(f"{ind}cnt += {self.pending + self.prog.seg_len[s]}")
             if t == self.cur_head:
                 # Back edge into the arm being emitted: ``pc`` still
@@ -842,59 +877,157 @@ class _Emitter:
                 out.append(ind + line)
             out.append(f"{ind}return {t}")
 
+    def _cycle(self) -> str:
+        """The current cycle: the local plus the path's pending cycles."""
+        return f"cycle + {self.cyc_off}" if self.cyc_off else "cycle"
+
     def _attr(self, out, ind, i) -> None:
         if self.cyc:
-            out.append(f"{ind}cyc[{i}] += cycle - prev")
-            out.append(f"{ind}prev = cycle")
+            out.append(f"{ind}cyc[{i}] += {self._cycle()} - prev")
+            out.append(f"{ind}prev = {self._cycle()}")
 
-    def _emit_issue(self, out, ind, klass, opr_regs) -> None:
-        """The dual-issue slotting computation (timed flavors only)."""
-        rs = [r for r in opr_regs if r != 31]
-        if len(rs) == 2 and rs[0] == rs[1]:
-            rs = rs[:1]
-        if not rs:
-            # operand_ready is the constant 0: always <= cycle.
-            out.append(f"{ind}if so and sc != {klass}:")
-            out.append(f"{ind}    so = False")
-            out.append(f"{ind}    du += 1")
-            out.append(f"{ind}    issue = cycle")
-            out.append(f"{ind}else:")
-            out.append(f"{ind}    issue = cycle + 1")
-            out.append(f"{ind}    cycle = issue")
-            out.append(f"{ind}    so = True")
-            out.append(f"{ind}    sc = {klass}")
+    def _sync_issue(self, out, ind) -> None:
+        """Store the issue state a tree head reads, before control moves
+        to another arm: the pending cycles, ``so`` where only the emitter
+        knows it, and the previous word's class wherever the slot may
+        still be open.  The path's own state is left as it is."""
+        if not self.timed:
             return
-        if len(rs) == 1:
-            out.append(f"{ind}opr = ready[{rs[0]}]")
-        else:
-            out.append(f"{ind}t0 = ready[{rs[0]}]")
-            out.append(f"{ind}t1 = ready[{rs[1]}]")
-            out.append(f"{ind}opr = t0 if t0 > t1 else t1")
-        out.append(f"{ind}if so and opr <= cycle and sc != {klass}:")
-        out.append(f"{ind}    so = False")
-        out.append(f"{ind}    du += 1")
-        out.append(f"{ind}    issue = cycle")
-        out.append(f"{ind}else:")
-        out.append(f"{ind}    issue = cycle + 1")
-        out.append(f"{ind}    if opr > issue:")
-        out.append(f"{ind}        issue = opr")
-        out.append(f"{ind}    cycle = issue")
-        out.append(f"{ind}    so = True")
-        out.append(f"{ind}    sc = {klass}")
+        if self.cyc_off:
+            out.append(f"{ind}cycle += {self.cyc_off}")
+        if self.so_stale:
+            out.append(f"{ind}so = {self.slot_open}")
+        if self.slot_open is not False:
+            out.append(f"{ind}sc = {self.prev_class}")
 
-    def _emit_dcache_load(self, out, ind, ra) -> None:
-        out.append(f"{ind}dl = addr >> {_ILINE_SHIFT}")
-        out.append(f"{ind}ds = dl & {_DN_LINES - 1}")
-        out.append(f"{ind}if dtags[ds] != dl:")
-        out.append(f"{ind}    dtags[ds] = dl")
-        out.append(f"{ind}    st[6] += 1")
-        if ra != 31:
-            out.append(
-                f"{ind}    ready[{ra}] = issue + "
-                f"{LOAD_LATENCY + CACHE_MISS_PENALTY}"
-            )
+    def _emit_issue(self, out, ind, klass, opr_regs, taken=False) -> None:
+        """The dual-issue slotting of one word (timed flavors only).
+
+        Inside a tree the interpreter's tests have translation-time
+        answers, and only the rest is emitted:
+
+        * the slot is open only after a word that opened a cycle, so an
+          open slot's class is the previous word's: a word of its
+          predecessor's class opens a cycle with no test, and ``sc`` is
+          read only at a tree head;
+        * a taken branch closes the slot, and so does a pairing;
+        * an operand written on the path is ready once ``cycle`` has
+          surely advanced by its latency, and cannot be while ``cycle``
+          still holds its writer's issue cycle: a word reading its
+          predecessor's result opens a cycle.
+
+        A word issues at the current cycle either way, so its body
+        reads that as its issue cycle.  ``taken``: the word always
+        branches, which closes the slot, so neither arm stores ``so``.
+        """
+        rs = []
+        for r in opr_regs:
+            if r != 31 and r not in rs:
+                rs.append(r)
+        tick, epoch, written = self.tick, self.epoch, self.written
+        blocked = False
+        pair_rs = []  # operands the pair test must read
+        open_rs = []  # operands that may delay an opened cycle
+        for r in rs:
+            w = written.get(r)
+            if w is None:
+                pair_rs.append(r)
+                open_rs.append(r)
+                continue
+            age = tick - w[0]
+            if w[1] == epoch and w[2] > age:
+                blocked = True
+            if w[3] > age:
+                pair_rs.append(r)
+                if w[3] > age + 1:
+                    open_rs.append(r)
+        conds = []
+        if (self.slot_open is not False and self.prev_class != klass
+                and not blocked):
+            if self.slot_open is None:
+                conds.append("so")
+            if pair_rs:
+                conds.append("opr <= cycle")
+            if conds and self.cyc_off:
+                out.append(f"{ind}cycle += {self.cyc_off}")
+                self.cyc_off = 0
+            if self.prev_class is None:
+                conds.append(f"sc != {klass}")
+            if not conds:  # an open slot, a ready word: it pairs
+                out.append(f"{ind}du += 1")
+                self.slot_open, self.so_stale = False, True
+                self.prev_class = klass
+                return
+            open_rs = pair_rs
+        if open_rs:
+            if len(open_rs) == 1:
+                out.append(f"{ind}opr = ready[{open_rs[0]}]")
+            else:
+                out.append(f"{ind}t0 = ready[{open_rs[0]}]")
+                out.append(f"{ind}t1 = ready[{open_rs[1]}]")
+                out.append(f"{ind}opr = t0 if t0 > t1 else t1")
+            opens = (f"cycle = cycle + {self.cyc_off + 1} "
+                     f"if opr <= {self._cycle()} else opr")
+        else:
+            opens = "cycle += 1"
+        if not conds:
+            self.slot_open, self.so_stale = not taken, True
+            self.tick += 1
+            if open_rs:
+                out.append(ind + opens)
+                self.cyc_off = 0
+                self.epoch += 1
+            else:
+                self.cyc_off += 1
+        else:
+            out.append(f"{ind}if {' and '.join(conds)}:")
+            if not taken:
+                out.append(f"{ind}    so = False")
+            out.append(f"{ind}    du += 1")
             out.append(f"{ind}else:")
-            out.append(f"{ind}    ready[{ra}] = issue + {LOAD_LATENCY}")
+            out.append(f"{ind}    {opens}")
+            if taken:
+                self.slot_open, self.so_stale = False, True
+            else:
+                out.append(f"{ind}    so = True")
+                self.slot_open, self.so_stale = None, False
+            self.epoch += 1
+        self.prev_class = klass
+
+    def _set_ready(self, out, ind, r, latency) -> None:
+        """Record register ``r``'s result latency, issued now."""
+        out.append(f"{ind}ready[{r}] = cycle + {latency + self.cyc_off}")
+        self.written[r] = (self.tick, self.epoch, latency, latency)
+
+    def _tag_test(self, out, ind, tags, slot, line, counter, stall) -> None:
+        """A cache tag test and the miss arm's count; ``stall``: the miss
+        stalls the pipeline and closes the slot."""
+        if stall and self.so_stale and self.slot_open:
+            out.append(f"{ind}so = True")
+            self.so_stale = False
+        out.append(f"{ind}if {tags}[{slot}] != {line}:")
+        out.append(f"{ind}    {tags}[{slot}] = {line}")
+        out.append(f"{ind}    st[{counter}] += 1")
+        if stall:
+            out.append(f"{ind}    cycle += {CACHE_MISS_PENALTY}")
+            if self.slot_open is not False:
+                out.append(f"{ind}    so = False")
+                self.slot_open = None
+            self.epoch += 1
+
+    def _emit_dcache(self, out, ind, ra=None) -> None:
+        """The D-cache probe of the access at ``addr``: a load's miss
+        delays its result ``ra``, a store's (``ra`` None) stalls."""
+        out.append(f"{ind}dl = addr >> {_ILINE_SHIFT}")
+        self._tag_test(out, ind, "dtags", f"dl & {_DN_LINES - 1}", "dl", 6,
+                       ra is None)
+        if ra is not None and ra != 31:
+            miss = LOAD_LATENCY + CACHE_MISS_PENALTY
+            off = self.cyc_off
+            out.append(f"{ind}    ready[{ra}] = cycle + {miss + off}")
+            out.append(f"{ind}else:")
+            out.append(f"{ind}    ready[{ra}] = cycle + {LOAD_LATENCY + off}")
+            self.written[ra] = (self.tick, self.epoch, LOAD_LATENCY, miss)
 
     # -- per-instruction emission ------------------------------------------
 
@@ -913,11 +1046,7 @@ class _Emitter:
             islot = line & (_IN_LINES - 1)
             if self.probed.get(islot) != line:
                 self.probed[islot] = line
-                out.append(f"{ind}if itags[{islot}] != {line}:")
-                out.append(f"{ind}    itags[{islot}] = {line}")
-                out.append(f"{ind}    st[5] += 1")
-                out.append(f"{ind}    cycle += {CACHE_MISS_PENALTY}")
-                out.append(f"{ind}    so = False")
+                self._tag_test(out, ind, "itags", islot, line, 5, True)
             if kind == K_OP_RR:
                 self._emit_issue(out, ind, 2, (op[2], op[3]))
             elif kind == K_OP_RL:
@@ -929,8 +1058,10 @@ class _Emitter:
             elif kind == K_CBR:
                 self._emit_issue(out, ind, 3, (op[2],))
             elif kind in (K_JSR, K_JMP, K_RET):
-                self._emit_issue(out, ind, 3, (op[2],))
-            else:  # BR/BSR/PAL
+                self._emit_issue(out, ind, 3, (op[2],), taken=True)
+            elif kind in (K_BR, K_BSR):
+                self._emit_issue(out, ind, 3, (), taken=True)
+            else:  # PAL
                 self._emit_issue(out, ind, 3, ())
 
         self.read_deps = set()
@@ -963,7 +1094,7 @@ class _Emitter:
                 return
         out.append(f"{ind}r{ra} = {expr}")
         if self.timed:
-            out.append(f"{ind}ready[{ra}] = issue + 1")
+            self._set_ready(out, ind, ra, 1)
 
     def _forward(self, s: int, i: int, rc: int, expr: str, cond) -> bool:
         """Try to defer ``rc = expr`` into its single scheduled read.
@@ -1045,6 +1176,12 @@ class _Emitter:
         out.append(f"{ind}if {self._quad_guard(l1)}:")
         out.append(f"{ind}    {assign(f'{v1}[o >> 3]')}")
         out.append(f"{ind}else:")
+        if self.timed:
+            # A timed region is translated on a program's first run,
+            # where source size is time: a wrong guess by base register
+            # (rare) takes the helper instead of a second inline probe.
+            out.append(f"{ind}    {assign(None)}")
+            return
         out.append(f"{ind}    o = addr - {b2}")
         out.append(f"{ind}    if {self._quad_guard(l2)}:")
         out.append(f"{ind}        {assign(f'{v2}[o >> 3]')}")
@@ -1079,7 +1216,7 @@ class _Emitter:
             if self.timed:
                 out.append(f"{ind}addr = {addr}")
                 out.append(f"{ind}{tgt}lq(addr)")
-                self._emit_dcache_load(out, ind, ra)
+                self._emit_dcache(out, ind, ra)
             else:
                 out.append(f"{ind}{tgt}lq({addr})")
             return
@@ -1096,7 +1233,7 @@ class _Emitter:
             lambda view: f"{tgt}{view}" if view else f"{tgt}lq(addr)",
         )
         if self.timed:
-            self._emit_dcache_load(out, ind, ra)
+            self._emit_dcache(out, ind, ra)
 
     def _k3(self, out, ind, s, i, op):  # K_STQ
         __, ra, rb, disp = op
@@ -1126,13 +1263,7 @@ class _Emitter:
                 ),
             )
         if self.timed:
-            out.append(f"{ind}dl = addr >> {_ILINE_SHIFT}")
-            out.append(f"{ind}ds = dl & {_DN_LINES - 1}")
-            out.append(f"{ind}if dtags[ds] != dl:")
-            out.append(f"{ind}    dtags[ds] = dl")
-            out.append(f"{ind}    st[6] += 1")
-            out.append(f"{ind}    cycle += {CACHE_MISS_PENALTY}")
-            out.append(f"{ind}    so = False")
+            self._emit_dcache(out, ind)
 
     def _k4(self, out, ind, s, i, op):  # K_LDL
         __, ra, rb, disp = op
@@ -1147,7 +1278,7 @@ class _Emitter:
             out.append(f"{ind}w = (v >> ((t & 4) * 8)) & 4294967295")
             out.append(f"{ind}r{ra} = w | {_SEXT_HI} if w >> 31 else w")
         if self.timed and ra != 31:
-            out.append(f"{ind}ready[{ra}] = issue + {LOAD_LATENCY}")
+            self._set_ready(out, ind, ra, LOAD_LATENCY)
 
     def _k5(self, out, ind, s, i, op):  # K_STL
         __, ra, rb, disp = op
@@ -1164,7 +1295,7 @@ class _Emitter:
             self._kill(ra)
         out.append(f"{ind}{tgt}lb({addr})")
         if self.timed and ra != 31:
-            out.append(f"{ind}ready[{ra}] = issue + {LOAD_LATENCY}")
+            self._set_ready(out, ind, ra, LOAD_LATENCY)
 
     def _k7(self, out, ind, s, i, op):  # K_STB
         __, ra, rb, disp = op
@@ -1185,7 +1316,7 @@ class _Emitter:
             self._kill(ra)
         out.append(f"{ind}{tgt}lq({expr})")
         if self.timed and ra != 31:
-            out.append(f"{ind}ready[{ra}] = issue + {LOAD_LATENCY}")
+            self._set_ready(out, ind, ra, LOAD_LATENCY)
 
     def _operate_body(self, out, ind, s, i, op, lit: bool):
         __, fn, ra, rb, rc = op
@@ -1242,7 +1373,7 @@ class _Emitter:
                         return
                 out.append(f"{ind}r{rc} = {expr}")
         if self.timed and rc != 31:
-            out.append(f"{ind}ready[{rc}] = issue + {_OPERATE_LATENCY[fn]}")
+            self._set_ready(out, ind, rc, _OPERATE_LATENCY[fn])
 
     def _k9(self, out, ind, s, i, op):  # K_OP_RR
         self._operate_body(out, ind, s, i, op, lit=False)
@@ -1252,11 +1383,16 @@ class _Emitter:
 
     # Control bodies: these end the segment (goto / return / raise).
 
+    def _taken_stall(self, out, ind, i) -> None:
+        """A taken branch's bubble; it closes the slot."""
+        self.cyc_off += TAKEN_BRANCH_PENALTY
+        self.slot_open, self.so_stale = False, True
+        self.tick += TAKEN_BRANCH_PENALTY
+        self._attr(out, ind, i)
+
     def _emit_taken(self, out, ind, s, i, target) -> None:
         if self.timed:
-            out.append(f"{ind}cycle = issue + {TAKEN_BRANCH_PENALTY}")
-            out.append(f"{ind}so = False")
-            self._attr(out, ind, i)
+            self._taken_stall(out, ind, i)
         self._goto(out, ind, s, target)
 
     def _emit_not_taken(self, out, ind, s, i) -> None:
@@ -1315,7 +1451,7 @@ class _Emitter:
             else:
                 out.append(f"{ind}r{ra} = {retaddr}")
                 if self.timed:
-                    out.append(f"{ind}ready[{ra}] = issue + 1")
+                    self._set_ready(out, ind, ra, 1)
         self._emit_taken(out, ind, s, i, target)
 
     _k11 = _br_bsr  # K_BR
@@ -1360,7 +1496,7 @@ class _Emitter:
             else:
                 out.append(f"{ind}r{ra} = {retaddr}")
                 if self.timed:
-                    out.append(f"{ind}ready[{ra}] = issue + 1")
+                    self._set_ready(out, ind, ra, 1)
         if hint is not None:
             # Guarded devirtualization: if the register agrees with the
             # linker's hint, control continues inside the region (the
@@ -1368,9 +1504,7 @@ class _Emitter:
             # the driver dispatch.  Cycle effects precede the split so
             # both arms see identical timing state.
             if self.timed:
-                out.append(f"{ind}cycle = issue + {TAKEN_BRANCH_PENALTY}")
-                out.append(f"{ind}so = False")
-                self._attr(out, ind, i)
+                self._taken_stall(out, ind, i)
             out.append(f"{ind}if dest == {prog.text_base + 4 * hint}:")
             saved = self._save()
             self.in_branch = True
@@ -1384,11 +1518,8 @@ class _Emitter:
             f'{ind}    raise MachineError('
             f'"jump to unmapped address 0x%x" % dest)'
         )
-        if self.timed:
-            if hint is None:
-                out.append(f"{ind}cycle = issue + {TAKEN_BRANCH_PENALTY}")
-                out.append(f"{ind}so = False")
-                self._attr(out, ind, i)
+        if self.timed and hint is None:
+            self._taken_stall(out, ind, i)
         if self.loop_form:
             # A computed target that is one of this region's own heads
             # (a ret bouncing back to a call continuation, usually)
@@ -1399,6 +1530,7 @@ class _Emitter:
             out.append(f"{ind}if ni in ({heads},):")
             saved = (dict(self.kval), set(self.defer))
             self._flush(out, ind + "    ")
+            self._sync_issue(out, ind + "    ")
             out.append(f"{ind}    cnt += {self.pending + self.prog.seg_len[s]}")
             out.append(f"{ind}    pc = ni")
             out.append(f"{ind}    {'break' if self.self_loop else 'continue'}")
@@ -1416,7 +1548,7 @@ class _Emitter:
         if func == PalFunc.HALT:
             if self.cyc:
                 # Charge the halting word, as the interpreter does.
-                out.append(f"{ind}cyc[{i}] += cycle - prev")
+                out.append(f"{ind}cyc[{i}] += {self._cycle()} - prev")
             for line in self._writeback(self._cnt_done(s)):
                 out.append(ind + line)
             out.append(f"{ind}return {HALT}")
@@ -1432,8 +1564,8 @@ class _Emitter:
                 out.append(f"{ind}out.append(chr({v} & 255))")
         elif func == PalFunc.GETTICKS:
             if self.timed:
-                out.append(f"{ind}r0 = cycle")
-                out.append(f"{ind}ready[0] = issue + 1")
+                out.append(f"{ind}r0 = {self._cycle()}")
+                self._set_ready(out, ind, 0, 1)
             else:
                 if self.opt:
                     self._mat_deps(out, ind, 0)
@@ -1547,6 +1679,10 @@ class _Emitter:
         self.cur_head = head
         self._reset_consts()
         self.pending = 0
+        self.prev_class = self.slot_open = None
+        self.so_stale = False
+        self.tick = self.epoch = self.cyc_off = 0
+        self.written = {}
         if self.loop_form:
             # Budget bail: if this tree might blow the budget, hand
             # back to the driver, which lets the interpreter finish
@@ -1683,13 +1819,22 @@ class _Emitter:
 
 @dataclass
 class JitStats:
-    """Translation-cache counters for one compiled program."""
+    """Translation-cache counters for one compiled program.
+
+    ``handoffs`` counts a first run's driver visits that the interpreter
+    ran a cold head's segment for, and ``handoff_words`` the words those
+    visits ran.  ``build_s`` is the wall time spent translating regions,
+    generating plus ``compile()``: a measurement, unlike the counts.
+    """
 
     regions: int = 0
     segments: int = 0
     words: int = 0
     fallback_steps: int = 0
     invalidations: int = 0
+    handoffs: int = 0
+    handoff_words: int = 0
+    build_s: float = 0.0
 
 
 class CompiledProgram:
@@ -1846,6 +1991,7 @@ class CompiledProgram:
             if not _can_translate(self.decoded[start]):
                 table[start] = _FALLBACK
                 return _FALLBACK
+            began = time.perf_counter()
             segs, order = self._discover(start)
             em = _Emitter(self, flavor, start, segs, order)
             src, name = em.source()
@@ -1871,6 +2017,7 @@ class CompiledProgram:
             self.stats.regions += 1
             self.stats.segments += len(order)
             self.stats.words += sum(segs[s] - s for s in order)
+            self.stats.build_s += time.perf_counter() - began
             return entry
 
     def invalidate(self) -> None:
@@ -1966,15 +2113,20 @@ class JitMachine(Machine):
         flavor = (timed, counting, timed and cycle_counts is not None)
         with program._lock:
             table = program.tables.setdefault(flavor, {})
-            # The first run counts the driver's visits to each untranslated
-            # head; a later run has no counts and translates on first entry.
-            visits = None if program.started else [0] * program.nwords
+            # The first run counts down the driver's visits to each
+            # untranslated head; a later run has no counts and translates
+            # on first entry.
+            visits = (None if program.started
+                      else [_HOT_ENTRIES] * program.nwords)
             program.started = True
 
         regs, st, index = self._initial_state()
         limit = st[1]
         out: list[str] = []
-        qd, qs = self._quad_views()
+        # One pair of quad views serves the whole run: the regions and
+        # every interpreter call, which would otherwise make its own.
+        views = self._quad_views()
+        qd, qs = views
         mem = (self._load_q, self._store_q, self._load_byte,
                self._store_byte, self._store_long, qd, qs,
                self.data, self.stack)
@@ -1990,7 +2142,9 @@ class JitMachine(Machine):
         stats = program.stats
         build = program.build
         segment_end = program.segment_end
+        seg_len = program.seg_len
         get = table.get
+        handoffs = handoff_words = 0
 
         try:
             while True:
@@ -1998,14 +2152,20 @@ class JitMachine(Machine):
                     entry = get(index)
                     if entry is None:
                         if visits is not None:
-                            visits[index] += 1
-                            end = segment_end(index)
-                            if end is not None and visits[index] < _HOT_ENTRIES:
+                            visits[index] -= 1
+                            if index not in seg_len:
+                                segment_end(index)
+                            if visits[index] and seg_len[index]:
                                 # A cold head: the interpreter runs its
                                 # segment, and never past the budget.
+                                count = st[0]
+                                stop = count + seg_len[index]
                                 index = interp(regs, st, out, index, counts,
                                                cycle_counts, ready, itags, dtags,
-                                               min(st[0] + end - index, limit))
+                                               stop if stop < limit else limit,
+                                               views)
+                                handoffs += 1
+                                handoff_words += st[0] - count
                                 continue
                         entry = build(index, flavor)
                     if entry is _FALLBACK:
@@ -2021,7 +2181,7 @@ class JitMachine(Machine):
                         # within ``entry[1]`` words.
                         index = interp(regs, st, out, index, counts,
                                        cycle_counts, ready, itags, dtags,
-                                       limit)
+                                       limit, views)
                         continue
                 elif index == HALT:
                     break
@@ -2031,10 +2191,12 @@ class JitMachine(Machine):
                 # budget, so a word past it trips instead of running.
                 index = interp(regs, st, out, index, counts, cycle_counts,
                                ready, itags, dtags,
-                               st[0] + 1 if st[0] < limit else limit)
+                               st[0] + 1 if st[0] < limit else limit, views)
         finally:
             qd.release()
             qs.release()
+            stats.handoffs += handoffs
+            stats.handoff_words += handoff_words
             if counting:
                 # Expand per-segment execution counters to per-word
                 # counts; valid even across overlapping regions because

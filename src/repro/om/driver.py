@@ -126,14 +126,20 @@ def om_link(
     options = options or OMOptions()
     inputs = resolve_inputs(objects, list(libraries))
 
-    # Baseline measurements use the standard linker's view.
-    baseline_layout = compute_layout(inputs, LayoutOptions())
-    gat_before = sum(group.size for group in baseline_layout.groups)
-    text_before = baseline_layout.text_end - baseline_layout.options.text_base
-
     # A partitioned link translates only what its shard cache misses.
     partitioned = options.partitions > 1 and level is not OMLevel.NONE
     pgo = level is OMLevel.FULL and options.layout
+
+    # Baseline measurements use the standard linker's view.  Round 0
+    # lays out the program as given, and with the default GAT capacity
+    # and no procedure reordering its text end and GAT groups are the
+    # standard linker's (COMMON sorting moves only data), so such a
+    # link reads them off round 0's layout instead of a layout of its
+    # own.
+    baseline_layout = None
+    if (level is OMLevel.NONE or pgo
+            or options.gat_capacity != DEFAULT_GAT_CAPACITY):
+        baseline_layout = compute_layout(inputs, LayoutOptions())
     modules = before = None
     if pgo or not partitioned:
         with span_or_null(
@@ -318,6 +324,10 @@ def om_link(
                 problems=len(report.problems),
             )
 
+    if baseline_layout is None:
+        baseline_layout = rounds.first_layout
+    gat_before = sum(group.size for group in baseline_layout.groups)
+    text_before = baseline_layout.text_end - baseline_layout.options.text_base
     stats = OMStats(
         level=level.value,
         before=before,

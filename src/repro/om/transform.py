@@ -1205,6 +1205,8 @@ class Rounds:
     #: The certificate, not a round that changed nothing, ended them:
     #: another round was allowed and skipped.
     certified: bool = False
+    #: The layout round 0 ran on: the program as it was given.
+    first_layout: Layout | None = None
 
 
 def run_rounds(
@@ -1233,10 +1235,12 @@ def run_rounds(
     such a link need only the layout.
     """
     layout, placements = lay_out()
+    first = layout
     for round_index in range(max_rounds):
         changed, facts = run_round(round_index, layout)
         if not changed:
-            return Rounds(layout, placements, round_index + 1)
+            return Rounds(layout, placements, round_index + 1,
+                          first_layout=first)
         if round_index + 1 == max_rounds:
             break
         layout, placements = lay_out()
@@ -1260,5 +1264,6 @@ def run_rounds(
                 converged=not flipped,
             )
         if not flipped:
-            return Rounds(layout, placements, round_index + 1, certified=True)
-    return Rounds(None, None, max_rounds)
+            return Rounds(layout, placements, round_index + 1, certified=True,
+                          first_layout=first)
+    return Rounds(None, None, max_rounds, first_layout=first)

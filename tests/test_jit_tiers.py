@@ -163,3 +163,22 @@ def test_only_a_programs_first_run_is_tiered(crt0, libmc):
     assert again.run(timed=True) == want
     assert program_for(again) is not prog
     assert program_for(again).stats.regions == 0
+
+
+def test_a_first_run_counts_its_hand_offs(crt0, libmc):
+    """A first run that never reaches ``_HOT_ENTRIES`` runs every word in
+    the interpreter's hand-offs, translates nothing and spends no build
+    time; a second run translates and makes no hand-off."""
+    exe = _counted_loop(crt0, libmc, 3)
+    for timed in (False, True):
+        clear_jit_cache()
+        machine = JitMachine(exe)
+        result = machine.run(timed=timed)
+        stats = program_for(machine).stats
+        assert stats.handoffs > 3 and stats.regions == 0
+        assert stats.handoff_words == result.instructions
+        assert stats.build_s == 0.0
+        first = (stats.handoffs, stats.handoff_words)
+        JitMachine(exe).run(timed=timed)
+        assert (stats.handoffs, stats.handoff_words) == first
+        assert stats.regions > 0 and stats.build_s > 0.0

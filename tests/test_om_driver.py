@@ -119,3 +119,99 @@ def test_option_matrix_preserves_behaviour(
         ),
     )
     assert run(result.executable).output == expected
+
+
+# -- the before-figures ---------------------------------------------------------
+
+
+def _linked_before(objects_blob, stdlib_blob, options):
+    """``(gat_bytes_before, text_bytes_before)`` of an OM-full link, and
+    the same figures of a standalone standard-linker layout."""
+    from repro.linker.layout import LayoutOptions, compute_layout
+    from repro.linker.resolve import resolve_inputs
+    from repro.objfile.archive import Archive
+    from repro.objfile.serialize import load_archive
+
+    def lib():
+        return [Archive("libmc", load_archive(stdlib_blob))]
+
+    layout = compute_layout(
+        resolve_inputs(load_archive(objects_blob), lib()), LayoutOptions()
+    )
+    want = (sum(group.size for group in layout.groups),
+            layout.text_end - layout.options.text_base)
+    result = om_link(load_archive(objects_blob), lib(), level=OMLevel.FULL,
+                     options=options)
+    return (result.stats.gat_bytes_before, result.stats.text_bytes_before), want
+
+
+@pytest.fixture(scope="module")
+def stdlib_blob():
+    from repro.benchsuite import build_stdlib
+    from repro.objfile.serialize import dump_archive
+
+    return dump_archive(build_stdlib().members)
+
+
+@pytest.mark.parametrize("mode", ("each", "all"))
+def test_before_figures_equal_a_standalone_baseline(mode, stdlib_blob):
+    """With the default GAT capacity, a link reads its before-figures off
+    round 0's layout; on every benchsuite program they are the standard
+    linker's."""
+    from repro.benchsuite import build_program
+    from repro.benchsuite.suite import DECAF_PROGRAMS, PROGRAMS
+    from repro.linker import make_crt0
+    from repro.objfile.serialize import dump_archive
+
+    for program in list(PROGRAMS) + list(DECAF_PROGRAMS):
+        blob = dump_archive([make_crt0()] + build_program(program, mode))
+        got, want = _linked_before(blob, stdlib_blob, OMOptions())
+        assert got == want, program
+
+
+@pytest.fixture(scope="module")
+def chain_blob():
+    from repro.frontend import compile_sources
+    from repro.fuzz.generate import generate_scale_program
+    from repro.linker import make_crt0
+    from repro.objfile.serialize import dump_archive
+
+    chain = generate_scale_program(11, 128)
+    return dump_archive([make_crt0()] + compile_sources(list(chain.modules)))
+
+
+@pytest.mark.parametrize(
+    "options",
+    (OMOptions(), OMOptions(partitions=4), OMOptions(gat_capacity=256),
+     OMOptions(gat_capacity=256, partitions=4)),
+    ids=("plain", "partitioned", "small-gat", "small-gat-partitioned"),
+)
+def test_chain_before_figures_equal_a_standalone_baseline(
+    options, chain_blob, stdlib_blob
+):
+    """On the 128-module chain, plain and partitioned, and at a GAT
+    capacity that splits its GAT where the standard linker's does not."""
+    got, want = _linked_before(chain_blob, stdlib_blob, options)
+    assert got == want
+
+
+def test_a_default_link_lays_out_no_baseline_of_its_own(
+    chain_blob, stdlib_blob, monkeypatch
+):
+    """A default link's driver lays out nothing itself: the rounds'
+    first and last layouts serve the before-figures and the finish.  At
+    another GAT capacity it lays out the standalone baseline."""
+    from repro.om import driver
+
+    calls = []
+    real = driver.compute_layout
+
+    def counted(inputs, options):
+        calls.append(options.gat_capacity)
+        return real(inputs, options)
+
+    monkeypatch.setattr(driver, "compute_layout", counted)
+    _linked_before(chain_blob, stdlib_blob, OMOptions())
+    assert calls == []
+    _linked_before(chain_blob, stdlib_blob, OMOptions(gat_capacity=256))
+    assert len(calls) == 1

@@ -241,9 +241,10 @@ def test_uncached_om_links_encode_each_module_once(monkeypatch, libmc):
     """A link whose first round converges places each module twice,
     for round 0's layout and for the certificate's (a partitioned link
     lays round 0 out from its input objects, so once), and lays out
-    three times: the standard linker's baseline, round 0 and the
-    certificate.  The finish encodes each module once, at the
-    certificate's placement, in that same layout."""
+    twice: round 0, whose layout also gives the standard linker's
+    before-figures, and the certificate.  The finish encodes each
+    module once, at the certificate's placement, in that same
+    layout."""
     import repro.om.driver
     import repro.om.symbolic
     import repro.om.transform
@@ -290,6 +291,6 @@ def test_uncached_om_links_encode_each_module_once(monkeypatch, libmc):
         # The partitioned driver lays round 0 out from the input
         # objects, which places nothing.
         places = len(linked) if options.partitions else 2 * len(linked)
-        assert calls == {"place": places, "layout": 3}
+        assert calls == {"place": places, "layout": 2}
         if options.partitions:
             assert result.wpo.rounds == 1
