@@ -27,8 +27,8 @@ The timed loop is also the source of the ``getticks`` PAL call's value.
 
 Both loops are resumable: they run from any word index on a shared
 state vector and stop at a given instruction count, so the JIT backend
-hands them every word its translated regions do not run.  It passes
-its run's quad views along, so a short call does not make its own.
+hands them every word its translated regions do not run.  A run makes
+its quad views once and passes them to every call.
 """
 
 from __future__ import annotations
@@ -81,15 +81,6 @@ _OPERATE_CODE = {name: i for i, name in enumerate(_OPERATE_NAMES)}
 #: Result latency of each operate function code, from the schedulers'
 #: table, so the timing model and the schedulers cannot disagree.
 _OPERATE_LATENCY = tuple(OP_FACTS[name].latency for name in _OPERATE_NAMES)
-
-#: The timed loop's constants, bound to its locals in one step per call
-#: (cache geometry, penalties and latencies, the mask, the op kinds).
-_TIMED_LOOP_CONSTANTS = (
-    _ILINE_SHIFT, _IN_LINES - 1, _DN_LINES - 1, CACHE_MISS_PENALTY,
-    LOAD_LATENCY, LOAD_LATENCY + CACHE_MISS_PENALTY, TAKEN_BRANCH_PENALTY,
-    _MASK, K_OP_RR, K_OP_RL, K_LDA, K_CBR, K_LDQ, K_STQ, K_LDAH, K_BR, K_BSR,
-    K_JSR, K_RET, K_JMP, K_PAL,
-)
 
 _COND_BRANCH_NAMES = {
     "beq": 0, "bne": 1, "blt": 2, "ble": 3, "bge": 4, "bgt": 5,
@@ -183,7 +174,7 @@ class Machine:
 
         A view index is an offset ``>> 3``, so both views are empty
         (every access takes the helpers) unless both bases are 8-aligned.
-        The caller releases them when its run or loop call ends.
+        The caller releases them when its run ends.
         """
         if self.data_base & 7 or self.stack_base & 7:
             empty = memoryview(b"").cast("Q")
@@ -265,7 +256,7 @@ class Machine:
         regs, st, index = self._initial_state()
         out: list[str] = []
         self._loop_functional(regs, st, out, index, counts, None, None, None,
-                              None, st[1])
+                              None, st[1], None)
         return RunResult.from_state(st, out, timed=False)
 
     def _run_timed(
@@ -275,8 +266,14 @@ class Machine:
     ) -> RunResult:
         regs, st, index = self._initial_state()
         out: list[str] = []
-        self._loop_timed(regs, st, out, index, counts, cycle_counts,
-                         [0] * 32, [-1] * _IN_LINES, [-1] * _DN_LINES, st[1])
+        qd, qs = views = self._quad_views()
+        try:
+            self._loop_timed(regs, st, out, index, counts, cycle_counts,
+                             [0] * 32, [-1] * _IN_LINES, [-1] * _DN_LINES,
+                             st[1], views)
+        finally:
+            qd.release()
+            qs.release()
         return RunResult.from_state(st, out, timed=True)
 
     # The loops run from word ``index`` until the program halts, and
@@ -288,11 +285,11 @@ class Machine:
     # back to ``st`` before it returns.  The two loops share one
     # signature; the functional loop ignores the timing arguments:
     # per-word cycle attribution, per-register result-ready cycles, the
-    # I- and D-cache tags and the caller's quad views (``views``, which
-    # the timed loop makes and releases itself when it is None).
+    # I- and D-cache tags and the quad views (``views``), which the
+    # caller makes once per run and releases when the run ends.
 
     def _loop_functional(self, regs, st, out, index, counts, cycle_counts,
-                         ready, itags, dtags, stop, views=None) -> int:
+                         ready, itags, dtags, stop, views) -> int:
         decoded = self._decoded
         text_base = self.text_base
         load_q = self._load_q
@@ -392,7 +389,7 @@ class Machine:
         return index
 
     def _loop_timed(self, regs, st, out, index, counts, cycle_counts,
-                    ready, itags, dtags, stop, views=None) -> int:
+                    ready, itags, dtags, stop, views) -> int:
         decoded = self._decoded
         text_base = self.text_base
         load_q = self._load_q
@@ -410,9 +407,17 @@ class Machine:
         # slot when its operands are ready by `cycle` and its class
         # differs; otherwise it opens the next cycle its operands allow.
         cycle, slot_open, slot_class, imisses, dmisses, duals, prev_cycle = st[2:]
-        (iline_shift, imask, dmask, miss_penalty, load_hit, load_miss,
-         taken_penalty, mask, k_op_rr, k_op_rl, k_lda, k_cbr, k_ldq, k_stq,
-         k_ldah, k_br, k_bsr, k_jsr, k_ret, k_jmp, k_pal) = _TIMED_LOOP_CONSTANTS
+        iline_shift = _ILINE_SHIFT
+        imask = _IN_LINES - 1
+        dmask = _DN_LINES - 1
+        miss_penalty = CACHE_MISS_PENALTY
+        load_hit = LOAD_LATENCY
+        load_miss = LOAD_LATENCY + CACHE_MISS_PENALTY
+        taken_penalty = TAKEN_BRANCH_PENALTY
+        mask = _MASK
+        k_op_rr, k_op_rl, k_lda, k_cbr, k_ldq, k_stq, k_ldah, k_br, k_bsr = (
+            K_OP_RR, K_OP_RL, K_LDA, K_CBR, K_LDQ, K_STQ, K_LDAH, K_BR, K_BSR)
+        k_jsr, k_ret, k_jmp, k_pal = K_JSR, K_RET, K_JMP, K_PAL
 
         # Only instruction fetches touch `itags`, so a word fetched right
         # after another of its line hits.  The loop probes when a fetch
@@ -420,290 +425,284 @@ class Machine:
         # address since the text base need not be line-aligned, or the
         # first word of the call or of a taken branch's target.
         line_end = index
-        own_views = views is None
-        qd, qs = self._quad_views() if own_views else views
+        qd, qs = views
         data_base = self.data_base
         data_bytes = qd.nbytes
         stack_base = self.stack_base
         stack_bytes = qs.nbytes
-        try:
-            while True:
-                op = decoded[index]
-                count += 1
+        while True:
+            op = decoded[index]
+            count += 1
+            if counting:
+                counts[index] += 1
+            if count > stop:
+                if stop >= st[1]:
+                    raise ExecutionBudgetExceeded(st[1])
+                count -= 1
                 if counting:
-                    counts[index] += 1
-                if count > stop:
-                    if stop >= st[1]:
-                        raise ExecutionBudgetExceeded(st[1])
-                    count -= 1
-                    if counting:
-                        counts[index] -= 1
-                    break
-                if index == line_end:
-                    line = (text_base + 4 * index) >> iline_shift
-                    if itags[line & imask] != line:
-                        itags[line & imask] = line
-                        imisses += 1
-                        cycle += miss_penalty
-                        slot_open = False
-                    line_end = (((line + 1) << iline_shift) - text_base) >> 2
+                    counts[index] -= 1
+                break
+            if index == line_end:
+                line = (text_base + 4 * index) >> iline_shift
+                if itags[line & imask] != line:
+                    itags[line & imask] = line
+                    imisses += 1
+                    cycle += miss_penalty
+                    slot_open = False
+                line_end = (((line + 1) << iline_shift) - text_base) >> 2
 
-                # One branch per kind, most frequent first: each computes
-                # the word's issue cycle, then executes it.
-                kind = op[0]
-                if kind == k_op_rr:
-                    __, fn, ra, rb, rc = op
-                    opr = ready[ra]
-                    if ready[rb] > opr:
-                        opr = ready[rb]
-                    if slot_open and opr <= cycle and slot_class != 2:
-                        slot_open = False
-                        duals += 1
-                        issue = cycle
-                    else:
-                        issue = cycle = cycle + 1 if opr <= cycle else opr
-                        slot_open = True
-                        slot_class = 2
-                    regs[rc] = operate(fn, regs[ra], regs[rb], regs[rc])
-                    ready[rc] = issue + op_latency[fn]
-                    regs[31] = ready[31] = 0
-                elif kind == k_op_rl:
-                    __, fn, ra, lit, rc = op
-                    opr = ready[ra]
-                    if slot_open and opr <= cycle and slot_class != 2:
-                        slot_open = False
-                        duals += 1
-                        issue = cycle
-                    else:
-                        issue = cycle = cycle + 1 if opr <= cycle else opr
-                        slot_open = True
-                        slot_class = 2
-                    regs[rc] = operate(fn, regs[ra], lit, regs[rc])
-                    ready[rc] = issue + op_latency[fn]
-                    regs[31] = ready[31] = 0
-                elif kind == k_lda:
-                    __, ra, rb, disp = op
+            # One branch per kind, most frequent first: each computes
+            # the word's issue cycle, then executes it.
+            kind = op[0]
+            if kind == k_op_rr:
+                __, fn, ra, rb, rc = op
+                opr = ready[ra]
+                if ready[rb] > opr:
                     opr = ready[rb]
-                    if slot_open and opr <= cycle and slot_class != 1:
-                        slot_open = False
-                        duals += 1
-                        issue = cycle
-                    else:
-                        issue = cycle = cycle + 1 if opr <= cycle else opr
-                        slot_open = True
-                        slot_class = 1
-                    regs[ra] = (regs[rb] + disp) & mask
-                    ready[ra] = issue + 1
-                    regs[31] = ready[31] = 0
-                elif kind == k_cbr:
-                    __, cond, ra, target = op
-                    opr = ready[ra]
-                    if slot_open and opr <= cycle and slot_class != 3:
-                        slot_open = False
-                        duals += 1
-                        issue = cycle
-                    else:
-                        issue = cycle = cycle + 1 if opr <= cycle else opr
-                        slot_open = True
-                        slot_class = 3
-                    if branch_taken(cond, regs[ra]):
-                        cycle = issue + taken_penalty
-                        slot_open = False
-                        if cycle_counting:
-                            cycle_counts[index] += cycle - prev_cycle
-                            prev_cycle = cycle
-                        index = line_end = target
-                        continue
-                elif kind == k_ldq:
-                    __, ra, rb, disp = op
-                    opr = ready[rb]
-                    if slot_open and opr <= cycle and slot_class != 1:
-                        slot_open = False
-                        duals += 1
-                        issue = cycle
-                    else:
-                        issue = cycle = cycle + 1 if opr <= cycle else opr
-                        slot_open = True
-                        slot_class = 1
-                    # The views serve aligned data and stack quads, in
-                    # `_load_q`'s order; it takes every other address.
-                    addr = (regs[rb] + disp) & mask
-                    o = addr - data_base
-                    if 0 <= o < data_bytes and not o & 7:
-                        regs[ra] = qd[o >> 3]
-                    else:
-                        o = addr - stack_base
-                        if 0 <= o < stack_bytes and not o & 7:
-                            regs[ra] = qs[o >> 3]
-                        else:
-                            regs[ra] = load_q(addr)
-                    dline = addr >> iline_shift
-                    if dtags[dline & dmask] != dline:
-                        dtags[dline & dmask] = dline
-                        dmisses += 1
-                        ready[ra] = issue + load_miss
-                    else:
-                        ready[ra] = issue + load_hit
-                    regs[31] = ready[31] = 0
-                elif kind == k_stq:
-                    __, ra, rb, disp = op
-                    opr = ready[ra]
-                    if ready[rb] > opr:
-                        opr = ready[rb]
-                    if slot_open and opr <= cycle and slot_class != 1:
-                        slot_open = False
-                        duals += 1
-                        issue = cycle
-                    else:
-                        issue = cycle = cycle + 1 if opr <= cycle else opr
-                        slot_open = True
-                        slot_class = 1
-                    addr = (regs[rb] + disp) & mask
-                    o = addr - data_base
-                    if 0 <= o < data_bytes and not o & 7:
-                        qd[o >> 3] = regs[ra]
-                    else:
-                        o = addr - stack_base
-                        if 0 <= o < stack_bytes and not o & 7:
-                            qs[o >> 3] = regs[ra]
-                        else:
-                            store_q(addr, regs[ra])
-                    dline = addr >> iline_shift
-                    if dtags[dline & dmask] != dline:
-                        dtags[dline & dmask] = dline
-                        dmisses += 1
-                        cycle += miss_penalty
-                        slot_open = False
-                elif kind == k_ldah:
-                    __, ra, rb, disp = op
-                    opr = ready[rb]
-                    if slot_open and opr <= cycle and slot_class != 1:
-                        slot_open = False
-                        duals += 1
-                        issue = cycle
-                    else:
-                        issue = cycle = cycle + 1 if opr <= cycle else opr
-                        slot_open = True
-                        slot_class = 1
-                    regs[ra] = (regs[rb] + (disp << 16)) & mask
-                    ready[ra] = issue + 1
-                    regs[31] = ready[31] = 0
-                elif kind == k_br or kind == k_bsr:
-                    __, ra, target = op
-                    if slot_open and slot_class != 3:
-                        slot_open = False
-                        duals += 1
-                        issue = cycle
-                    else:
-                        issue = cycle = cycle + 1
-                        slot_class = 3
-                    regs[ra] = text_base + 4 * (index + 1)
-                    ready[ra] = issue + 1
-                    regs[31] = ready[31] = 0
-                    cycle = issue + taken_penalty
+                if slot_open and opr <= cycle and slot_class != 2:
                     slot_open = False
-                    if cycle_counting:
-                        cycle_counts[index] += cycle - prev_cycle
-                        prev_cycle = cycle
-                    index = line_end = target
-                    continue
-                elif kind == k_ret or kind == k_jsr or kind == k_jmp:
-                    __, ra, rb = op
-                    opr = ready[rb]
-                    if slot_open and opr <= cycle and slot_class != 3:
-                        slot_open = False
-                        duals += 1
-                        issue = cycle
-                    else:
-                        issue = cycle = cycle + 1 if opr <= cycle else opr
-                        slot_class = 3
-                    dest = regs[rb] & ~3
-                    regs[ra] = text_base + 4 * (index + 1)
-                    ready[ra] = issue + 1
-                    target = (dest - text_base) >> 2
-                    if not 0 <= target < len(decoded):
-                        raise MachineError(f"jump to unmapped address {dest:#x}")
-                    regs[31] = ready[31] = 0
-                    cycle = issue + taken_penalty
-                    slot_open = False
-                    if cycle_counting:
-                        cycle_counts[index] += cycle - prev_cycle
-                        prev_cycle = cycle
-                    index = line_end = target
-                    continue
-                elif kind == k_pal:
-                    if slot_open and slot_class != 3:
-                        slot_open = False
-                        duals += 1
-                        issue = cycle
-                    else:
-                        issue = cycle = cycle + 1
-                        slot_open = True
-                        slot_class = 3
-                    func = op[1]
-                    if func == PalFunc.HALT:
-                        # Charge the halting word's issue cost so the
-                        # per-word cycle deltas sum exactly to the total.
-                        if cycle_counting:
-                            cycle_counts[index] += cycle - prev_cycle
-                            prev_cycle = cycle
-                        index = HALT
-                        break
-                    if func == PalFunc.PUTINT:
-                        value = regs[16]
-                        out.append(str(value - (1 << 64) if value >> 63 else value))
-                        out.append("\n")
-                    elif func == PalFunc.PUTCHAR:
-                        out.append(chr(regs[16] & 0xFF))
-                    elif func == PalFunc.GETTICKS:
-                        regs[0] = cycle
-                        ready[0] = issue + 1
-                    else:
-                        raise MachineError(f"unknown PAL function {func:#x}")
+                    duals += 1
+                    issue = cycle
                 else:
-                    # Byte, longword and unaligned-quad accesses: memory
-                    # class, no D-cache model.
-                    __, ra, rb, disp = op
+                    issue = cycle = cycle + 1 if opr <= cycle else opr
+                    slot_open = True
+                    slot_class = 2
+                regs[rc] = operate(fn, regs[ra], regs[rb], regs[rc])
+                ready[rc] = issue + op_latency[fn]
+                regs[31] = ready[31] = 0
+            elif kind == k_op_rl:
+                __, fn, ra, lit, rc = op
+                opr = ready[ra]
+                if slot_open and opr <= cycle and slot_class != 2:
+                    slot_open = False
+                    duals += 1
+                    issue = cycle
+                else:
+                    issue = cycle = cycle + 1 if opr <= cycle else opr
+                    slot_open = True
+                    slot_class = 2
+                regs[rc] = operate(fn, regs[ra], lit, regs[rc])
+                ready[rc] = issue + op_latency[fn]
+                regs[31] = ready[31] = 0
+            elif kind == k_lda:
+                __, ra, rb, disp = op
+                opr = ready[rb]
+                if slot_open and opr <= cycle and slot_class != 1:
+                    slot_open = False
+                    duals += 1
+                    issue = cycle
+                else:
+                    issue = cycle = cycle + 1 if opr <= cycle else opr
+                    slot_open = True
+                    slot_class = 1
+                regs[ra] = (regs[rb] + disp) & mask
+                ready[ra] = issue + 1
+                regs[31] = ready[31] = 0
+            elif kind == k_cbr:
+                __, cond, ra, target = op
+                opr = ready[ra]
+                if slot_open and opr <= cycle and slot_class != 3:
+                    slot_open = False
+                    duals += 1
+                    issue = cycle
+                else:
+                    issue = cycle = cycle + 1 if opr <= cycle else opr
+                    slot_open = True
+                    slot_class = 3
+                if branch_taken(cond, regs[ra]):
+                    cycle = issue + taken_penalty
+                    slot_open = False
+                    if cycle_counting:
+                        cycle_counts[index] += cycle - prev_cycle
+                        prev_cycle = cycle
+                    index = line_end = target
+                    continue
+            elif kind == k_ldq:
+                __, ra, rb, disp = op
+                opr = ready[rb]
+                if slot_open and opr <= cycle and slot_class != 1:
+                    slot_open = False
+                    duals += 1
+                    issue = cycle
+                else:
+                    issue = cycle = cycle + 1 if opr <= cycle else opr
+                    slot_open = True
+                    slot_class = 1
+                # The views serve aligned data and stack quads, in
+                # `_load_q`'s order; it takes every other address.
+                addr = (regs[rb] + disp) & mask
+                o = addr - data_base
+                if 0 <= o < data_bytes and not o & 7:
+                    regs[ra] = qd[o >> 3]
+                else:
+                    o = addr - stack_base
+                    if 0 <= o < stack_bytes and not o & 7:
+                        regs[ra] = qs[o >> 3]
+                    else:
+                        regs[ra] = load_q(addr)
+                dline = addr >> iline_shift
+                if dtags[dline & dmask] != dline:
+                    dtags[dline & dmask] = dline
+                    dmisses += 1
+                    ready[ra] = issue + load_miss
+                else:
+                    ready[ra] = issue + load_hit
+                regs[31] = ready[31] = 0
+            elif kind == k_stq:
+                __, ra, rb, disp = op
+                opr = ready[ra]
+                if ready[rb] > opr:
                     opr = ready[rb]
-                    if kind == K_STL or kind == K_STB:
-                        if ready[ra] > opr:
-                            opr = ready[ra]
-                    if slot_open and opr <= cycle and slot_class != 1:
-                        slot_open = False
-                        duals += 1
-                        issue = cycle
+                if slot_open and opr <= cycle and slot_class != 1:
+                    slot_open = False
+                    duals += 1
+                    issue = cycle
+                else:
+                    issue = cycle = cycle + 1 if opr <= cycle else opr
+                    slot_open = True
+                    slot_class = 1
+                addr = (regs[rb] + disp) & mask
+                o = addr - data_base
+                if 0 <= o < data_bytes and not o & 7:
+                    qd[o >> 3] = regs[ra]
+                else:
+                    o = addr - stack_base
+                    if 0 <= o < stack_bytes and not o & 7:
+                        qs[o >> 3] = regs[ra]
                     else:
-                        issue = cycle = cycle + 1 if opr <= cycle else opr
-                        slot_open = True
-                        slot_class = 1
-                    addr = (regs[rb] + disp) & mask
-                    if kind == K_LDL:
-                        value = load_q(addr & ~7)
-                        word = (value >> ((addr & 4) * 8)) & 0xFFFFFFFF
-                        regs[ra] = word | (~0xFFFFFFFF & mask if word >> 31 else 0)
-                        ready[ra] = issue + load_hit
-                    elif kind == K_LDQ_U:
-                        regs[ra] = load_q(addr & ~7)
-                        ready[ra] = issue + load_hit
-                    elif kind == K_LDBU:
-                        regs[ra] = self._load_byte(addr)
-                        ready[ra] = issue + load_hit
-                    elif kind == K_STB:
-                        self._store_byte(addr, regs[ra])
-                    elif kind == K_STL:
-                        self._store_long(addr, regs[ra])
-                    else:
-                        raise MachineError(f"unhandled op kind {kind}")
-                    regs[31] = ready[31] = 0
-
+                        store_q(addr, regs[ra])
+                dline = addr >> iline_shift
+                if dtags[dline & dmask] != dline:
+                    dtags[dline & dmask] = dline
+                    dmisses += 1
+                    cycle += miss_penalty
+                    slot_open = False
+            elif kind == k_ldah:
+                __, ra, rb, disp = op
+                opr = ready[rb]
+                if slot_open and opr <= cycle and slot_class != 1:
+                    slot_open = False
+                    duals += 1
+                    issue = cycle
+                else:
+                    issue = cycle = cycle + 1 if opr <= cycle else opr
+                    slot_open = True
+                    slot_class = 1
+                regs[ra] = (regs[rb] + (disp << 16)) & mask
+                ready[ra] = issue + 1
+                regs[31] = ready[31] = 0
+            elif kind == k_br or kind == k_bsr:
+                __, ra, target = op
+                if slot_open and slot_class != 3:
+                    slot_open = False
+                    duals += 1
+                    issue = cycle
+                else:
+                    issue = cycle = cycle + 1
+                    slot_class = 3
+                regs[ra] = text_base + 4 * (index + 1)
+                ready[ra] = issue + 1
+                regs[31] = ready[31] = 0
+                cycle = issue + taken_penalty
+                slot_open = False
                 if cycle_counting:
                     cycle_counts[index] += cycle - prev_cycle
                     prev_cycle = cycle
-                index += 1
-        finally:
-            if own_views:
-                qd.release()
-                qs.release()
+                index = line_end = target
+                continue
+            elif kind == k_ret or kind == k_jsr or kind == k_jmp:
+                __, ra, rb = op
+                opr = ready[rb]
+                if slot_open and opr <= cycle and slot_class != 3:
+                    slot_open = False
+                    duals += 1
+                    issue = cycle
+                else:
+                    issue = cycle = cycle + 1 if opr <= cycle else opr
+                    slot_class = 3
+                dest = regs[rb] & ~3
+                regs[ra] = text_base + 4 * (index + 1)
+                ready[ra] = issue + 1
+                target = (dest - text_base) >> 2
+                if not 0 <= target < len(decoded):
+                    raise MachineError(f"jump to unmapped address {dest:#x}")
+                regs[31] = ready[31] = 0
+                cycle = issue + taken_penalty
+                slot_open = False
+                if cycle_counting:
+                    cycle_counts[index] += cycle - prev_cycle
+                    prev_cycle = cycle
+                index = line_end = target
+                continue
+            elif kind == k_pal:
+                if slot_open and slot_class != 3:
+                    slot_open = False
+                    duals += 1
+                    issue = cycle
+                else:
+                    issue = cycle = cycle + 1
+                    slot_open = True
+                    slot_class = 3
+                func = op[1]
+                if func == PalFunc.HALT:
+                    # Charge the halting word's issue cost so the
+                    # per-word cycle deltas sum exactly to the total.
+                    if cycle_counting:
+                        cycle_counts[index] += cycle - prev_cycle
+                        prev_cycle = cycle
+                    index = HALT
+                    break
+                if func == PalFunc.PUTINT:
+                    value = regs[16]
+                    out.append(str(value - (1 << 64) if value >> 63 else value))
+                    out.append("\n")
+                elif func == PalFunc.PUTCHAR:
+                    out.append(chr(regs[16] & 0xFF))
+                elif func == PalFunc.GETTICKS:
+                    regs[0] = cycle
+                    ready[0] = issue + 1
+                else:
+                    raise MachineError(f"unknown PAL function {func:#x}")
+            else:
+                # Byte, longword and unaligned-quad accesses: memory
+                # class, no D-cache model.
+                __, ra, rb, disp = op
+                opr = ready[rb]
+                if kind == K_STL or kind == K_STB:
+                    if ready[ra] > opr:
+                        opr = ready[ra]
+                if slot_open and opr <= cycle and slot_class != 1:
+                    slot_open = False
+                    duals += 1
+                    issue = cycle
+                else:
+                    issue = cycle = cycle + 1 if opr <= cycle else opr
+                    slot_open = True
+                    slot_class = 1
+                addr = (regs[rb] + disp) & mask
+                if kind == K_LDL:
+                    value = load_q(addr & ~7)
+                    word = (value >> ((addr & 4) * 8)) & 0xFFFFFFFF
+                    regs[ra] = word | (~0xFFFFFFFF & mask if word >> 31 else 0)
+                    ready[ra] = issue + load_hit
+                elif kind == K_LDQ_U:
+                    regs[ra] = load_q(addr & ~7)
+                    ready[ra] = issue + load_hit
+                elif kind == K_LDBU:
+                    regs[ra] = self._load_byte(addr)
+                    ready[ra] = issue + load_hit
+                elif kind == K_STB:
+                    self._store_byte(addr, regs[ra])
+                elif kind == K_STL:
+                    self._store_long(addr, regs[ra])
+                else:
+                    raise MachineError(f"unhandled op kind {kind}")
+                regs[31] = ready[31] = 0
+
+            if cycle_counting:
+                cycle_counts[index] += cycle - prev_cycle
+                prev_cycle = cycle
+            index += 1
 
         st[0] = count
         st[2:] = cycle, slot_open, slot_class, imisses, dmisses, duals, prev_cycle

@@ -53,8 +53,8 @@ Structure:
   the head's ``_HOT_ENTRIES``-th visit builds its region.  Most code a
   single run reaches executes too rarely to pay back its translation:
   generating and compiling a timed word costs about as much time as
-  270 of its translated executions save.  The driver hands the
-  interpreter the run's quad views, so a visit costs the interpreter
+  270 of its translated executions save.  The run's quad views are
+  made once and passed to every interpreter call, so a visit costs the
   call and its words.  Every later run of the same program translates
   each head on first entry, so reruns, warm benchmarks and repeated
   served jobs run translated code, as before.
@@ -471,7 +471,12 @@ class _Emitter:
         self.tick = self.epoch = 0
         self.written: dict[int, tuple] = {}
         #: Cycles the path has added that the ``cycle`` local lacks yet
-        #: (taken-branch bubbles, cycles opened with no operand).
+        #: (taken-branch bubbles, cycles opened with no operand test).
+        #: Emitted code reads the current cycle only through
+        #: :meth:`_cycle`.  Where control may leave the path the offset
+        #: goes into the local (:meth:`_sync_issue`) or into ``st[2]``
+        #: (:meth:`_writeback`), and the local takes it before an issue
+        #: test, whose two arms would disagree on it.
         self.cyc_off = 0
         if self.opt:
             self._compute_liveness()
@@ -877,9 +882,11 @@ class _Emitter:
                 out.append(ind + line)
             out.append(f"{ind}return {t}")
 
-    def _cycle(self) -> str:
-        """The current cycle: the local plus the path's pending cycles."""
-        return f"cycle + {self.cyc_off}" if self.cyc_off else "cycle"
+    def _cycle(self, add: int = 0) -> str:
+        """The current cycle plus ``add``: the local plus the path's
+        pending cycles."""
+        n = self.cyc_off + add
+        return f"cycle + {n}" if n else "cycle"
 
     def _attr(self, out, ind, i) -> None:
         if self.cyc:
@@ -917,8 +924,10 @@ class _Emitter:
           predecessor's result opens a cycle.
 
         A word issues at the current cycle either way, so its body
-        reads that as its issue cycle.  ``taken``: the word always
-        branches, which closes the slot, so neither arm stores ``so``.
+        reads that as its issue cycle.  A cycle opened with no test adds
+        to the pending offset (``cyc_off``) instead of emitting a line.
+        ``taken``: the word always branches, which closes the slot, so
+        neither arm stores ``so``.
         """
         rs = []
         for r in opr_regs:
@@ -944,20 +953,22 @@ class _Emitter:
         conds = []
         if (self.slot_open is not False and self.prev_class != klass
                 and not blocked):
-            if self.slot_open is None:
-                conds.append("so")
-            if pair_rs:
-                conds.append("opr <= cycle")
-            if conds and self.cyc_off:
-                out.append(f"{ind}cycle += {self.cyc_off}")
-                self.cyc_off = 0
-            if self.prev_class is None:
-                conds.append(f"sc != {klass}")
-            if not conds:  # an open slot, a ready word: it pairs
+            if (self.slot_open and not pair_rs
+                    and self.prev_class is not None):
+                # An open slot, a ready word: it pairs.
                 out.append(f"{ind}du += 1")
                 self.slot_open, self.so_stale = False, True
                 self.prev_class = klass
                 return
+            if self.cyc_off:
+                out.append(f"{ind}cycle += {self.cyc_off}")
+                self.cyc_off = 0
+            if self.slot_open is None:
+                conds.append("so")
+            if pair_rs:
+                conds.append(f"opr <= {self._cycle()}")
+            if self.prev_class is None:
+                conds.append(f"sc != {klass}")
             open_rs = pair_rs
         if open_rs:
             if len(open_rs) == 1:
@@ -966,7 +977,7 @@ class _Emitter:
                 out.append(f"{ind}t0 = ready[{open_rs[0]}]")
                 out.append(f"{ind}t1 = ready[{open_rs[1]}]")
                 out.append(f"{ind}opr = t0 if t0 > t1 else t1")
-            opens = (f"cycle = cycle + {self.cyc_off + 1} "
+            opens = (f"cycle = {self._cycle(1)} "
                      f"if opr <= {self._cycle()} else opr")
         else:
             opens = "cycle += 1"
@@ -996,7 +1007,7 @@ class _Emitter:
 
     def _set_ready(self, out, ind, r, latency) -> None:
         """Record register ``r``'s result latency, issued now."""
-        out.append(f"{ind}ready[{r}] = cycle + {latency + self.cyc_off}")
+        out.append(f"{ind}ready[{r}] = {self._cycle(latency)}")
         self.written[r] = (self.tick, self.epoch, latency, latency)
 
     def _tag_test(self, out, ind, tags, slot, line, counter, stall) -> None:
@@ -1023,10 +1034,9 @@ class _Emitter:
                        ra is None)
         if ra is not None and ra != 31:
             miss = LOAD_LATENCY + CACHE_MISS_PENALTY
-            off = self.cyc_off
-            out.append(f"{ind}    ready[{ra}] = cycle + {miss + off}")
+            out.append(f"{ind}    ready[{ra}] = {self._cycle(miss)}")
             out.append(f"{ind}else:")
-            out.append(f"{ind}    ready[{ra}] = cycle + {LOAD_LATENCY + off}")
+            out.append(f"{ind}    ready[{ra}] = {self._cycle(LOAD_LATENCY)}")
             self.written[ra] = (self.tick, self.epoch, LOAD_LATENCY, miss)
 
     # -- per-instruction emission ------------------------------------------
@@ -1163,30 +1173,24 @@ class _Emitter:
         return None
 
     def _emit_quad_access(self, out, ind, rb, assign) -> None:
-        """Inline data/stack fast paths for an 8-byte access at ``addr``.
+        """Inline fast path for an 8-byte access at ``addr``.
 
         ``assign(view_expr)`` renders the access given a source/target
-        expression; unmapped or unaligned addresses fall back to the
+        expression.  Only the region the base register suggests is
+        probed inline (``_quad_regions``: the stack for ``sp``, the data
+        segment otherwise), which is where every quad access of the
+        benchsuite and ``dynamic-run`` programs lands.  Any other
+        address (the other region, unmapped or unaligned) takes the
         bounds-checked memory helper, which reproduces the interpreter's
-        exception behavior exactly.  The data image is whole quads
+        values and exceptions exactly.  The data image is whole quads
         (``Machine`` pads it), so the view covers every mapped quad.
         """
-        (v1, b1, l1), (v2, b2, l2) = self._quad_regions(rb)
-        out.append(f"{ind}o = addr - {b1}")
-        out.append(f"{ind}if {self._quad_guard(l1)}:")
-        out.append(f"{ind}    {assign(f'{v1}[o >> 3]')}")
+        (view, base, length), __ = self._quad_regions(rb)
+        out.append(f"{ind}o = addr - {base}")
+        out.append(f"{ind}if {self._quad_guard(length)}:")
+        out.append(f"{ind}    {assign(f'{view}[o >> 3]')}")
         out.append(f"{ind}else:")
-        if self.timed:
-            # A timed region is translated on a program's first run,
-            # where source size is time: a wrong guess by base register
-            # (rare) takes the helper instead of a second inline probe.
-            out.append(f"{ind}    {assign(None)}")
-            return
-        out.append(f"{ind}    o = addr - {b2}")
-        out.append(f"{ind}    if {self._quad_guard(l2)}:")
-        out.append(f"{ind}        {assign(f'{v2}[o >> 3]')}")
-        out.append(f"{ind}    else:")
-        out.append(f"{ind}        {assign(None)}")
+        out.append(f"{ind}    {assign(None)}")
 
     def _k2(self, out, ind, s, i, op):  # K_LDQ
         __, ra, rb, disp = op
@@ -2124,7 +2128,7 @@ class JitMachine(Machine):
         limit = st[1]
         out: list[str] = []
         # One pair of quad views serves the whole run: the regions and
-        # every interpreter call, which would otherwise make its own.
+        # every interpreter call.
         views = self._quad_views()
         qd, qs = views
         mem = (self._load_q, self._store_q, self._load_byte,

@@ -27,7 +27,7 @@ certificate skipped runs anyway, and a change in it raises
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from repro.linker.executable import Executable
 from repro.linker.layout import DEFAULT_GAT_CAPACITY, LayoutOptions, compute_layout
@@ -130,15 +130,25 @@ def om_link(
     partitioned = options.partitions > 1 and level is not OMLevel.NONE
     pgo = level is OMLevel.FULL and options.layout
 
+    # The rounds lay out exactly as the finish will (a PGO plan adds its
+    # symbol weights below).
+    layout_options = (
+        LayoutOptions()
+        if level is OMLevel.NONE
+        else LayoutOptions(
+            gat_capacity=options.gat_capacity,
+            sort_commons=options.sort_commons,
+        )
+    )
     # Baseline measurements use the standard linker's view.  Round 0
-    # lays out the program as given, and with the default GAT capacity
-    # and no procedure reordering its text end and GAT groups are the
-    # standard linker's (COMMON sorting moves only data), so such a
-    # link reads them off round 0's layout instead of a layout of its
-    # own.
+    # lays out the program as given, and when its options differ from
+    # the standard linker's only in COMMON sorting, which moves only
+    # data, its text end and GAT groups are the standard linker's: such
+    # a link reads them off round 0's layout instead of a layout of its
+    # own.  A PGO link reorders procedures before round 0.
     baseline_layout = None
     if (level is OMLevel.NONE or pgo
-            or options.gat_capacity != DEFAULT_GAT_CAPACITY):
+            or replace(layout_options, sort_commons=False) != LayoutOptions()):
         baseline_layout = compute_layout(inputs, LayoutOptions())
     modules = before = None
     if pgo or not partitioned:
@@ -162,6 +172,10 @@ def om_link(
                 modules, profile=profile, entry=options.entry, trace=trace
             )
             modules = apply_plan(modules, plan, trace=trace)
+        if plan.symbol_weights:
+            layout_options = replace(
+                layout_options, symbol_weights=plan.symbol_weights
+            )
 
     relax_options = None
     if options.relax and level is not OMLevel.NONE:
@@ -178,16 +192,6 @@ def om_link(
             max_iterations=options.relax_max_iterations,
         )
 
-    # The rounds lay out exactly as the finish will.
-    layout_options = (
-        LayoutOptions()
-        if level is OMLevel.NONE
-        else LayoutOptions(
-            gat_capacity=options.gat_capacity,
-            sort_commons=options.sort_commons,
-            symbol_weights=(plan.symbol_weights or None) if plan else None,
-        )
-    )
     counters = PassCounters()
     # The relaxation statistics describe the last round's fixpoint.
     relax_iterations = relax_demoted = 0

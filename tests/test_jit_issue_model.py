@@ -6,9 +6,11 @@ pairing closed, an operand written a known number of cycles ago.  These
 programs put every such answer on both sides: each (previous class,
 class) pair of integer, memory and control words after a paired and an
 opening predecessor, the first word behind a taken branch, words behind
-I- and D-cache misses, operand stalls, tree heads entered from another
-arm and from the interpreter with the slot open and closed, and a
-``getticks`` between the cases, whose cycle count the output prints.
+I- and D-cache misses, operand stalls (among them a load that opens a
+cycle behind a taken branch and feeds the next word), tree heads
+entered from another arm and from the interpreter with the slot open
+and closed, and a ``getticks`` between the cases, whose cycle count the
+output prints.
 
 Each program runs on the interpreter and on the JIT, translating each
 head on first entry (``_HOT_ENTRIES = 1``) and tiered, plain and
@@ -104,6 +106,12 @@ def _taken_body() -> _Body:
         body.raw(f"join{n}:")
         body.word(klass)
         body.word(CLASSES[n - 2])
+        body.ticks()
+        # A load behind a taken branch, off a base written on the path,
+        # opens a cycle with no test: its result's ready cycle counts
+        # the bubble and that cycle, and the next word waits for it.
+        body.raw("lda $r21, -40($sp)", f"br $r31, use{n}", "nop",
+                 f"use{n}:", "ldq $r5, 0($r21)", "addq $r5, 1, $r6")
         body.ticks()
     return body
 

@@ -302,13 +302,14 @@ def test_probe_rule_on_a_resumed_run(name, shift, libmc):
             regs, st, index = machine._initial_state()
             out = []
             ready, itags, dtags = [0] * 32, [-1] * _IN_LINES, [-1] * _DN_LINES
+            views = machine._quad_views()
             index = machine._loop_timed(regs, st, out, index, None, None,
-                                        ready, itags, dtags, stop)
+                                        ready, itags, dtags, stop, views)
             assert st[0] == stop
             if evict:
                 itags[:] = [-1] * _IN_LINES
             machine._loop_timed(regs, st, out, index, None, None, ready,
-                                itags, dtags, st[1])
+                                itags, dtags, st[1], views)
             if evict:
                 sums[0] += st[2]
                 sums[1] += st[5]
