@@ -30,6 +30,8 @@ import dataclasses
 import random
 from dataclasses import dataclass
 
+from repro.isa.ranges import GP_WINDOW
+
 #: Reserved loop counters, one per nesting depth; the statement
 #: generator never assigns them, so constant-bound loops always finish.
 _COUNTERS = ("i", "j", "k")
@@ -37,8 +39,9 @@ _COUNTERS = ("i", "j", "k")
 #: Bytes per MiniC ``int`` (the 64-bit architecture of the paper).
 WORD = 8
 
-#: The GP-relative displacement window: one signed 16-bit offset.
-GAT_WINDOW_BYTES = 1 << 15
+#: The words from GP to the end of its window, the size around which
+#: big commons straddle it.
+_WINDOW_WORDS = (GP_WINDOW.hi + 1) // WORD
 
 
 class ProgramGen:
@@ -267,9 +270,7 @@ class RichProgramGen:
             # One array whose byte size lands right on the 16-bit
             # displacement window, plus mid-size commons so the sorted
             # placement crosses the boundary inside the run of arrays.
-            straddle = rng.randint(
-                GAT_WINDOW_BYTES // WORD - 6, GAT_WINDOW_BYTES // WORD + 6
-            )
+            straddle = rng.randint(_WINDOW_WORDS - 6, _WINDOW_WORDS + 6)
             self.globals.append(_Global(f"big{home}_0", home, straddle, None))
             self.globals.append(
                 _Global(f"big{home}_1", home, rng.randint(256, 1024), None)
@@ -688,9 +689,7 @@ class RichDecafGen:
             self.globals.append(_Global(f"da{m}_0", m, rng.choice([8, 16]), None))
         if cfg.big_commons:
             home = self.ndecaf - 1
-            straddle = rng.randint(
-                GAT_WINDOW_BYTES // WORD - 6, GAT_WINDOW_BYTES // WORD + 6
-            )
+            straddle = rng.randint(_WINDOW_WORDS - 6, _WINDOW_WORDS + 6)
             self.globals.append(_Global(f"dbig{home}_0", home, straddle, None))
             self.globals.append(
                 _Global(f"dbig{home}_1", home, rng.randint(256, 1024), None)
@@ -1202,7 +1201,7 @@ def generate_gp_window_program(filler: int = 994) -> GeneratedProgram:
     prints ``use(target)``; eight ``filler``-word COMMONs ``f0``..``f7``
     sit between them and the 4000-word ``target``, which OM's size sort
     places last.  With 994 to about 1008 words of filler, round 0's
-    layout puts ``target`` just past GP+32767, so its escaped address
+    layout puts ``target`` just past the GP window, so its escaped address
     load stays in the GAT.  Round 0 nullifies the scalars' loads; the
     smaller GAT brings ``target`` into the window, and only round 1
     converts its load.

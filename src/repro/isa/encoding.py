@@ -12,12 +12,18 @@ import struct
 
 from repro.isa.instruction import Instruction
 from repro.isa.opcodes import OPS, Format, Op
+from repro.isa.ranges import (
+    BRANCH_DISP, JUMP_HINT, MEM_DISP, OPERATE_LIT, PAL_FUNC, Field,
+)
 
 
 class EncodingError(ValueError):
     """Raised for malformed instructions or undecodable words."""
 
 
+# The decoder reads the field widths from these, not from the range
+# table the encoder checks against, so a wrong table entry shows up
+# as an encode/decode divergence.
 _MASK16 = 0xFFFF
 _MASK21 = 0x1FFFFF
 
@@ -40,23 +46,17 @@ _PAL = Format.PAL
 _JUMP_OPCODE = 0x1A
 
 
-def _field_range(bits: int, *, signed: bool) -> tuple[int, int]:
-    """The lowest and highest value a ``bits``-wide field holds."""
-    if signed:
-        return -(1 << (bits - 1)), (1 << (bits - 1)) - 1
-    return 0, (1 << bits) - 1
+_DISP_LO, _DISP_HI, _DISP_MASK = MEM_DISP.lo, MEM_DISP.hi, MEM_DISP.mask
+_BRANCH_LO, _BRANCH_HI, _BRANCH_MASK = BRANCH_DISP.lo, BRANCH_DISP.hi, BRANCH_DISP.mask
+_HINT_LO, _HINT_HI = JUMP_HINT.lo, JUMP_HINT.hi
+_LIT_LO, _LIT_HI = OPERATE_LIT.lo, OPERATE_LIT.hi
+_PAL_LO, _PAL_HI = PAL_FUNC.lo, PAL_FUNC.hi
 
 
-_DISP16_LO, _DISP16_HI = _field_range(16, signed=True)
-_DISP21_LO, _DISP21_HI = _field_range(21, signed=True)
-_HINT_HI = _field_range(14, signed=False)[1]
-_LIT_HI = _field_range(8, signed=False)[1]
-_PAL_HI = _field_range(26, signed=False)[1]
-
-
-def _range_error(value: int, bits: int, what: str, *, signed: bool) -> EncodingError:
-    lo, hi = _field_range(bits, signed=signed)
-    return EncodingError(f"{what} {value} out of {bits}-bit range [{lo}, {hi}]")
+def _range_error(value: int, field: Field, what: str) -> EncodingError:
+    return EncodingError(
+        f"{what} {value} out of {field.bits}-bit range [{field.lo}, {field.hi}]"
+    )
 
 
 def encode(instr: Instruction) -> int:
@@ -66,31 +66,31 @@ def encode(instr: Instruction) -> int:
     fmt = op.format
     if fmt is _MEMORY:
         disp = instr.disp
-        if not _DISP16_LO <= disp <= _DISP16_HI:
-            raise _range_error(disp, 16, f"{op.name} displacement", signed=True)
-        return word | (instr.ra << 21) | (instr.rb << 16) | (disp & _MASK16)
+        if not _DISP_LO <= disp <= _DISP_HI:
+            raise _range_error(disp, MEM_DISP, f"{op.name} displacement")
+        return word | (instr.ra << 21) | (instr.rb << 16) | (disp & _DISP_MASK)
     if fmt is _OPERATE:
         word |= (instr.ra << 21) | (op.func << 5) | instr.rc
         lit = instr.lit
         if lit is not None:
-            if not 0 <= lit <= _LIT_HI:
-                raise _range_error(lit, 8, f"{op.name} literal", signed=False)
+            if not _LIT_LO <= lit <= _LIT_HI:
+                raise _range_error(lit, OPERATE_LIT, f"{op.name} literal")
             return word | (lit << 13) | (1 << 12)
         return word | (instr.rb << 16)
     if fmt is _BRANCH:
         disp = instr.disp
-        if not _DISP21_LO <= disp <= _DISP21_HI:
-            raise _range_error(disp, 21, f"{op.name} displacement", signed=True)
-        return word | (instr.ra << 21) | (disp & _MASK21)
+        if not _BRANCH_LO <= disp <= _BRANCH_HI:
+            raise _range_error(disp, BRANCH_DISP, f"{op.name} displacement")
+        return word | (instr.ra << 21) | (disp & _BRANCH_MASK)
     if fmt is _MEMORY_JUMP:
         disp = instr.disp
-        if not 0 <= disp <= _HINT_HI:
-            raise _range_error(disp, 14, f"{op.name} hint", signed=False)
+        if not _HINT_LO <= disp <= _HINT_HI:
+            raise _range_error(disp, JUMP_HINT, f"{op.name} hint")
         return word | (instr.ra << 21) | (instr.rb << 16) | (op.func << 14) | disp
     if fmt is _PAL:
         disp = instr.disp
-        if not 0 <= disp <= _PAL_HI:
-            raise _range_error(disp, 26, "PAL function", signed=False)
+        if not _PAL_LO <= disp <= _PAL_HI:
+            raise _range_error(disp, PAL_FUNC, "PAL function")
         return word | disp
     raise EncodingError(f"unencodable format {fmt}")  # pragma: no cover
 

@@ -35,6 +35,7 @@ import re
 from repro.isa.asm import Assembler
 from repro.isa.instruction import Instruction
 from repro.isa.opcodes import OPS, Format, PalFunc
+from repro.isa.ranges import OPERATE_LIT
 from repro.isa.registers import Reg
 from repro.objfile.objfile import ObjectFile
 from repro.objfile.relocations import LituseKind
@@ -299,7 +300,7 @@ class TextAssembler:
             )
         else:
             value = _parse_int(second, self.line)
-            if not 0 <= value <= 255:
+            if not OPERATE_LIT.holds(value):
                 raise self.error(f"operate literal {value} out of range")
             self.asm.emit(Instruction.opr(op.name, ra, value, rc, lit=True))
 

@@ -19,27 +19,17 @@ from repro.layout.callgraph import (
 )
 from repro.layout.hotdata import escaped_symbol_weights
 from repro.layout.plan import LayoutPlan, apply_plan, plan_layout
-from repro.layout.relax import (
-    BSR_RANGE_WORDS,
-    RelaxCandidate,
-    RelaxOptions,
-    RelaxResult,
-    bsr_disp_in_range,
-    relax_call_sites,
-)
+from repro.layout.relax import RelaxCandidate, RelaxResult, relax_call_sites
 from repro.layout.reorder import apply_order, may_move, pettis_hansen_order
 
 __all__ = [
-    "BSR_RANGE_WORDS",
     "CallGraph",
     "CallSite",
     "LayoutPlan",
     "RelaxCandidate",
-    "RelaxOptions",
     "RelaxResult",
     "apply_order",
     "apply_plan",
-    "bsr_disp_in_range",
     "build_call_graph",
     "edge_weights",
     "escaped_symbol_weights",

@@ -22,18 +22,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from repro.isa.ranges import DEFAULT_GAT_CAPACITY, GP_BIAS, gp_reaches
 from repro.linker.executable import DATA_BASE, TEXT_BASE
 from repro.linker.resolve import LinkError, ResolvedInputs
 from repro.objfile.relocations import RelocType
 from repro.objfile.sections import SectionKind
 from repro.objfile.symbols import Binding
-
-#: Maximum GAT slots addressable from one GP with a 16-bit displacement.
-DEFAULT_GAT_CAPACITY = 8190
-
-#: Conventional GP bias: GP sits 32752 bytes past the group start so the
-#: 16-bit displacement covers the group and data just beyond it.
-GP_BIAS = 32752
 
 LiteralKey = tuple  # ("g", name, addend) | ("l", module_index, name, addend)
 
@@ -264,18 +258,17 @@ def _window_cost(
     gp: int,
     weights: dict[str, float],
 ) -> float:
-    """Escaped heat landing outside the direct 16-bit GP window.
+    """Escaped heat landing outside the direct GP window.
 
     Simulates the placement loop and charges each symbol its weight
     when its base address cannot be materialized with a single
-    GP-relative ``lda`` (the window of ``gprel_direct_in_range``).
+    GP-relative ``lda`` (:func:`repro.isa.ranges.gp_reaches`).
     """
     cursor = start
     cost = 0.0
     for name, (size, align) in order:
         cursor = _align(cursor, align)
-        d = cursor - gp
-        if not -32752 <= d <= 32767:
+        if not gp_reaches(cursor - gp):
             cost += weights.get(name, 0.0)
         cursor += size
     return cost

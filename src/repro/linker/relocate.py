@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from repro.isa.ranges import BRANCH_DISP, JUMP_HINT, MEM_DISP, shared_high, split_hi_lo
 from repro.linker.executable import Executable, ProcEntry, Segment
 from repro.linker.layout import Layout
 from repro.linker.resolve import LinkError, ResolvedInputs
@@ -103,33 +104,17 @@ def _write_word(image: bytearray, offset: int, word: int) -> None:
     image[offset : offset + 4] = (word & 0xFFFFFFFF).to_bytes(4, "little")
 
 
+_DISP_LO, _DISP_HI, _DISP_MASK = MEM_DISP.lo, MEM_DISP.hi, MEM_DISP.mask
+_DISP_BITS = MEM_DISP.bits
+_BRANCH_LO, _BRANCH_HI, _BRANCH_MASK = BRANCH_DISP.lo, BRANCH_DISP.hi, BRANCH_DISP.mask
+_HINT_MASK = JUMP_HINT.mask
+
+
 def _patch_disp16(image: bytearray, offset: int, disp: int, what: str) -> None:
-    if not -32768 <= disp <= 32767:
-        raise LinkError(f"{what}: displacement {disp} exceeds 16 bits")
+    if not _DISP_LO <= disp <= _DISP_HI:
+        raise LinkError(f"{what}: displacement {disp} exceeds {_DISP_BITS} bits")
     word = _read_word(image, offset)
-    _write_word(image, offset, (word & ~0xFFFF) | (disp & 0xFFFF))
-
-
-def _split_hi_lo(value: int) -> tuple[int, int]:
-    lo = ((value & 0xFFFF) ^ 0x8000) - 0x8000
-    hi = (value - lo) >> 16
-    return hi, lo
-
-
-def pick_gprel_high(disps: list[int]) -> int:
-    """The shared ``ldah`` constant for one GAT-split gprel group.
-
-    Picks the smallest ``hi`` whose signed 16-bit low window
-    ``[hi<<16 - 32768, hi<<16 + 32767]`` covers the largest
-    displacement, then requires the smallest displacement to fit the
-    same window.  Raises ValueError when no single ``hi`` covers the
-    group — note this can happen even for tiny spans that straddle a
-    window boundary.
-    """
-    hi = (max(disps) - 32767 + 65535) >> 16
-    if min(disps) - (hi << 16) < -32768:
-        raise ValueError("gprel group spans more than one ldah window")
-    return hi
+    _write_word(image, offset, (word & ~_DISP_MASK) | (disp & _DISP_MASK))
 
 
 def _apply_module_relocs(
@@ -162,7 +147,7 @@ def _apply_module_relocs(
         if not disps:
             disps = [layout.symbol_addr(index, highs[0].symbol) + highs[0].addend - gp]
         try:
-            hi = pick_gprel_high(disps)
+            hi = shared_high(disps)
         except ValueError:
             raise LinkError(
                 f"{module.name}: gprel group {group_id} spans more than 64KB"
@@ -172,7 +157,7 @@ def _apply_module_relocs(
                           f"{module.name} gprelhigh")
         for reloc, disp in zip(lows, disps):
             _patch_disp16(text, module_text - text_base + reloc.offset,
-                          disp - (hi << 16), f"{module.name} gprellow")
+                          disp - (hi << _DISP_BITS), f"{module.name} gprellow")
 
     for reloc in module.relocations:
         if reloc.type in (
@@ -202,32 +187,22 @@ def _apply_module_relocs(
                           what=f"{module.name} gprel16 {reloc.symbol}")
         elif reloc.type is RelocType.GPDISP:
             base_vaddr = module_text + reloc.extra
-            hi, lo = _split_hi_lo(gp - base_vaddr)
-            if not -32768 <= hi <= 32767:
-                raise LinkError(f"{module.name}: GP displacement out of range")
+            hi, lo = split_hi_lo(gp - base_vaddr)
             _patch_disp16(text, offset, hi, f"{module.name} gpdisp hi")
             _patch_disp16(text, offset + reloc.addend, lo, f"{module.name} gpdisp lo")
         elif reloc.type is RelocType.BRADDR:
             target = layout.symbol_addr(index, reloc.symbol) + reloc.addend
             disp = (target - (vaddr + 4)) >> 2
-            if not -(1 << 20) <= disp < (1 << 20):
+            if not _BRANCH_LO <= disp <= _BRANCH_HI:
                 raise LinkError(
                     f"{module.name}: branch to {reloc.symbol} out of range"
                 )
             word = _read_word(text, offset)
-            _write_word(text, offset, (word & ~0x1FFFFF) | (disp & 0x1FFFFF))
+            _write_word(text, offset, (word & ~_BRANCH_MASK) | (disp & _BRANCH_MASK))
         elif reloc.type is RelocType.HINT:
             target = layout.symbol_addr(index, reloc.symbol)
             word = _read_word(text, offset)
-            hint = (target >> 2) & 0x3FFF
-            _write_word(text, offset, (word & ~0x3FFF) | hint)
+            hint = (target >> 2) & _HINT_MASK
+            _write_word(text, offset, (word & ~_HINT_MASK) | hint)
         else:  # pragma: no cover
             raise LinkError(f"unknown relocation type {reloc.type}")
-
-
-def symbol_or_common_addr(layout: Layout, name: str) -> int:
-    """Address of a global or COMMON symbol (helper for tools)."""
-    symbols = layout.global_symbols()
-    if name not in symbols:
-        raise LinkError(f"unknown symbol {name!r}")
-    return symbols[name]

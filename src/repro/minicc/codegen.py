@@ -27,6 +27,7 @@ from dataclasses import dataclass, field
 
 from repro.isa.instruction import Instruction
 from repro.isa.opcodes import PalFunc
+from repro.isa.ranges import MEM_DISP, split_hi_lo
 from repro.isa.registers import Reg
 from repro.minicc import ir
 from repro.minicc.errors import CompileError
@@ -42,6 +43,7 @@ _SCRATCH1 = Reg.AT
 _SCRATCH2 = Reg.T11
 _S_POOL = (Reg.S0, Reg.S1, Reg.S2, Reg.S3, Reg.S4, Reg.S5)
 _ARG_REGS = (Reg.A0, Reg.A1, Reg.A2, Reg.A3, Reg.A4, Reg.A5)
+_DISP_LO, _DISP_HI = MEM_DISP.lo, MEM_DISP.hi
 
 _BIN_TO_OP = {
     "add": "addq",
@@ -524,18 +526,17 @@ class ProcCodegen:
         clear, so ``upper<<16 + lo == value`` exactly; the upper part
         recurses (at most three levels for a 64-bit value).
         """
-        if -32768 <= value <= 32767:
+        if _DISP_LO <= value <= _DISP_HI:
             self.emit(Instruction.mem("lda", dst, Reg.ZERO, value))
             return
-        low = ((value & 0xFFFF) ^ 0x8000) - 0x8000
-        upper = (value - low) >> 16
-        if -32768 <= upper <= 32767:
+        upper, low = split_hi_lo(value)
+        if _DISP_LO <= upper <= _DISP_HI:
             self.emit(Instruction.mem("ldah", dst, Reg.ZERO, upper))
             if low:
                 self.emit(Instruction.mem("lda", dst, dst, low))
             return
         self._materialize(dst, upper)
-        self.emit(Instruction.opr("sll", dst, 16, dst, lit=True))
+        self.emit(Instruction.opr("sll", dst, MEM_DISP.bits, dst, lit=True))
         if low:
             self.emit(Instruction.mem("lda", dst, dst, low))
 

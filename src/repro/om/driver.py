@@ -29,8 +29,9 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field, replace
 
+from repro.isa.ranges import BRANCH_REACH_WORDS, DEFAULT_GAT_CAPACITY
 from repro.linker.executable import Executable
-from repro.linker.layout import DEFAULT_GAT_CAPACITY, LayoutOptions, compute_layout
+from repro.linker.layout import LayoutOptions, compute_layout
 from repro.linker.relocate import build_executable
 from repro.linker.resolve import resolve_inputs
 from repro.obs.trace import TraceLog, span_or_null
@@ -73,9 +74,7 @@ class OMOptions:
     # -- layout subsystem (repro.layout): the closed PGO loop ---------
     layout: bool = False  # Pettis-Hansen reordering + hot COMMONs (FULL)
     relax: bool = False  # optimistic jsr->bsr span-dependent relaxation
-    relax_slack: int = 0  # extra modelled-growth headroom, bytes
-    relax_max_iterations: int = 64  # fixpoint ceiling (backstop)
-    bsr_range_words: int = 1 << 20  # 21-bit word displacement reach
+    bsr_range_words: int = BRANCH_REACH_WORDS  # bsr reach, words each way
     # -- partitioned whole-program optimization (repro.wpo) -----------
     partitions: int = 0  # >1: shard the transform rounds (byte-identical)
 
@@ -177,20 +176,11 @@ def om_link(
                 layout_options, symbol_weights=plan.symbol_weights
             )
 
-    relax_options = None
+    relax_slack = None
     if options.relax and level is not OMLevel.NONE:
-        from repro.layout.relax import RelaxOptions
-
         # Rescheduling (alignment padding) and the escaped 2-for-1
         # ablation can grow code after the decisions; reserve headroom.
-        slack = options.relax_slack + (
-            32768 if (options.schedule or options.convert_escaped) else 0
-        )
-        relax_options = RelaxOptions(
-            range_words=options.bsr_range_words,
-            slack=slack,
-            max_iterations=options.relax_max_iterations,
-        )
+        relax_slack = 32768 if (options.schedule or options.convert_escaped) else 0
 
     counters = PassCounters()
     # The relaxation statistics describe the last round's fixpoint.
@@ -210,7 +200,7 @@ def om_link(
                     modules,
                     level=level,
                     options=options,
-                    relax_options=relax_options,
+                    relax_slack=relax_slack,
                     layout_options=layout_options,
                     max_rounds=max_rounds,
                     cache=cache,
@@ -238,7 +228,7 @@ def om_link(
                         convert_escaped=options.convert_escaped,
                         trace=trace,
                         round_index=round_index,
-                        relax=relax_options,
+                        relax_slack=relax_slack,
                         bsr_range_words=options.bsr_range_words,
                     )
                     counters.merge(transformer.run())
@@ -253,7 +243,7 @@ def om_link(
                 max_rounds=max_rounds,
                 lay_out=lambda: lay_out(modules, layout_options),
                 full=level is OMLevel.FULL,
-                relax=relax_options,
+                relax_slack=relax_slack,
                 bsr_range_words=options.bsr_range_words,
                 trace=trace,
             )
@@ -267,7 +257,8 @@ def om_link(
             modules = wpo.members.build_all()
         if options.verify and rounds.certified:
             _run_skipped_round(
-                modules, rounds, level=level, options=options, relax=relax_options
+                modules, rounds, level=level, options=options,
+                relax_slack=relax_slack,
             )
 
     if level is OMLevel.FULL and options.remove_dead_procs:
@@ -353,7 +344,8 @@ def om_link(
 
 
 def _run_skipped_round(
-    modules: list, rounds, *, level: OMLevel, options: OMOptions, relax
+    modules: list, rounds, *, level: OMLevel, options: OMOptions,
+    relax_slack: int | None,
 ) -> None:
     """Run the round the convergence certificate skipped, untraced and
     uncounted; raise ``VerificationError`` if it changes anything."""
@@ -364,7 +356,7 @@ def _run_skipped_round(
         full=level is OMLevel.FULL,
         convert_escaped=options.convert_escaped,
         round_index=rounds.rounds,
-        relax=relax,
+        relax_slack=relax_slack,
         bsr_range_words=options.bsr_range_words,
     )
     counters = skipped.run()

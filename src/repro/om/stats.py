@@ -154,8 +154,8 @@ class OMStats:
     text_bytes_after: int = 0
     # Layout subsystem telemetry (zero unless the PGO knobs are on).
     procs_moved: int = 0  # procedures repositioned by Pettis-Hansen
-    relax_iterations: int = 0  # fixpoint passes, summed over rounds
-    relax_demoted: int = 0  # optimistic bsr sites demoted back to jsr
+    relax_iterations: int = 0  # the last round's fixpoint passes
+    relax_demoted: int = 0  # its optimistic bsr sites demoted to jsr
 
     # -- the paper's derived fractions ------------------------------------
 

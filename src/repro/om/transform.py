@@ -32,6 +32,9 @@ from dataclasses import dataclass, field
 
 from repro.isa.instruction import Instruction
 from repro.isa.opcodes import OPS
+from repro.isa.ranges import (
+    BRANCH_REACH_WORDS, bsr_reaches, gp_reaches, gp_rebases, shares_one_high,
+)
 from repro.isa.registers import Reg
 from repro.linker.layout import Layout, LayoutOptions, compute_layout
 from repro.linker.resolve import LinkError, resolve_inputs
@@ -46,45 +49,6 @@ from repro.om.symbolic import (
     layout_object,
     place_module,
 )
-
-
-# -- 16-bit GP-displacement windows --------------------------------------------
-#
-# The GAT starts at GP - 32752 (layout.GP_BIAS) and GAT reduction only
-# moves data down *toward* that floor, so -32752 is a structural lower
-# bound that later rounds cannot violate; the upper bound is the signed
-# 16-bit displacement limit of lda/ldq.  These predicates are the exact
-# boundary conditions of the paper's conversion/nullification legality.
-
-
-def gprel_nullify_in_range(d: int, offsets: list[int]) -> bool:
-    """May every use of an address load be rebased directly onto GP?
-
-    ``d`` is the symbol's displacement from GP, ``offsets`` the use
-    instructions' own displacements (which fold into the rebased form).
-    """
-    return (
-        -32752 <= d
-        and all(0 <= off for off in offsets)
-        and all(d + off <= 32767 for off in offsets)
-    )
-
-
-def gprel_direct_in_range(d: int) -> bool:
-    """May an escaped literal be materialized with a single ``lda``?"""
-    return -32752 <= d <= 32767
-
-
-def gprel_split_in_range(targets: list[int]) -> bool:
-    """May one shared ``ldah`` cover every target displacement?"""
-    return max(targets) - min(targets) < 32768
-
-
-def bsr_in_range(caller_addr: int, callee_addr: int, range_words: int) -> bool:
-    """OM's one-shot ``jsr`` -> ``bsr`` range check: the 21-bit word
-    displacement (``range_words`` words each way) less 64KB of slack
-    for the code motion the decision cannot see."""
-    return abs(callee_addr - caller_addr) < 4 * range_words - (1 << 16)
 
 
 @dataclass
@@ -313,8 +277,8 @@ class Transformer:
         convert_escaped: bool = False,
         trace: TraceLog | None = None,
         round_index: int = 0,
-        relax=None,
-        bsr_range_words: int = 1 << 20,
+        relax_slack: int | None = None,
+        bsr_range_words: int = BRANCH_REACH_WORDS,
     ):
         self.prog = prog
         self.full = full
@@ -327,10 +291,10 @@ class Transformer:
         self.changed = False
         self.trace = trace
         self.round_index = round_index
-        #: Optional :class:`repro.layout.relax.RelaxOptions`.  When set,
+        #: Bytes of modelled-growth headroom, or ``None``.  When set,
         #: the calls pass defers its range decision to the span-
         #: dependent relaxation fixpoint instead of the one-shot check.
-        self.relax = relax
+        self.relax_slack = relax_slack
         self.bsr_range_words = bsr_range_words
         self.relax_result = None
         #: One tuple per candidate this round declined because of the
@@ -414,7 +378,7 @@ class Transformer:
             for index, module in enumerate(self.prog.modules):
                 for proc in module.procs:
                     self._canonicalize_gp_pairs(index, proc)
-        if relax and self.relax is not None:
+        if relax and self.relax_slack is not None:
             # After canonicalization, so the candidate shapes (entry
             # pair at top, hence retarget + PV-load deletion) match
             # exactly what the calls pass will see.
@@ -472,9 +436,8 @@ class Transformer:
             self.prog.modules,
             candidates,
             text_base=self.prog.layout.options.text_base,
-            range_words=self.relax.range_words,
-            slack=self.relax.slack,
-            max_iterations=self.relax.max_iterations,
+            range_words=self.bsr_range_words,
+            slack=self.relax_slack,
             trace=trace,
             round_index=self.round_index,
         )
@@ -711,7 +674,7 @@ class Transformer:
             callee_addr = self.prog.addr(callee_module, callee)
         except LinkError:
             return False
-        if bsr_in_range(caller_addr, callee_addr, self.bsr_range_words):
+        if bsr_reaches(caller_addr, callee_addr, self.bsr_range_words):
             return True
         self.facts.append(("bsr", caller_module, caller, callee_module, callee))
         return False
@@ -805,7 +768,7 @@ class Transformer:
                     self.counters.loads_nullified += 1
                     self.changed = True
                     continue
-                if gprel_nullify_in_range(d, offsets):
+                if gp_rebases(d, offsets):
                     # Nullify: every use is rebased directly onto GP.
                     for use, off in zip(uses, offsets):
                         before = use.instr
@@ -835,7 +798,7 @@ class Transformer:
                     self.counters.loads_nullified += 1
                     self.changed = True
                     continue
-                if gprel_split_in_range([addend + off for off in offsets]):
+                if shares_one_high(offsets):
                     # Convert to LDAH; uses get the low halves.  The
                     # group id only has to be unique within the module
                     # (relocation matches high/low parts per module);
@@ -888,7 +851,7 @@ class Transformer:
                 continue
 
             # Escaped literal: the register must hold the exact address.
-            if gprel_direct_in_range(d):
+            if gp_reaches(d):
                 dst = item.instr.ra
                 before = item.instr
                 item_pc = self._item_pc(module_index, proc, item)
@@ -1101,10 +1064,10 @@ def dead_entry_setups(
 #: Why a round declined a candidate because of the layout: the first
 #: field of every layout fact a :class:`Transformer` records.
 #:
-#: * ``escaped`` — an escaped literal outside ``gprel_direct_in_range``;
+#: * ``escaped`` — an escaped literal outside :func:`gp_reaches`;
 #: * ``nullify`` — a load neither nullified nor split (the split
 #:   depends on its uses alone, so only the GP window can take it);
-#: * ``bsr`` — a direct call that failed :func:`bsr_in_range`;
+#: * ``bsr`` — a direct call that failed :func:`bsr_reaches`;
 #: * ``relax`` — a direct call the relaxation fixpoint demoted;
 #: * ``reset`` — a GP reset kept after an indirect ``jsr`` because the
 #:   layout has more than one GAT group;
@@ -1131,8 +1094,8 @@ def flipped_facts(
     facts: list[tuple],
     *,
     full: bool,
-    relax=None,
-    bsr_range_words: int = 1 << 20,
+    relax_slack: int | None = None,
+    bsr_range_words: int = BRANCH_REACH_WORDS,
 ) -> list[tuple]:
     """The layout facts of a round that ``prog.layout``, the layout after
     it, flips: the declined candidates the next round would take.
@@ -1143,7 +1106,7 @@ def flipped_facts(
     left, and the next round's fixpoint runs over exactly those.
     """
     checker = Transformer(
-        prog, full=full, relax=relax, bsr_range_words=bsr_range_words
+        prog, full=full, relax_slack=relax_slack, bsr_range_words=bsr_range_words
     )
     flipped: list[tuple] = []
     demoted = False
@@ -1166,9 +1129,9 @@ def flipped_facts(
             except LinkError:
                 continue
             if (
-                gprel_direct_in_range(d)
+                gp_reaches(d)
                 if reason == "escaped"
-                else gprel_nullify_in_range(d, fact[4])
+                else gp_rebases(d, fact[4])
             ):
                 flipped.append(fact)
     if demoted:
@@ -1216,8 +1179,8 @@ def run_rounds(
     max_rounds: int,
     lay_out,
     full: bool,
-    relax=None,
-    bsr_range_words: int = 1 << 20,
+    relax_slack: int | None = None,
+    bsr_range_words: int = BRANCH_REACH_WORDS,
     trace: TraceLog | None = None,
 ) -> Rounds:
     """Run ``run_round(round_index, layout)`` until the program converges.
@@ -1248,7 +1211,7 @@ def run_rounds(
             Program(modules, layout),
             facts,
             full=full,
-            relax=relax,
+            relax_slack=relax_slack,
             bsr_range_words=bsr_range_words,
         )
         if trace is not None:

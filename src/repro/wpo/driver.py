@@ -140,7 +140,7 @@ def wpo_rounds(
     *,
     level,
     options,
-    relax_options,
+    relax_slack: int | None,
     layout_options: LayoutOptions,
     max_rounds: int,
     cache=None,
@@ -175,7 +175,7 @@ def wpo_rounds(
     # events carry each body's pcs.
     eager = (
         cache is None or modules is not None or trace is not None
-        or relax_options is not None
+        or relax_slack is not None
     )
     missed: set[int] = set()
 
@@ -191,7 +191,7 @@ def wpo_rounds(
                 members,
                 layout,
                 options=options,
-                relax_options=relax_options,
+                relax_slack=relax_slack,
                 round_index=round_index,
                 eager=eager,
                 full=full,
@@ -220,7 +220,7 @@ def wpo_rounds(
         max_rounds=max_rounds,
         lay_out=lay_out_program,
         full=full,
-        relax=relax_options,
+        relax_slack=relax_slack,
         bsr_range_words=options.bsr_range_words,
         trace=trace,
     )
@@ -429,7 +429,7 @@ def _run_round(
     layout,
     *,
     options,
-    relax_options,
+    relax_slack: int | None,
     round_index: int,
     eager: bool,
     full: bool,
@@ -459,7 +459,7 @@ def _run_round(
         convert_escaped=convert_escaped,
         trace=trace,
         round_index=round_index,
-        relax=relax_options,
+        relax_slack=relax_slack,
         bsr_range_words=options.bsr_range_words,
     )
     changed = _summarize_shards(
@@ -472,7 +472,7 @@ def _run_round(
     for summary in summaries:
         address_taken.update(summary.taken & proc_names)
 
-    if relax_options is not None:
+    if relax_slack is not None:
         # The fixpoint models every body's addresses (relaxation keeps
         # every body built).
         prologue.run_passes(

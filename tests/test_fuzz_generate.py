@@ -13,7 +13,6 @@ import random
 import pytest
 
 from repro.fuzz.generate import (
-    GAT_WINDOW_BYTES,
     WORD,
     GenConfig,
     RichProgramGen,
@@ -21,6 +20,7 @@ from repro.fuzz.generate import (
     random_config,
 )
 from repro.fuzz.oracle import MODES, VARIANTS, evaluate_program
+from repro.isa.ranges import GP_WINDOW
 
 SEEDS = (0, 1, 2, 3, 4)
 
@@ -56,7 +56,7 @@ def test_big_commons_straddle_gat_window():
         if line.startswith("int big") and "[" in line:
             sizes.append(int(line.split("[")[1].split("]")[0]) * WORD)
     assert sizes, "big_commons should emit oversized commons"
-    assert any(size >= GAT_WINDOW_BYTES for size in sizes)
+    assert any(size > GP_WINDOW.hi for size in sizes)
 
 
 def test_mutated_and_random_configs_stay_valid():
@@ -138,7 +138,7 @@ def test_decaf_big_commons_straddle_gat_window():
     # The straddler is planned within a few words of the boundary (on
     # either side), so the sorted-placement cut lands inside the run.
     assert sizes
-    assert any(abs(size - GAT_WINDOW_BYTES) <= 6 * WORD for size in sizes)
+    assert any(abs(size - (GP_WINDOW.hi + 1)) <= 6 * WORD for size in sizes)
 
 
 @pytest.mark.parametrize("language", ["decaf", "mixed"])

@@ -1,8 +1,8 @@
 """Linker-side layout boundaries: the 16-bit GP window cost model and
 deterministic COMMON placement."""
 
+from repro.isa.ranges import GP_BIAS
 from repro.linker.layout import (
-    GP_BIAS,
     LayoutOptions,
     _window_cost,
     compute_layout,

@@ -2,7 +2,8 @@
 
 from hypothesis import given, settings, strategies as st
 
-from repro.linker.layout import GP_BIAS, LayoutOptions, compute_layout
+from repro.isa.ranges import GP_BIAS
+from repro.linker.layout import LayoutOptions, compute_layout
 from repro.linker.resolve import resolve_inputs
 from repro.minicc import Options, compile_module
 

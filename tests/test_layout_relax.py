@@ -1,4 +1,4 @@
-"""Span-dependent relaxation: range predicate edges and the fixpoint.
+"""Span-dependent relaxation: range window edges and the fixpoint.
 
 The multi-wave tests build the symbolic program by hand so the modelled
 displacements land exactly on the range boundary: a demotion in one
@@ -7,14 +7,11 @@ in the next wave — the cascade the one-shot check cannot express.
 """
 
 from repro.isa.instruction import Instruction
+from repro.isa.ranges import BRANCH_REACH_WORDS, branch_window
 from repro.layout.callgraph import CallSite
-from repro.layout.relax import (
-    BSR_RANGE_WORDS,
-    RelaxCandidate,
-    bsr_disp_in_range,
-    relax_call_sites,
-)
+from repro.layout.relax import RelaxCandidate, relax_call_sites
 from repro.minicc.mcode import MInstr
+from repro.obs.trace import TraceLog
 from repro.om.symbolic import SymbolicModule, SymbolicProc
 
 #: A small range keeps the hand-built programs tiny; the arithmetic is
@@ -23,20 +20,18 @@ R = 64
 
 
 def test_disp_range_positive_edge():
-    assert bsr_disp_in_range(BSR_RANGE_WORDS - 1)
-    assert not bsr_disp_in_range(BSR_RANGE_WORDS)
+    assert branch_window(BRANCH_REACH_WORDS)[1] == (1 << 20) - 1
 
 
 def test_disp_range_negative_edge():
-    assert bsr_disp_in_range(-BSR_RANGE_WORDS)
-    assert not bsr_disp_in_range(-BSR_RANGE_WORDS - 1)
+    assert branch_window(BRANCH_REACH_WORDS)[0] == -(1 << 20)
 
 
 def test_disp_range_custom_width_both_signs():
-    assert bsr_disp_in_range(R - 1, R)
-    assert not bsr_disp_in_range(R, R)
-    assert bsr_disp_in_range(-R, R)
-    assert not bsr_disp_in_range(-R - 1, R)
+    assert branch_window(R) == (-R, R - 1)
+    assert branch_window(R, 1) == (-R + 1, R - 2)  # slack rounds up to words
+    assert branch_window(R, 4) == (-R + 1, R - 2)
+    assert branch_window(R, 5) == (-R + 2, R - 3)
 
 
 def _instr():
@@ -83,10 +78,8 @@ def test_fixpoint_needs_two_waves():
     result = relax_call_sites(modules, candidates, text_base=0, range_words=R)
     assert result.decisions[jsr_x.uid] is False
     assert result.decisions[jsr_y.uid] is False
-    assert result.waves == 2
     assert result.iterations == 3  # two demoting waves + the clean pass
     assert result.demoted == 2
-    assert result.converged
 
 
 def test_fixpoint_keeps_in_range_sites():
@@ -95,9 +88,8 @@ def test_fixpoint_keeps_in_range_sites():
     result = relax_call_sites(modules, candidates, text_base=0, range_words=R)
     assert result.decisions[jsr_x.uid] is True
     assert result.decisions[jsr_y.uid] is True
-    assert result.waves == 0
     assert result.iterations == 1
-    assert result.converged
+    assert result.demoted == 0
 
 
 def _backward_program(filler_words):
@@ -121,29 +113,65 @@ def test_negative_edge_exact():
     assert result.decisions[jsr_p.uid] is False  # -(R + 1): demoted
 
 
-def test_iteration_bound_demotes_conservatively():
-    """Hitting the ceiling demotes every remaining optimist (safe)."""
-    modules, candidates, jsr_x, jsr_y = _forward_program(R - 2)
-    result = relax_call_sites(
-        modules, candidates, text_base=0, range_words=R, max_iterations=1
-    )
-    assert not result.converged
-    assert result.decisions[jsr_x.uid] is False
-    assert result.decisions[jsr_y.uid] is False
-    assert result.demoted == 2
-
-
 def test_slack_tightens_the_window():
     """Slack bytes shrink the acceptance window.
 
     The same program that is fully legal at slack 0 (see
     ``test_fixpoint_keeps_in_range_sites``) loses Y at ``hi = R - 2``,
-    and the revived load then cascades into X — both demote.
+    and the revived load then cascades into X — both demote.  Each
+    demotion names the window it missed: the narrowed one.
     """
     modules, candidates, jsr_x, jsr_y = _forward_program(R - 3)
+    trace = TraceLog()
     result = relax_call_sites(
-        modules, candidates, text_base=0, range_words=R, slack=4
+        modules, candidates, text_base=0, range_words=R, slack=4, trace=trace
     )
     assert result.decisions[jsr_y.uid] is False
     assert result.decisions[jsr_x.uid] is False
-    assert result.waves == 2
+    assert result.iterations == 3
+    demotions = [
+        e["args"]["reason"] for e in trace.events if e["args"]["proc"] != "<fixpoint>"
+    ]
+    assert demotions == [
+        f"wave 1: displacement {R - 1} words outside [{-R + 1}, {R - 2}]",
+        f"wave 2: displacement {R - 1} words outside [{-R + 1}, {R - 2}]",
+    ]
+
+
+def _cascade(sites):
+    """``sites`` backward calls, each demotion pushing the next site out.
+
+    Procedures ``X1 G X2 C1 X3 C2 ... X(n) C(n-1) C(n)``, where ``C(i)``
+    is ``[load, jsr -> X(i)]`` and every other procedure one word
+    (``G`` four).  With every PV load deleted, site ``i`` of ``2 .. n-1``
+    spans ``X(i) C(i-1) X(i+1) C(i)``, exactly ``R = 4`` words: the
+    negative edge.  Only site ``i - 1``'s revived load lies in that
+    span, so each wave demotes exactly the next site.  Site 1 spans
+    ``G`` and starts out of range; site ``n`` spans ``X(n) C(n-1) C(n)``,
+    three words, four once load ``n - 1`` is back: on the edge, kept.
+    """
+    callers = [_proc(f"C{i}", [_instr(), _instr()]) for i in range(1, sites + 1)]
+    callees = [_proc(f"X{i}", [_instr()]) for i in range(1, sites + 1)]
+    procs = [callees[0], _proc("G", [_instr() for __ in range(4)])]
+    for i in range(1, sites):
+        procs += [callees[i], callers[i - 1]]
+    procs.append(callers[-1])
+    candidates = [
+        RelaxCandidate(
+            CallSite(0, caller, caller.items[1], caller.items[0], 0, callee),
+            True, 0,
+        )
+        for caller, callee in zip(callers, callees)
+    ]
+    return [SymbolicModule("m", procs=procs)], candidates
+
+
+def test_cascade_runs_until_no_site_moves():
+    """70 waves each demote one site; the fixpoint ends on a clean
+    pass and keeps the last site, on the edge."""
+    modules, candidates = _cascade(71)
+    result = relax_call_sites(modules, candidates, text_base=0, range_words=4)
+    kept = [c.site.caller.name for c in candidates if result.decisions[c.site.jsr.uid]]
+    assert kept == ["C71"]
+    assert result.demoted == 70
+    assert result.iterations == result.demoted + 1

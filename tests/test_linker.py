@@ -2,9 +2,10 @@
 
 import pytest
 
+from repro.isa.ranges import GP_BIAS
 from repro.linker import LinkError, link, make_crt0
 from repro.linker.executable import DATA_BASE, TEXT_BASE
-from repro.linker.layout import GP_BIAS, LayoutOptions, compute_layout
+from repro.linker.layout import LayoutOptions, compute_layout
 from repro.linker.resolve import resolve_inputs
 from repro.machine import run
 from repro.minicc import Options, compile_module
